@@ -11,12 +11,10 @@ adversarial actors through whole trials (`actors`, `cli`).
 from .commitment import (
     DIGEST_SIZE,
     NONCE_SIZE,
-    OPENING_SIZE,
     Opening,
     ShotContent,
     commit,
     generate_nonce,
-    verify_opening,
     verify_raw_opening,
 )
 from .coinflip import (
@@ -40,7 +38,7 @@ from .contract import (
     efficiency_percent,
     risk_ratio_percent,
 )
-from .keys import KeyPair, address_from_public_key, create_account, verify_signature
+from .keys import KeyPair, address_from_public_key, verify_signature
 from .ledger import (
     Event,
     Ledger,
@@ -77,12 +75,10 @@ __version__ = "0.1.0"
 __all__ = [
     "DIGEST_SIZE",
     "NONCE_SIZE",
-    "OPENING_SIZE",
     "Opening",
     "ShotContent",
     "commit",
     "generate_nonce",
-    "verify_opening",
     "verify_raw_opening",
     "CoinFlipSession",
     "Party",
@@ -103,7 +99,6 @@ __all__ = [
     "risk_ratio_percent",
     "KeyPair",
     "address_from_public_key",
-    "create_account",
     "verify_signature",
     "Event",
     "Ledger",

@@ -17,7 +17,7 @@ from random import Random
 
 from .commitment import Opening, ShotContent, commit, generate_nonce
 from .coinflip import RandomContribution, commit_contribution
-from .contract import CONTRACT_ID, TrialConfig, efficiency_percent
+from .contract import TrialConfig, efficiency_percent, json_value, make_genesis
 from .keys import KeyPair
 from .ledger import ACCEPTED, Ledger, Receipt, make_transaction
 
@@ -132,12 +132,6 @@ class DiseaseModel:
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
 
-    def model_efficiency(self) -> float | None:
-        return efficiency_percent(self.p_control, self.p_vaccine) if self.p_control else None
-
-    def to_dict(self) -> dict:
-        return {"p_control": self.p_control, "p_vaccine": self.p_vaccine, "epochs": self.epochs}
-
     @classmethod
     def from_dict(cls, raw: dict) -> "DiseaseModel":
         return cls(
@@ -174,28 +168,6 @@ class ScenarioSpec:
             raise ValueError("vaccine_fraction must be in [0, 1]")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-
-    def to_dict(self) -> dict:
-        d = {
-            "name": self.name,
-            "config": {
-                "num_participants": self.num_participants,
-                "infected_threshold": self.infected_threshold,
-                "target_efficiency": self.target_efficiency,
-                "num_clinics": self.num_clinics,
-                "binding_deadline": self.binding_deadline,
-            },
-            "disease": self.disease.to_dict(),
-            "vaccine_fraction": self.vaccine_fraction,
-            "strategies": [s.to_dict() for s in self.strategies],
-            "seeds": list(self.seeds),
-        }
-        if self.grid:
-            d["grid"] = [
-                {"label": c.label, "strategies": [s.to_dict() for s in c.strategies]}
-                for c in self.grid
-            ]
-        return d
 
 
 def scenario_from_dict(raw: dict) -> ScenarioSpec:
@@ -337,15 +309,7 @@ class _Runner:
             self.manifest[commit(opening)] = opening
         if len(self.manifest) != spec.num_participants:
             raise RuntimeError("commitment collision in manifest")
-        genesis = {
-            "contract": CONTRACT_ID,
-            "deployer": dev_kp.address.hex(),
-            "params": {
-                "config": self.config.to_dict(),
-                "commitments": [c.hex() for c in self.manifest],
-            },
-        }
-        self.ledger = Ledger(genesis)
+        self.ledger = Ledger(make_genesis(self.config, self.manifest))
         self.developer = _Actor(dev_kp, self.ledger)
         self.clinics = [_Actor(kp, self.ledger) for kp in clinic_kps]
         self.patients = [
@@ -356,11 +320,6 @@ class _Runner:
         if patient_strategy.behavior is Behavior.NEVER_REPORT:
             for p in self.patients:
                 p.silent = rng.random() < patient_strategy.probability
-        # clinic -> commitments still free (runner-side mirror of the
-        # contract's free lists, kept for collusion targeting and reports)
-        self.free: dict[int, set[bytes]] = {i: set() for i in range(spec.num_clinics)}
-        self.shot_clinic: dict[bytes, int] = {}
-        self.shot_patient: dict[bytes, int] = {}
 
     def _distribute(self) -> None:
         shots = list(self.manifest)
@@ -377,15 +336,14 @@ class _Runner:
             )
             if not receipt.accepted:
                 raise RuntimeError(f"distribution failed: {receipt.code}")
-            self.free[clinic_index].add(shot)
-            self.shot_clinic[shot] = clinic_index
 
     def _bind_all(self) -> None:
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
+        free_shots = self.ledger.contract.free_shots
         cursor = 0
         for patient in self.patients:
             for _ in range(len(self.clinics)):
-                if self.free[cursor % len(self.clinics)]:
+                if free_shots[self.config.clinics[cursor % len(self.clinics)]]:
                     break
                 cursor += 1
             clinic_index = cursor % len(self.clinics)
@@ -399,8 +357,8 @@ class _Runner:
         r1 = rng.getrandbits(64)
         if collude:
             # both parties pick values before committing; XOR lands on the
-            # agreed index of the publicly computable free-shot ordering
-            free_sorted = sorted(self.free[clinic_index])
+            # agreed index of the contract's public, digest-sorted free list
+            free_sorted = list(self.ledger.contract.free_shots[self.config.clinics[clinic_index]])
             target_index = rng.randrange(len(free_sorted))
             r2 = r1 ^ target_index
         else:
@@ -433,8 +391,6 @@ class _Runner:
         if not receipt.accepted:
             raise RuntimeError(f"confirm_binding failed: {receipt.code}")
         patient.shot = shot
-        self.free[clinic_index].discard(shot)
-        self.shot_patient[shot] = patient.index
         if collude:
             expected = free_sorted[target_index]
             self.evidence.append(
@@ -597,15 +553,16 @@ class _Runner:
         )
         table = None
         if self.keep_table:
+            index_of_clinic = {address: i for i, address in enumerate(self.config.clinics)}
+            patient_by_shot = {p.shot: p for p in self.patients if p.shot is not None}
             table = []
             for shot, opening in self.manifest.items():
-                patient_index = self.shot_patient.get(shot)
-                patient = self.patients[patient_index] if patient_index is not None else None
+                patient = patient_by_shot.get(shot)
                 table.append(
                     {
                         "commitment": shot.hex(),
                         "content": opening.content.label,
-                        "clinic": self.shot_clinic.get(shot),
+                        "clinic": index_of_clinic.get(ledger.contract.shots[shot].clinic),
                         "patient": patient.address_hex if patient else None,
                         "truly_infected": patient.truly_infected if patient else False,
                         "reported_sick": patient.reported if patient else False,
@@ -618,8 +575,8 @@ class _Runner:
             complete=complete,
             phase=str(ledger.query("phase")),
             epochs_run=self.epochs_run,
-            config=self.config.to_dict(),
-            disease=self.spec.disease.to_dict(),
+            config=json_value(self.config),
+            disease=json_value(self.spec.disease),
             strategies=[s.to_dict() for s in self.strategies.values()],
             ledger_summary={
                 "infected": ledger.query("infected_count"),

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .actors import load_scenario, run_scenario, scenario_from_dict
-from .ledger import Ledger
+from .contract import json_value
 from .logio import LogFormatError, audit_log, read_log, write_ledger_log
 
 EXIT_OK = 0
@@ -68,7 +68,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
     if args.export_json:
         export_path = out_dir / f"{base}.log.json"
-        export_path.write_text(json.dumps(read_log(log_path).to_dict(), indent=2) + "\n")
+        export_path.write_text(json.dumps(json_value(read_log(log_path)), indent=2) + "\n")
         print(f"log json:  {export_path}")
     print(f"log:       {log_path}")
     print(f"report:    {report_path}")
@@ -105,7 +105,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     report, ledger = audit_log(log)
     if args.export_json:
         export_path = path.with_suffix(path.suffix + ".json")
-        export_path.write_text(json.dumps(log.to_dict(), indent=2) + "\n")
+        export_path.write_text(json.dumps(json_value(log), indent=2) + "\n")
         print(f"log json:  {export_path}")
     print(f"records:   {report.record_count}")
     print(f"phase:     {ledger.query('phase')}")
@@ -164,7 +164,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     except LogFormatError as exc:
         print(f"error: unreadable log: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    ledger, _ = Ledger.replay(log.genesis, [(r.tx, r.status, r.code) for r in log.records])
+    _, ledger = audit_log(log)
     config = ledger.query("config")
     infected = ledger.query("infected_count")
     print(f"phase:    {ledger.query('phase')}")

@@ -10,7 +10,7 @@ deadline so one silent party cannot wedge the flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
 
@@ -122,20 +122,3 @@ class CoinFlipSession:
         if self.deadline is None or now <= self.deadline:
             raise SessionError("AbortBeforeDeadline", "deadline has not passed")
         self.phase = SessionPhase.ABORTED
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase.value,
-            "deadline": self.deadline,
-            "commit_a": self.commit_a.hex() if self.commit_a else None,
-            "commit_b": self.commit_b.hex() if self.commit_b else None,
-            "reveal_a": _reveal_dict(self.reveal_a),
-            "reveal_b": _reveal_dict(self.reveal_b),
-            "result": self.result,
-        }
-
-
-def _reveal_dict(contribution: RandomContribution | None) -> dict | None:
-    if contribution is None:
-        return None
-    return {"value": contribution.value, "nonce": contribution.nonce.hex()}

@@ -16,7 +16,6 @@ from random import Random
 
 NONCE_SIZE = 32
 DIGEST_SIZE = 32
-OPENING_SIZE = NONCE_SIZE + 1
 
 
 class ShotContent(Enum):
@@ -27,12 +26,6 @@ class ShotContent(Enum):
 
     def encode(self) -> bytes:
         return bytes([self.value])
-
-    @classmethod
-    def decode(cls, raw: bytes) -> "ShotContent":
-        if len(raw) != 1:
-            raise ValueError(f"content encoding must be one byte, got {len(raw)}")
-        return cls(raw[0])
 
     @classmethod
     def from_name(cls, name: str) -> "ShotContent":
@@ -63,25 +56,14 @@ class Opening:
         """Wire form: 32 nonce bytes followed by the single content byte."""
         return self.nonce + self.content.encode()
 
-    @classmethod
-    def deserialize(cls, raw: bytes) -> "Opening":
-        if len(raw) != OPENING_SIZE:
-            raise ValueError(f"opening must be {OPENING_SIZE} bytes, got {len(raw)}")
-        return cls(content=ShotContent.decode(raw[NONCE_SIZE:]), nonce=raw[:NONCE_SIZE])
-
 
 def commit(opening: Opening) -> bytes:
     """Produce the 32-byte commitment digest for an opening."""
     return sha256(opening.serialize()).digest()
 
 
-def verify_opening(commitment: bytes, opening: Opening) -> bool:
-    """True iff the opening hashes to the given commitment."""
-    return commit(opening) == commitment
-
-
 def verify_raw_opening(commitment: bytes, nonce: bytes, content_byte: int) -> bool:
-    """Total-function variant for untrusted wire input.
+    """True iff ``nonce || content_byte`` hashes to the commitment.
 
     Malformed material (wrong nonce length, unknown content byte) is a
     plain mismatch, never an exception.

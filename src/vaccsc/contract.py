@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 
 from .coinflip import (
@@ -29,9 +29,36 @@ from .coinflip import (
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-1"
+CONTRACT_ID = "vaccsc-2"
 
 DEFAULT_BINDING_DEADLINE = 100
+
+
+def _json_default(obj):
+    """Encode the program's own types: bytes as hex, an Enum as its value,
+    an object with ``to_dict`` through it, a dataclass as its fields in
+    declaration order."""
+    if isinstance(obj, bytes):
+        return obj.hex()
+    if isinstance(obj, Enum):
+        return obj.value
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if is_dataclass(obj):
+        # The instance dict of a dataclass without slots holds exactly its
+        # fields, in declaration order; it is twice as fast as fields().
+        return vars(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def canonical_json(obj) -> bytes:
+    """Deterministic JSON bytes: sorted keys, no whitespace, UTF-8."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default).encode()
+
+
+def json_value(obj):
+    """``obj`` as plain JSON values (dicts, lists, str, numbers), keys in field order."""
+    return json.loads(json.dumps(obj, default=_json_default))
 
 
 class ContractError(Exception):
@@ -89,50 +116,16 @@ class TrialConfig:
         if self.binding_deadline < 0:
             raise ValueError("binding_deadline must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "num_participants": self.num_participants,
-            "infected_threshold": self.infected_threshold,
-            "target_efficiency": self.target_efficiency,
-            "clinics": [c.hex() for c in self.clinics],
-            "developer": self.developer.hex(),
-            "binding_deadline": self.binding_deadline,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrialConfig":
-        return cls(
-            num_participants=int(raw["num_participants"]),
-            infected_threshold=int(raw["infected_threshold"]),
-            target_efficiency=float(raw["target_efficiency"]),
-            clinics=tuple(bytes.fromhex(c) for c in raw["clinics"]),
-            developer=bytes.fromhex(raw["developer"]),
-            binding_deadline=int(raw.get("binding_deadline", DEFAULT_BINDING_DEADLINE)),
-        )
-
 
 @dataclass
 class ShotRecord:
     """Per-shot row. Every field is set at most once, in lifecycle order."""
 
-    commit: bytes
     clinic: bytes | None = None
     patient: bytes | None = None
     got_sick: bool = False
     vaccine_type: VaccineType = VaccineType.UNKNOWN
     patient_confirmed: bool = False
-    session: CoinFlipSession | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "commit": self.commit.hex(),
-            "clinic": self.clinic.hex() if self.clinic else None,
-            "patient": self.patient.hex() if self.patient else None,
-            "got_sick": self.got_sick,
-            "vaccine_type": self.vaccine_type.value,
-            "patient_confirmed": self.patient_confirmed,
-            "session": self.session.to_dict() if self.session else None,
-        }
 
 
 @dataclass(frozen=True)
@@ -143,14 +136,6 @@ class TrialOutcome:
     ar1: int  # infected vaccine recipients (by elimination)
     efficiency: float | None  # signed percentage; None when ar0 = 0
     approved: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "ar0": self.ar0,
-            "ar1": self.ar1,
-            "efficiency": self.efficiency,
-            "approved": self.approved,
-        }
 
 
 def efficiency_percent(ar0: int, ar1: int) -> float | None:
@@ -182,43 +167,16 @@ def decide_outcome(ar0: int, ar1: int, target_efficiency: float) -> TrialOutcome
 
 @dataclass
 class BindingSession:
-    """A pending clinic/patient coin flip, not yet attached to a shot."""
+    """A clinic/patient coin flip; ``shot`` is set when the flip selects one."""
 
-    session_id: int
     clinic: bytes
     patient: bytes
     flip: CoinFlipSession
     shot: bytes | None = None
 
-    def to_dict(self) -> dict:
-        d = self.flip.to_dict()
-        d.update(
-            {
-                "session_id": self.session_id,
-                "clinic": self.clinic.hex(),
-                "patient": self.patient.hex(),
-                "shot": self.shot.hex() if self.shot else None,
-            }
-        )
-        return d
-
 
 class VaccineTrial:
     """Contract instance. All mutation goes through ``dispatch``."""
-
-    METHODS = frozenset(
-        {
-            "assign_shot_to_clinic",
-            "begin_binding",
-            "patient_commit",
-            "clinic_reveal",
-            "patient_reveal",
-            "confirm_binding",
-            "report_sick",
-            "reveal_controls",
-            "abort_binding",
-        }
-    )
 
     def __init__(self, config: TrialConfig, commitments: list[bytes]):
         if len(commitments) != config.num_participants:
@@ -230,7 +188,7 @@ class VaccineTrial:
         if len(set(commitments)) != len(commitments):
             raise ValueError("commitments must be pairwise distinct")
         self.config = config
-        self.shots: dict[bytes, ShotRecord] = {c: ShotRecord(commit=c) for c in commitments}
+        self.shots: dict[bytes, ShotRecord] = {c: ShotRecord() for c in commitments}
         self.phase = TrialPhase.DEPLOYED
         self.infected = 0
         self.outcome: TrialOutcome | None = None
@@ -238,33 +196,35 @@ class VaccineTrial:
         # free_shots: per clinic, patient-less shots sorted by digest. This
         # sorted order is the canonical order the coin flip indexes into.
         self.free_shots: dict[bytes, list[bytes]] = {c: [] for c in config.clinics}
-        self.sessions: dict[int, BindingSession] = {}
+        # A session's id is its index; sessions are never removed.
+        self.sessions: list[BindingSession] = []
+        # Lookup indexes derived from sessions; not part of the canonical state.
         self.pending_by_patient: dict[bytes, int] = {}
         self.patient_shot: dict[bytes, bytes] = {}
-        self.next_session_id = 0
 
     # -- genesis -----------------------------------------------------------
 
     @classmethod
     def from_genesis(cls, genesis: dict) -> "VaccineTrial":
-        if genesis.get("contract") != CONTRACT_ID:
-            raise ValueError(f"unsupported contract id {genesis.get('contract')!r}")
+        """Deploy from a genesis document; raises ValueError naming the bad field."""
+        contract = genesis.get("contract")
+        if contract != CONTRACT_ID:
+            raise ValueError(f"unsupported contract id {contract!r}")
+        _check_json(genesis, _GENESIS_SCHEMA, "genesis")
         params = genesis["params"]
-        config = TrialConfig.from_dict(params["config"])
-        if bytes.fromhex(genesis["deployer"]) != config.developer:
+        raw = params["config"]
+        config = TrialConfig(
+            num_participants=raw["num_participants"],
+            infected_threshold=raw["infected_threshold"],
+            target_efficiency=raw["target_efficiency"],
+            clinics=tuple(_genesis_hex(c, "params.config.clinics") for c in raw["clinics"]),
+            developer=_genesis_hex(raw["developer"], "params.config.developer"),
+            binding_deadline=raw["binding_deadline"],
+        )
+        if _genesis_hex(genesis["deployer"], "deployer") != config.developer:
             raise ValueError("genesis deployer does not match the configured developer")
-        commitments = [bytes.fromhex(c) for c in params["commitments"]]
+        commitments = [_genesis_hex(c, "params.commitments") for c in params["commitments"]]
         return cls(config, commitments)
-
-    def genesis_dict(self) -> dict:
-        return {
-            "contract": CONTRACT_ID,
-            "deployer": self.config.developer.hex(),
-            "params": {
-                "config": self.config.to_dict(),
-                "commitments": [c.hex() for c in self.shots],
-            },
-        }
 
     # -- dispatch ----------------------------------------------------------
 
@@ -314,11 +274,8 @@ class VaccineTrial:
             raise ContractError("NoShotsAvailable", "clinic has no unassigned shots")
         flip = CoinFlipSession(deadline=tick + self.config.binding_deadline)
         flip.add_commit(Party.A, clinic_commit)
-        session_id = self.next_session_id
-        self.next_session_id += 1
-        self.sessions[session_id] = BindingSession(
-            session_id=session_id, clinic=sender, patient=patient, flip=flip
-        )
+        session_id = len(self.sessions)
+        self.sessions.append(BindingSession(clinic=sender, patient=patient, flip=flip))
         self.pending_by_patient[patient] = session_id
         return [
             (
@@ -362,9 +319,7 @@ class VaccineTrial:
         if session.flip.result is not None:
             index = select_index(session.flip.result, len(free))
             shot = free.pop(index)
-            record = self.shots[shot]
-            record.patient = session.patient
-            record.session = session.flip
+            self.shots[shot].patient = session.patient
             session.shot = shot
             self.patient_shot[session.patient] = shot
             del self.pending_by_patient[session.patient]
@@ -461,17 +416,20 @@ class VaccineTrial:
     def _active_session(self, params: dict) -> BindingSession:
         if self.phase is not TrialPhase.ACTIVE:
             raise ContractError("WrongPhase", "session operations require an active trial")
-        raw = params.get("session")
-        if not isinstance(raw, int):
-            raise ContractError("MalformedParams", "session id must be an integer")
-        session = self.sessions.get(raw)
-        if session is None:
-            raise ContractError("UnknownSession", f"no session {raw}")
+        session = self._session(params)
         if session.shot is not None or session.flip.result is not None:
             raise ContractError("SessionSettled", "session already selected a shot")
         if session.flip.phase.value == "aborted":
             raise ContractError("SessionSettled", "session was aborted")
         return session
+
+    def _session(self, params: dict) -> BindingSession:
+        raw = params.get("session")
+        if type(raw) is not int:  # a JSON bool is not a session id
+            raise ContractError("MalformedParams", "session id must be an integer")
+        if not 0 <= raw < len(self.sessions):
+            raise ContractError("UnknownSession", f"no session {raw}")
+        return self.sessions[raw]
 
     # -- views -------------------------------------------------------------
 
@@ -492,22 +450,19 @@ class VaccineTrial:
                 return None
             return risk_ratio_percent(self.outcome.ar0, self.outcome.ar1)
         if name == "outcome":
-            return self.outcome.to_dict() if self.outcome else None
+            return json_value(self.outcome)
         if name == "config":
-            return self.config.to_dict()
+            return json_value(self.config)
         if name == "shot":
             record = self.shots.get(_digest_param(params, "commitment"))
             if record is None:
                 raise ContractError("UnknownShot", "no such shot commitment")
-            return record.to_dict()
+            return json_value(record)
         if name == "patient_shot":
             shot = self.patient_shot.get(_address_param(params, "patient"))
             return shot.hex() if shot else None
         if name == "session":
-            session = self.sessions.get(params.get("session", -1))
-            if session is None:
-                raise ContractError("UnknownSession", "no such session")
-            return session.to_dict()
+            return json_value(self._session(params))
         if name == "shots_available":
             clinic = _address_param(params, "clinic")
             if clinic not in self.free_shots:
@@ -517,23 +472,80 @@ class VaccineTrial:
 
     # -- canonical state ---------------------------------------------------
 
-    def state_dict(self) -> dict:
-        return {
-            "contract": CONTRACT_ID,
-            "phase": self.phase.value,
-            "config": self.config.to_dict(),
-            "shots": {c.hex(): r.to_dict() for c, r in self.shots.items()},
-            "patients": {a.hex(): s.hex() for a, s in self.patient_shot.items()},
-            "pending": {a.hex(): sid for a, sid in self.pending_by_patient.items()},
-            "sessions": {str(sid): s.to_dict() for sid, s in self.sessions.items()},
-            "infected": self.infected,
-            "outcome": self.outcome.to_dict() if self.outcome else None,
-            "next_session_id": self.next_session_id,
-        }
-
     def canonical_state(self) -> bytes:
         """Deterministic byte form of the full state, for digests and replay."""
-        return json.dumps(self.state_dict(), sort_keys=True, separators=(",", ":")).encode()
+        return canonical_json(
+            {
+                "contract": CONTRACT_ID,
+                "phase": self.phase,
+                "config": self.config,
+                "shots": {c.hex(): r for c, r in self.shots.items()},
+                "sessions": self.sessions,
+                "infected": self.infected,
+                "outcome": self.outcome,
+            }
+        )
+
+
+def make_genesis(config: TrialConfig, commitments) -> dict:
+    """The genesis document deploying ``config`` with these shot commitments."""
+    return json_value(
+        {
+            "contract": CONTRACT_ID,
+            "deployer": config.developer,
+            "params": {"config": config, "commitments": list(commitments)},
+        }
+    )
+
+
+# Exact JSON shape of a genesis: an object's keys must match exactly, and a
+# number must have one of the listed types, so a bool never passes as an int.
+_GENESIS_SCHEMA = {
+    "contract": str,
+    "deployer": str,
+    "params": {
+        "config": {
+            "num_participants": int,
+            "infected_threshold": int,
+            "target_efficiency": (int, float),
+            "clinics": [str],
+            "developer": str,
+            "binding_deadline": int,
+        },
+        "commitments": [str],
+    },
+}
+
+
+def _check_json(value, schema, path: str) -> None:
+    if isinstance(schema, dict):
+        if type(value) is not dict:
+            raise ValueError(f"{path} must be an object")
+        odd = sorted(schema.keys() ^ value.keys())
+        if odd:
+            key = odd[0]
+            raise ValueError(f"{path}.{key} is {'missing' if key in schema else 'unexpected'}")
+        for key, item_schema in schema.items():
+            _check_json(value[key], item_schema, f"{path}.{key}")
+    elif isinstance(schema, list):
+        if type(value) is not list:
+            raise ValueError(f"{path} must be a list")
+        for item in value:
+            _check_json(item, schema[0], f"{path}[]")
+    else:
+        kinds = schema if isinstance(schema, tuple) else (schema,)
+        if type(value) not in kinds:
+            raise ValueError(f"{path} must be a JSON {' or '.join(k.__name__ for k in kinds)}")
+
+
+def _genesis_hex(value: str, path: str) -> bytes:
+    try:
+        raw = bytes.fromhex(value)
+    except ValueError:
+        raise ValueError(f"{path} is not hex") from None
+    if raw.hex() != value:
+        raise ValueError(f"{path} must be lowercase hex without spaces")
+    return raw
 
 
 def _session_op(op, *args) -> None:
@@ -569,7 +581,7 @@ def _address_param(params: dict, key: str) -> bytes:
 
 def _contribution_param(params: dict) -> RandomContribution:
     value = params.get("value")
-    if not isinstance(value, int) or not 0 <= value <= U64_MAX:
+    if type(value) is not int or not 0 <= value <= U64_MAX:
         raise ContractError("MalformedParams", "value must be an unsigned 64-bit integer")
     nonce = _hex_param(params, "nonce")
     if len(nonce) != NONCE_SIZE:

@@ -50,12 +50,6 @@ class KeyPair:
         return self._private.sign(message)
 
 
-def create_account(rng: Random | None = None) -> tuple[KeyPair, bytes]:
-    """Fresh account: the keypair plus its address."""
-    keypair = KeyPair.generate(rng)
-    return keypair, keypair.address
-
-
 def verify_signature(public_key: bytes | Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` over ``message`` verifies under ``public_key``."""
     try:

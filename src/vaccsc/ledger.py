@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from hashlib import sha256
 
-from .contract import ContractError, VaccineTrial
+from .contract import ContractError, VaccineTrial, canonical_json
 from .keys import (
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
@@ -26,11 +26,6 @@ from .keys import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
-
-
-def canonical_json(obj) -> bytes:
-    """Deterministic JSON bytes: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
 def signing_bytes(method: str, sequence_number: int, payload: bytes) -> bytes:
@@ -57,9 +52,6 @@ class SignedTransaction:
 
     def signing_bytes(self) -> bytes:
         return signing_bytes(self.method, self.sequence_number, self.payload)
-
-    def params(self) -> dict:
-        return json.loads(self.payload.decode())
 
     def to_dict(self) -> dict:
         return {
@@ -95,14 +87,6 @@ class Event:
     name: str
     payload: dict
     cause: int  # journal position of the transaction that emitted it
-
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "name": self.name,
-            "payload": self.payload,
-            "cause": self.cause,
-        }
 
 
 @dataclass(frozen=True)
@@ -172,10 +156,14 @@ class Ledger:
     def _execute(self, tx: SignedTransaction, position: int) -> tuple[str | None, str, tuple[Event, ...]]:
         try:
             params = json.loads(tx.payload.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError):
+        except ValueError:  # bad UTF-8, bad JSON, or an int too long to convert
             return "MalformedPayload", "payload is not valid JSON", ()
         if not isinstance(params, dict):
             return "MalformedPayload", "payload must be a JSON object", ()
+        # Signed bytes that are not the canonical form (duplicate keys, extra
+        # whitespace) could mean different things to different JSON parsers.
+        if canonical_json(params) != tx.payload:
+            return "NonCanonicalPayload", "payload is not canonical JSON", ()
         try:
             emitted = self.contract.dispatch(tx.sender, tx.method, params, position)
         except ContractError as exc:
@@ -203,7 +191,7 @@ class Ledger:
         return sha256(self.contract.canonical_state()).digest()
 
     def events_digest(self) -> bytes:
-        return sha256(canonical_json([e.to_dict() for e in self.events])).digest()
+        return sha256(canonical_json(self.events)).digest()
 
     # -- replay ------------------------------------------------------------
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 
+from .contract import VaccineTrial
 from .keys import ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE
 from .ledger import ACCEPTED, REJECTED, Ledger, SignedTransaction, canonical_json
 
@@ -45,9 +46,6 @@ class LoggedTransaction:
     code: str | None
     tx: SignedTransaction
 
-    def to_dict(self) -> dict:
-        return {"status": self.status, "code": self.code, "tx": self.tx.to_dict()}
-
 
 @dataclass(frozen=True)
 class LogTrailer:
@@ -56,27 +54,12 @@ class LogTrailer:
     events_digest: bytes
     log_digest: bytes
 
-    def to_dict(self) -> dict:
-        return {
-            "record_count": self.record_count,
-            "state_digest": self.state_digest.hex(),
-            "events_digest": self.events_digest.hex(),
-            "log_digest": self.log_digest.hex(),
-        }
-
 
 @dataclass(frozen=True)
 class LogFile:
     genesis: dict
     records: tuple[LoggedTransaction, ...]
     trailer: LogTrailer
-
-    def to_dict(self) -> dict:
-        return {
-            "genesis": self.genesis,
-            "records": [r.to_dict() for r in self.records],
-            "trailer": self.trailer.to_dict(),
-        }
 
 
 # -- writing -----------------------------------------------------------------
@@ -179,10 +162,18 @@ def read_log(path: str | Path) -> LogFile:
     genesis_bytes = cur.take(genesis_len, "genesis")
     try:
         genesis = json.loads(genesis_bytes.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
         raise LogFormatError(f"genesis is not valid JSON: {exc}") from None
     if not isinstance(genesis, dict):
         raise LogFormatError("genesis must be a JSON object")
+    if canonical_json(genesis) != genesis_bytes:
+        raise LogFormatError("genesis is not canonical JSON")
+    # The auditor trusts nothing in the file: a hostile genesis must be
+    # rejected here, before any replay builds a contract from it.
+    try:
+        VaccineTrial.from_genesis(genesis)
+    except ValueError as exc:
+        raise LogFormatError(f"invalid genesis: {exc}") from None
 
     records: list[LoggedTransaction] = []
     while True:
@@ -263,16 +254,6 @@ class AuditReport:
     state_match: bool
     events_match: bool
     detail: str
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "record_count": self.record_count,
-            "divergent_positions": list(self.divergent_positions),
-            "state_match": self.state_match,
-            "events_match": self.events_match,
-            "detail": self.detail,
-        }
 
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:

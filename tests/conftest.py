@@ -13,20 +13,9 @@ import pytest
 
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.coinflip import RandomContribution, commit_contribution
-from vaccsc.contract import CONTRACT_ID, TrialConfig
+from vaccsc.contract import TrialConfig, make_genesis
 from vaccsc.keys import KeyPair
 from vaccsc.ledger import Ledger, Receipt, make_transaction
-
-
-def make_genesis(config: TrialConfig, commitments) -> dict:
-    return {
-        "contract": CONTRACT_ID,
-        "deployer": config.developer.hex(),
-        "params": {
-            "config": config.to_dict(),
-            "commitments": [c.hex() for c in commitments],
-        },
-    }
 
 
 class World:

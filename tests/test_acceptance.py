@@ -27,7 +27,7 @@ from vaccsc.coinflip import (
     commit_contribution,
     select_index,
 )
-from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce, verify_opening
+from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce, verify_raw_opening
 from vaccsc.contract import efficiency_percent, risk_ratio_percent
 from vaccsc.ledger import ACCEPTED
 from vaccsc.logio import audit_log, read_log, write_log
@@ -73,7 +73,9 @@ def test_criterion_02_commitment_conformance(vectors, acceptance, timer):
             content=ShotContent.from_name(vec["content"]), nonce=bytes.fromhex(vec["nonce"])
         )
         digest = bytes.fromhex(vec["commitment"])
-        if commit(opening) != digest or not verify_opening(digest, opening):
+        if commit(opening) != digest or not verify_raw_opening(
+            digest, opening.nonce, opening.content.value
+        ):
             vector_failures += 1
 
     rng = Random(20260815)
@@ -83,15 +85,15 @@ def test_criterion_02_commitment_conformance(vectors, acceptance, timer):
         content = ShotContent.VACCINE if rng.getrandbits(1) else ShotContent.PLACEBO
         nonce = generate_nonce(rng)
         digest = commit(Opening(content=content, nonce=nonce))
-        if not verify_opening(digest, Opening(content=content, nonce=nonce)):
+        if not verify_raw_opening(digest, nonce, content.value):
             missed_true += 1
         other = ShotContent.PLACEBO if content is ShotContent.VACCINE else ShotContent.VACCINE
-        if verify_opening(digest, Opening(content=other, nonce=nonce)):
+        if verify_raw_opening(digest, nonce, other.value):
             false_accepts += 1
         bit = rng.randrange(256)
         mutated = bytearray(nonce)
         mutated[bit // 8] ^= 1 << (bit % 8)
-        if verify_opening(digest, Opening(content=content, nonce=bytes(mutated))):
+        if verify_raw_opening(digest, bytes(mutated), content.value):
             false_accepts += 1
 
     ok = vector_failures == 0 and false_accepts == 0 and missed_true == 0
@@ -673,8 +675,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
             w.ledger.query("shots_available", {"clinic": c.hex()})
             for c in w.config.clinics
         )
-        state = w.ledger.contract.state_dict()
-        patients_map = state["patients"]
+        patients_map = w.ledger.contract.patient_shot
         conserved = (
             outcome["ar0"] + outcome["ar1"] == threshold
             and outcome["ar0"] == truth_ar0

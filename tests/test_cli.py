@@ -6,7 +6,7 @@ import pytest
 
 from vaccsc import cli
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
-from vaccsc.logio import write_ledger_log
+from vaccsc.logio import LoggedTransaction, write_ledger_log, write_log
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +198,21 @@ def test_status_genesis_only(tmp_path, capsys, world_cls):
 def test_status_missing_file(tmp_path, capsys):
     code, _, err = run_cli(capsys, "status", str(tmp_path / "absent.vscl"))
     assert code == 1
+
+
+def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
+    w = world_cls(num_shots=4)
+    w.assign_all()
+    path = tmp_path / "old.vscl"
+    records = [LoggedTransaction(e.status, e.code, e.tx) for e in w.ledger.journal]
+    genesis = dict(w.genesis, contract="vaccsc-1")
+    write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
+    code, _, err = run_cli(capsys, "audit", str(path))
+    assert code == 3
+    assert "unsupported contract id 'vaccsc-1'" in err
+    code, _, err = run_cli(capsys, "status", str(path))
+    assert code == 1
+    assert "unsupported contract id 'vaccsc-1'" in err
 
 
 # -- verify-reveal ----------------------------------------------------------------

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from vaccsc.commitment import (
     DIGEST_SIZE,
     NONCE_SIZE,
-    OPENING_SIZE,
     Opening,
     ShotContent,
     commit,
     generate_nonce,
-    verify_opening,
     verify_raw_opening,
 )
 
@@ -27,7 +25,6 @@ def test_golden_vectors_verify(vectors):
         expected = bytes.fromhex(vec["commitment"])
         opening = Opening(content=content, nonce=nonce)
         assert commit(opening) == expected
-        assert verify_opening(expected, opening)
         assert verify_raw_opening(expected, nonce, content.value)
 
 
@@ -37,20 +34,19 @@ def test_golden_vectors_reject_flips(vectors):
         content = ShotContent.from_name(vec["content"])
         commitment = bytes.fromhex(vec["commitment"])
         other = ShotContent.PLACEBO if content is ShotContent.VACCINE else ShotContent.VACCINE
-        assert not verify_opening(commitment, Opening(content=other, nonce=nonce))
+        assert not verify_raw_opening(commitment, nonce, other.value)
         flipped = bytes([nonce[0] ^ 0x01]) + nonce[1:]
-        assert not verify_opening(commitment, Opening(content=content, nonce=flipped))
+        assert not verify_raw_opening(commitment, flipped, content.value)
 
 
 def test_serialization_is_nonce_then_content():
     nonce = bytes(range(32))
     opening = Opening(content=ShotContent.VACCINE, nonce=nonce)
     raw = opening.serialize()
-    assert len(raw) == OPENING_SIZE
+    assert len(raw) == NONCE_SIZE + 1
     assert raw[:NONCE_SIZE] == nonce
     assert raw[-1] == 0x01
     assert commit(opening) == hashlib.sha256(raw).digest()
-    assert Opening.deserialize(raw) == opening
 
 
 def test_content_encoding():
@@ -60,19 +56,11 @@ def test_content_encoding():
     assert ShotContent.from_name("VACCINE") is ShotContent.VACCINE
     with pytest.raises(ValueError):
         ShotContent.from_name("saline")
-    assert ShotContent.decode(b"\x00") is ShotContent.PLACEBO
-    assert ShotContent.decode(b"\x01") is ShotContent.VACCINE
-    with pytest.raises(ValueError):
-        ShotContent.decode(b"\x02")
-    with pytest.raises(ValueError):
-        ShotContent.decode(b"\x00\x01")
 
 
 def test_nonce_sizes_enforced():
     with pytest.raises(ValueError):
         Opening(content=ShotContent.PLACEBO, nonce=b"short")
-    with pytest.raises(ValueError):
-        Opening.deserialize(b"\x00" * (OPENING_SIZE - 1))
 
 
 def test_verify_raw_opening_is_total():
@@ -114,9 +102,9 @@ def test_hiding_digest_carries_no_content_byte():
 def test_roundtrip_property(content, nonce):
     opening = Opening(content=content, nonce=nonce)
     commitment = commit(opening)
-    assert verify_opening(commitment, opening)
+    assert verify_raw_opening(commitment, nonce, content.value)
     other = ShotContent.PLACEBO if content is ShotContent.VACCINE else ShotContent.VACCINE
-    assert not verify_opening(commitment, Opening(content=other, nonce=nonce))
+    assert not verify_raw_opening(commitment, nonce, other.value)
 
 
 @given(

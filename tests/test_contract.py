@@ -168,12 +168,12 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
         "NoShotsAvailable",
     )
     session_view = w.ledger.query("session", {"session": s2})
-    assert session_view["reveal_b"] is None  # reveal was not half-applied
-    assert session_view["phase"] == "awaiting_reveals"
+    assert session_view["flip"]["reveal_b"] is None  # reveal was not half-applied
+    assert session_view["flip"]["phase"] == "awaiting_reveals"
 
 
 def test_session_party_checks(world_cls):
-    from vaccsc.coinflip import commit_contribution
+    from vaccsc.coinflip import RandomContribution, commit_contribution
 
     w = world_cls(num_shots=4)
     w.assign_all()
@@ -198,6 +198,20 @@ def test_session_party_checks(world_cls):
         "RevealMismatch",
     )
     w.fail(w.clinics[0], "clinic_reveal", {"session": 999, "value": 1, "nonce": "00" * 32}, "UnknownSession")
+    # a JSON bool is not an integer, even though Python's bool is an int:
+    # true must not stand for session 1, nor for a committed value of 1
+    sid1, _, _ = w.begin(1, clinic_index=0)
+    assert sid1 == 1
+    one = RandomContribution(value=1, nonce=bytes(32))
+    commitment = commit_contribution(one).hex()
+    w.fail(w.patients[1], "patient_commit", {"session": True, "commitment": commitment}, "MalformedParams")
+    w.ok(w.patients[1], "patient_commit", {"session": sid1, "commitment": commitment})
+    w.fail(
+        w.patients[1],
+        "patient_reveal",
+        {"session": sid1, "value": True, "nonce": one.nonce.hex()},
+        "MalformedParams",
+    )
 
 
 def test_binding_selection_follows_xor_over_sorted_digests(world_cls):

@@ -9,7 +9,6 @@ from vaccsc.keys import (
     ADDRESS_SIZE,
     KeyPair,
     address_from_public_key,
-    create_account,
     verify_signature,
 )
 from vaccsc.ledger import SignedTransaction, canonical_json, make_transaction, signing_bytes
@@ -43,16 +42,13 @@ def test_sign_verify_roundtrip_and_cross_key():
     assert not verify_signature(a.public_key, message, sig[:-1] + bytes([sig[-1] ^ 1]))
 
 
-def test_create_account():
-    kp1, addr1 = create_account()
-    kp2, addr2 = create_account()
-    assert addr1 != addr2
-    assert len(addr1) == ADDRESS_SIZE
-    assert addr1 == address_from_public_key(kp1.public_key)
+def test_keypair_generate():
+    a, b = KeyPair.generate(), KeyPair.generate()
+    assert a.address != b.address
+    assert len(a.address) == ADDRESS_SIZE
+    assert a.address == address_from_public_key(a.public_key)
     # seeded generation is reproducible
-    kp3, addr3 = create_account(Random(7))
-    kp4, addr4 = create_account(Random(7))
-    assert addr3 == addr4 and kp3.public_key == kp4.public_key
+    assert KeyPair.generate(Random(7)).public_key == KeyPair.generate(Random(7)).public_key
 
 
 def test_signing_bytes_layout():
@@ -162,6 +158,39 @@ def test_unknown_method_and_malformed_payload(world_cls):
         signature=kp.sign(signing_bytes("report_sick", w.ledger.next_sequence(kp.address), garbage)),
     )
     assert w.ledger.submit(tx2).code == "MalformedPayload"
+    huge = b'{"value":' + b"1" * 5000 + b"}"  # past Python's int-conversion limit
+    assert w.ledger.submit(hand_signed(kp, w, "report_sick", huge)).code == "MalformedPayload"
+
+
+def hand_signed(kp, w, method: str, payload: bytes) -> SignedTransaction:
+    """A correctly signed transaction carrying exactly these payload bytes."""
+    sequence = w.ledger.next_sequence(kp.address)
+    return SignedTransaction(
+        sender=kp.address,
+        public_key=kp.public_key,
+        method=method,
+        payload=payload,
+        sequence_number=sequence,
+        signature=kp.sign(signing_bytes(method, sequence, payload)),
+    )
+
+
+def test_non_canonical_payload_rejected(world_cls):
+    w = world_cls()
+    shot, clinic = w.shot_list()[0].hex(), w.config.clinics[0].hex()
+    canonical = canonical_json({"clinic": clinic, "shot": shot})
+    ambiguous = (
+        # duplicate keys: a last-wins parser assigns the real shot
+        f'{{ "shot" : "{"00" * 32}", "clinic": "{clinic}", "shot": "{shot}" }}'.encode(),
+        canonical.replace(b",", b", "),
+        f'{{"shot":"{shot}","clinic":"{clinic}"}}'.encode(),
+    )
+    before = w.ledger.state_digest()
+    for payload in ambiguous:
+        receipt = w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", payload))
+        assert receipt.code == "NonCanonicalPayload"
+    assert w.ledger.state_digest() == before
+    assert w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", canonical)).accepted
 
 
 def test_rejection_leaves_state_untouched(world_cls):

@@ -1,10 +1,15 @@
 """Binary trial-log files: roundtrip, tamper detection, replay audit."""
 
+import copy
 import json
+import re
 from hashlib import sha256
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from vaccsc.contract import canonical_json, json_value
 from vaccsc.ledger import ACCEPTED, REJECTED
 from vaccsc.logio import (
     MAGIC,
@@ -80,8 +85,7 @@ def test_empty_log_roundtrip(world_cls, tmp_path):
 def test_json_export_shape(logged):
     _, path = logged
     log = read_log(path)
-    doc = log.to_dict()
-    blob = json.loads(json.dumps(doc))  # must be JSON-serializable as-is
+    blob = json_value(log)
     assert set(blob) == {"genesis", "records", "trailer"}
     assert len(blob["trailer"]["log_digest"]) == 64
     first = blob["records"][0]
@@ -247,3 +251,114 @@ def test_forged_state_digest_detected(logged, tmp_path):
     assert not report.state_match
     assert report.events_match
     assert report.divergent_positions == ()
+
+
+# -- a hostile, re-hashed genesis is a format error, never a crash ---------------
+
+
+def rehashed_with_genesis(w, path, genesis):
+    """The world's journal under another genesis, with a valid file digest."""
+    write_log(
+        path, genesis, journal_records(w.ledger), w.ledger.state_digest(), w.ledger.events_digest()
+    )
+    return path
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(genesis):
+        for step in path:
+            genesis = genesis[step]
+        genesis[key] = value(genesis) if callable(value) else value
+
+    return mutate
+
+
+HOSTILE_GENESES = {
+    "vaccsc-1": (_set("contract", "vaccsc-1"), "unsupported contract id 'vaccsc-1'"),
+    "zero participants": (
+        _set("params", "config", "num_participants", 0),
+        "num_participants must be positive",
+    ),
+    "bool participants": (
+        _set("params", "config", "num_participants", True),
+        "params.config.num_participants must be a JSON int",
+    ),
+    "float participants": (
+        _set("params", "config", "num_participants", 2.5),
+        "params.config.num_participants must be a JSON int",
+    ),
+    "params deleted": (lambda genesis: genesis.pop("params"), "genesis.params is missing"),
+    "commitment not hex": (_set("params", "commitments", 0, "zz" * 32), "params.commitments"),
+    "duplicate commitments": (
+        _set("params", "commitments", 1, lambda commitments: commitments[0]),
+        "commitments must be pairwise distinct",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_GENESES))
+def test_hostile_genesis_is_a_format_error(logged, tmp_path, case):
+    w, _ = logged
+    mutate, message = HOSTILE_GENESES[case]
+    genesis = copy.deepcopy(w.genesis)
+    mutate(genesis)
+    path = rehashed_with_genesis(w, tmp_path / "hostile.vscl", genesis)
+    with pytest.raises(LogFormatError, match=re.escape(message)):
+        read_log(path)
+
+
+def test_non_canonical_genesis_bytes_are_a_format_error(logged):
+    w, path = logged
+    data = path.read_bytes()
+    old_len = int.from_bytes(data[5:9], "big")
+    spaced = json.dumps(w.genesis).encode()  # same document, with whitespace
+    body = data[:5] + len(spaced).to_bytes(4, "big") + spaced + data[9 + old_len : -32]
+    path.write_bytes(body + sha256(body).digest())
+    with pytest.raises(LogFormatError, match="genesis is not canonical JSON"):
+        read_log(path)
+
+
+def genesis_fields(doc, prefix=()):
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from genesis_fields(value, prefix + (key,))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(data=st.data())
+@settings(
+    max_examples=150,
+    deadline=None,
+    # the fixture's world is only read, so sharing it across examples is safe
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_genesis_never_crashes_the_auditor(logged, tmp_path, data):
+    w, _ = logged
+    genesis = copy.deepcopy(w.genesis)
+    *parents, key = data.draw(st.sampled_from(sorted(genesis_fields(genesis))))
+    target = genesis
+    for step in parents:
+        target = target[step]
+    value = data.draw(JSON_VALUES)
+    assume(canonical_json(value) != canonical_json(target[key]))
+    target[key] = value
+    path = rehashed_with_genesis(w, tmp_path / "fuzzed.vscl", genesis)
+    try:
+        report, _ = audit_log(read_log(path))
+    except LogFormatError:
+        return
+    assert not report.ok
