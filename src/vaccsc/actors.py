@@ -328,11 +328,12 @@ class _Runner:
             shots.sort(key=lambda c: (self.manifest[c].content is not ShotContent.VACCINE, c))
         else:
             self.rng.shuffle(shots)
-        for i, shot in enumerate(shots):
-            clinic_index = i % len(self.clinics)
+        # One call per clinic, dealing the shots round-robin; a clinic left
+        # with no shot (fewer shots than clinics) gets no call.
+        for i, clinic in enumerate(self.config.clinics[: len(shots)]):
+            batch = [shot.hex() for shot in shots[i :: len(self.clinics)]]
             receipt = self.developer.call(
-                "assign_shot_to_clinic",
-                {"shot": shot.hex(), "clinic": self.config.clinics[clinic_index].hex()},
+                "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch}
             )
             if not receipt.accepted:
                 raise RuntimeError(f"distribution failed: {receipt.code}")

@@ -164,7 +164,7 @@ def cmd_status(args: argparse.Namespace) -> int:
     except LogFormatError as exc:
         print(f"error: unreadable log: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _, ledger = audit_log(log)
+    report, ledger = audit_log(log)
     config = ledger.query("config")
     infected = ledger.query("infected_count")
     print(f"phase:    {ledger.query('phase')}")
@@ -178,6 +178,9 @@ def cmd_status(args: argparse.Namespace) -> int:
         print(f"status:     {'APPROVED' if outcome['approved'] else 'REJECTED'}")
     else:
         print(f"status:     {ledger.query('vaccine_status')}")
+    if not report.ok:
+        print(f"audit failure: {report.detail}", file=sys.stderr)
+        return EXIT_AUDIT
     return EXIT_OK
 
 

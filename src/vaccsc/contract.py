@@ -14,7 +14,6 @@ before the reveal.
 from __future__ import annotations
 
 import json
-from bisect import insort
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
 
@@ -29,7 +28,7 @@ from .coinflip import (
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-2"
+CONTRACT_ID = "vaccsc-3"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -246,20 +245,32 @@ class VaccineTrial:
             raise ContractError("WrongPhase", "distribution is closed")
         if sender != self.config.developer:
             raise ContractError("NotDeveloper", "only the developer distributes shots")
-        shot = _digest_param(params, "shot")
+        entries = params.get("shots")
+        if not isinstance(entries, list) or not entries:
+            raise ContractError("MalformedParams", "shots must be a non-empty list")
+        batch = [_as_digest(entry, "shots[]") for entry in entries]
         clinic = _address_param(params, "clinic")
-        record = self.shots.get(shot)
-        if record is None:
-            raise ContractError("UnknownShot", "no such shot commitment")
-        if record.clinic is not None:
-            raise ContractError("AlreadyAssigned", "shot already has a clinic")
+        # Validate the whole batch before mutating anything: one bad entry
+        # rejects the entire call.
+        seen: set[bytes] = set()
+        for shot in batch:
+            record = self.shots.get(shot)
+            if record is None:
+                raise ContractError("UnknownShot", f"no shot commitment {shot.hex()}")
+            if record.clinic is not None or shot in seen:
+                raise ContractError("AlreadyAssigned", f"{shot.hex()} already has a clinic")
+            seen.add(shot)
         if clinic not in self.free_shots:
             raise ContractError("UnknownClinic", "address is not a registered clinic")
-        record.clinic = clinic
-        insort(self.free_shots[clinic], shot)
-        self.unassigned -= 1
+        for shot in batch:
+            self.shots[shot].clinic = clinic
+        free = self.free_shots[clinic]
+        free.extend(batch)
+        free.sort()
+        self.unassigned -= len(batch)
         self.phase = TrialPhase.ACTIVE if self.unassigned == 0 else TrialPhase.DISTRIBUTING
-        return [("ShotAssigned", {"shot": shot.hex(), "clinic": clinic.hex()})]
+        clinic_hex = clinic.hex()
+        return [("ShotAssigned", {"shot": shot.hex(), "clinic": clinic_hex}) for shot in batch]
 
     def _begin_binding(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase is not TrialPhase.ACTIVE:
@@ -555,21 +566,28 @@ def _session_op(op, *args) -> None:
         raise ContractError(exc.code, str(exc)) from None
 
 
-def _hex_param(params: dict, key: str) -> bytes:
-    raw = params.get(key)
+def _as_hex(raw, what: str) -> bytes:
     if not isinstance(raw, str):
-        raise ContractError("MalformedParams", f"{key} must be a hex string")
+        raise ContractError("MalformedParams", f"{what} must be a hex string")
     try:
         return bytes.fromhex(raw)
     except ValueError:
-        raise ContractError("MalformedParams", f"{key} is not valid hex") from None
+        raise ContractError("MalformedParams", f"{what} is not valid hex") from None
+
+
+def _as_digest(raw, what: str) -> bytes:
+    value = _as_hex(raw, what)
+    if len(value) != DIGEST_SIZE:
+        raise ContractError("MalformedParams", f"{what} must be 32 bytes")
+    return value
+
+
+def _hex_param(params: dict, key: str) -> bytes:
+    return _as_hex(params.get(key), key)
 
 
 def _digest_param(params: dict, key: str) -> bytes:
-    value = _hex_param(params, key)
-    if len(value) != DIGEST_SIZE:
-        raise ContractError("MalformedParams", f"{key} must be 32 bytes")
-    return value
+    return _as_digest(params.get(key), key)
 
 
 def _address_param(params: dict, key: str) -> bytes:

@@ -11,6 +11,7 @@ byte for byte.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -26,6 +27,36 @@ from .keys import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
+
+# Deepest array/object nesting a payload or genesis may have; valid ones
+# nest at most 4 deep. Bounding it before parsing keeps a hostile document
+# from driving the recursive JSON parser into RecursionError, whose depth
+# would depend on the caller's stack.
+MAX_JSON_DEPTH = 32
+
+# A JSON string (an unterminated one runs to the end, so every byte is
+# scanned once) or one bracket.
+_JSON_TOKEN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+
+
+def too_deep(text: bytes) -> bool:
+    """True if JSON ``text`` nests arrays/objects deeper than MAX_JSON_DEPTH.
+
+    Brackets inside strings do not count. The scan is iterative and is
+    skipped when the text holds too few opening brackets to be too deep.
+    """
+    if text.count(b"[") + text.count(b"{") <= MAX_JSON_DEPTH:
+        return False
+    depth = 0
+    for match in _JSON_TOKEN.finditer(text):
+        token = match.group()
+        if token in (b"[", b"{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                return True
+        elif token in (b"]", b"}"):
+            depth -= 1
+    return False
 
 
 def signing_bytes(method: str, sequence_number: int, payload: bytes) -> bytes:
@@ -154,6 +185,8 @@ class Ledger:
         return None, ""
 
     def _execute(self, tx: SignedTransaction, position: int) -> tuple[str | None, str, tuple[Event, ...]]:
+        if too_deep(tx.payload):
+            return "MalformedPayload", f"payload nests deeper than {MAX_JSON_DEPTH}", ()
         try:
             params = json.loads(tx.payload.decode())
         except ValueError:  # bad UTF-8, bad JSON, or an int too long to convert

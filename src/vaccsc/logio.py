@@ -27,7 +27,15 @@ from pathlib import Path
 
 from .contract import VaccineTrial
 from .keys import ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE
-from .ledger import ACCEPTED, REJECTED, Ledger, SignedTransaction, canonical_json
+from .ledger import (
+    ACCEPTED,
+    MAX_JSON_DEPTH,
+    REJECTED,
+    Ledger,
+    SignedTransaction,
+    canonical_json,
+    too_deep,
+)
 
 MAGIC = b"VSCL"
 VERSION = 1
@@ -160,6 +168,8 @@ def read_log(path: str | Path) -> LogFile:
         raise LogFormatError("unsupported log version")
     genesis_len = cur.u32("genesis length")
     genesis_bytes = cur.take(genesis_len, "genesis")
+    if too_deep(genesis_bytes):
+        raise LogFormatError(f"genesis nests deeper than {MAX_JSON_DEPTH}")
     try:
         genesis = json.loads(genesis_bytes.decode())
     except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert

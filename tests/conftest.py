@@ -94,12 +94,13 @@ class World:
         return list(self.openings)
 
     def assign_all(self) -> None:
-        for i, shot in enumerate(self.openings):
-            clinic = self.config.clinics[i % len(self.clinics)]
+        """Deal the shots round-robin, one assignment call per clinic."""
+        shots = [shot.hex() for shot in self.openings]
+        for i, clinic in enumerate(self.config.clinics[: len(shots)]):
             self.ok(
                 self.developer,
                 "assign_shot_to_clinic",
-                {"shot": shot.hex(), "clinic": clinic.hex()},
+                {"clinic": clinic.hex(), "shots": shots[i :: len(self.clinics)]},
             )
 
     def begin(self, patient_index: int, clinic_index: int = 0):

@@ -345,7 +345,7 @@ class _FuzzDriver:
                 "developer",
                 w.developer,
                 "assign_shot_to_clinic",
-                {"shot": shot.hex(), "clinic": w.config.clinics[clinic_idx].hex()},
+                {"shots": [shot.hex()], "clinic": w.config.clinics[clinic_idx].hex()},
                 ("assigned", shot, clinic_idx),
             )
         if phase == "active":
@@ -471,7 +471,7 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
         kind, keypair = rng.choice(callers)
         if method == "assign_shot_to_clinic":
             params = {
-                "shot": rng.choice(real_shots + ["cc" * 32]),
+                "shots": [rng.choice(real_shots + ["cc" * 32])],
                 "clinic": rng.choice([w.config.clinics[0].hex(), w.outsider.address.hex()]),
             }
         elif method == "begin_binding":
@@ -568,7 +568,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
             w.ok(
                 w.developer,
                 "assign_shot_to_clinic",
-                {"shot": shot.hex(), "clinic": w.config.clinics[clinic_idx].hex()},
+                {"shots": [shot.hex()], "clinic": w.config.clinics[clinic_idx].hex()},
             )
             stock[clinic_idx] += 1
 

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, file outputs, printed outcome lines."""
 
+import dataclasses
 import json
 
 import pytest
 
 from vaccsc import cli
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
-from vaccsc.logio import LoggedTransaction, write_ledger_log, write_log
+from vaccsc.logio import LoggedTransaction, read_log, write_ledger_log, write_log
 
 
 def run_cli(capsys, *argv):
@@ -205,14 +206,36 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = [LoggedTransaction(e.status, e.code, e.tx) for e in w.ledger.journal]
-    genesis = dict(w.genesis, contract="vaccsc-1")
-    write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
-    code, _, err = run_cli(capsys, "audit", str(path))
+    for old_id in ("vaccsc-1", "vaccsc-2"):
+        genesis = dict(w.genesis, contract=old_id)
+        write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
+        code, _, err = run_cli(capsys, "audit", str(path))
+        assert code == 3
+        assert f"unsupported contract id '{old_id}'" in err
+        code, _, err = run_cli(capsys, "status", str(path))
+        assert code == 1
+        assert f"unsupported contract id '{old_id}'" in err
+
+
+def test_status_of_rehashed_tampered_log_is_an_audit_failure(sim, capsys):
+    # One payload byte of the middle record flipped, then the file re-hashed,
+    # so only the replay can tell.
+    log = read_log(sim)
+    records = list(log.records)
+    middle = records[len(records) // 2]
+    payload = bytearray(middle.tx.payload)
+    payload[0] ^= 0x01
+    records[len(records) // 2] = dataclasses.replace(
+        middle, tx=dataclasses.replace(middle.tx, payload=bytes(payload))
+    )
+    trailer = log.trailer
+    write_log(sim, log.genesis, records, trailer.state_digest, trailer.events_digest)
+    code, _, err = run_cli(capsys, "audit", str(sim))
     assert code == 3
-    assert "unsupported contract id 'vaccsc-1'" in err
-    code, _, err = run_cli(capsys, "status", str(path))
-    assert code == 1
-    assert "unsupported contract id 'vaccsc-1'" in err
+    code, out, err = run_cli(capsys, "status", str(sim))
+    assert code == 3
+    assert "phase:" in out and "status:" in out
+    assert "audit failure:" in err and "diverged" in err
 
 
 # -- verify-reveal ----------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 from random import Random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
@@ -81,25 +83,128 @@ def test_assignment_flow(world_cls):
     w = world_cls(num_shots=4, num_clinics=2)
     shots = w.shot_list()
     clinic0 = w.config.clinics[0].hex()
-    receipt = w.ok(w.developer, "assign_shot_to_clinic", {"shot": shots[0].hex(), "clinic": clinic0})
+    receipt = w.ok(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0})
     assert receipt.events[0].name == "ShotAssigned"
     assert w.ledger.query("phase") == "distributing"
     assert w.ledger.query("shots_available", {"clinic": clinic0}) == 1
 
-    w.fail(w.clinics[0], "assign_shot_to_clinic", {"shot": shots[1].hex(), "clinic": clinic0}, "NotDeveloper")
-    w.fail(w.developer, "assign_shot_to_clinic", {"shot": shots[0].hex(), "clinic": clinic0}, "AlreadyAssigned")
-    w.fail(w.developer, "assign_shot_to_clinic", {"shot": "aa" * 32, "clinic": clinic0}, "UnknownShot")
+    w.fail(w.clinics[0], "assign_shot_to_clinic", {"shots": [shots[1].hex()], "clinic": clinic0}, "NotDeveloper")
+    w.fail(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0}, "AlreadyAssigned")
+    w.fail(w.developer, "assign_shot_to_clinic", {"shots": ["aa" * 32], "clinic": clinic0}, "UnknownShot")
     w.fail(
         w.developer,
         "assign_shot_to_clinic",
-        {"shot": shots[1].hex(), "clinic": w.outsider.address.hex()},
+        {"shots": [shots[1].hex()], "clinic": w.outsider.address.hex()},
         "UnknownClinic",
     )
 
     for shot in shots[1:]:
-        w.ok(w.developer, "assign_shot_to_clinic", {"shot": shot.hex(), "clinic": clinic0})
+        w.ok(w.developer, "assign_shot_to_clinic", {"shots": [shot.hex()], "clinic": clinic0})
     assert w.ledger.query("phase") == "active"
-    w.fail(w.developer, "assign_shot_to_clinic", {"shot": shots[0].hex(), "clinic": clinic0}, "WrongPhase")
+    w.fail(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0}, "WrongPhase")
+
+
+# Each case gives (sender, params, close_first) for a batch with one fault
+# among valid shots; shots[:2] are already at clinic 0, and close_first
+# assigns the rest before the call so distribution is closed.
+ASSIGN_REJECTIONS = {
+    "WrongPhase": lambda w, shots, clinic: (w.developer, {"clinic": clinic, "shots": shots[2:3]}, True),
+    "NotDeveloper": lambda w, shots, clinic: (w.clinics[0], {"clinic": clinic, "shots": shots[2:4]}, False),
+    "MalformedParams": lambda w, shots, clinic: (
+        w.developer, {"clinic": clinic, "shots": shots[2:4] + ["zz" * 32]}, False
+    ),
+    "UnknownShot": lambda w, shots, clinic: (
+        w.developer, {"clinic": clinic, "shots": shots[2:4] + ["aa" * 32]}, False
+    ),
+    "AlreadyAssigned": lambda w, shots, clinic: (
+        w.developer, {"clinic": clinic, "shots": shots[2:4] + shots[1:2]}, False
+    ),
+    "UnknownClinic": lambda w, shots, clinic: (
+        w.developer, {"clinic": w.outsider.address.hex(), "shots": shots[2:4]}, False
+    ),
+}
+
+
+@pytest.mark.parametrize("code", sorted(ASSIGN_REJECTIONS))
+def test_assign_batch_rejection_leaves_no_trace(world_cls, code):
+    w = world_cls(num_shots=6, num_clinics=2)
+    shots = [shot.hex() for shot in w.shot_list()]
+    clinic0 = w.config.clinics[0].hex()
+    w.ok(w.developer, "assign_shot_to_clinic", {"clinic": clinic0, "shots": shots[:2]})
+    sender, params, close_first = ASSIGN_REJECTIONS[code](w, shots, clinic0)
+    if close_first:
+        w.ok(w.developer, "assign_shot_to_clinic", {"clinic": clinic0, "shots": shots[2:]})
+    sequence = w.ledger.next_sequence(sender.address)
+    w.fail(sender, "assign_shot_to_clinic", params, code)
+    assert w.ledger.next_sequence(sender.address) == sequence
+
+
+@pytest.mark.parametrize("bad", [[], "aa" * 32, None, [7]])
+def test_assign_batch_shots_must_be_a_non_empty_hex_list(world_cls, bad):
+    w = world_cls(num_shots=4, num_clinics=2)
+    params = {"clinic": w.config.clinics[0].hex(), "shots": bad}
+    w.fail(w.developer, "assign_shot_to_clinic", params, "MalformedParams")
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    # world_cls only hands out the World class; each example builds its own
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_assign_batch_is_all_or_nothing(world_cls, data):
+    w = world_cls(num_shots=6, num_clinics=2)
+    contract = w.ledger.contract
+    shots = w.shot_list()
+    clinic0, clinic1 = w.config.clinics
+    taken = data.draw(st.lists(st.sampled_from(shots), unique=True, max_size=len(shots)))
+    if taken:
+        w.ok(
+            w.developer,
+            "assign_shot_to_clinic",
+            {"clinic": clinic1.hex(), "shots": [shot.hex() for shot in taken]},
+        )
+    entry = st.one_of(
+        st.sampled_from(shots).map(bytes.hex),  # fresh, already assigned, or repeated
+        st.just("aa" * 32),  # unknown
+        st.sampled_from(["zz" * 32, "abcd", 7, None, ["aa" * 32]]),  # not a 32-byte hex string
+    )
+    batch = data.draw(st.lists(entry, max_size=5) | st.sampled_from([None, "aa" * 32, {}]))
+    clinic = data.draw(st.sampled_from([clinic0, w.outsider.address]))
+    sender = data.draw(st.sampled_from([w.developer, w.clinics[0], w.outsider]))
+    params = {"clinic": clinic.hex()}
+    if batch is not None:
+        params["shots"] = batch
+    fresh = {shot.hex() for shot in shots if shot not in taken}
+    valid = (
+        sender is w.developer
+        and clinic == clinic0
+        and len(taken) < len(shots)
+        and isinstance(batch, list)
+        and len(batch) > 0
+        and all(isinstance(e, str) and e in fresh for e in batch)
+        and len(set(batch)) == len(batch)
+    )
+    digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
+    unassigned = contract.unassigned
+
+    receipt = w.call(sender, "assign_shot_to_clinic", params)
+
+    assert receipt.accepted == valid, receipt.code
+    if not receipt.accepted:
+        assert w.ledger.state_digest() == digest
+        assert w.ledger.next_sequence(sender.address) == sequence
+        return
+    for shot in shots:
+        expected = clinic0 if shot.hex() in batch else clinic1 if shot in taken else None
+        assert contract.shots[shot].clinic == expected
+    for address, free in contract.free_shots.items():
+        assert free == sorted(s for s in shots if contract.shots[s].clinic == address)
+    assert contract.unassigned == unassigned - len(batch)
+    assert [(e.name, e.payload) for e in receipt.events] == [
+        ("ShotAssigned", {"shot": shot, "clinic": clinic0.hex()}) for shot in batch
+    ]
 
 
 # -- binding ------------------------------------------------------------------
@@ -266,7 +371,7 @@ def test_report_sick_requires_active_phase(world_cls):
     w.ok(
         w.developer,
         "assign_shot_to_clinic",
-        {"shot": shots[0].hex(), "clinic": w.config.clinics[0].hex()},
+        {"shots": [shots[0].hex()], "clinic": w.config.clinics[0].hex()},
     )
     w.fail(w.patients[0], "report_sick", {}, "TrialNotActive")  # distributing
 

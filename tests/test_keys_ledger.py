@@ -70,7 +70,7 @@ def test_valid_tx_accepted_then_stale(world_cls):
     tx = make_transaction(
         kp,
         "assign_shot_to_clinic",
-        {"shot": shot.hex(), "clinic": w.config.clinics[0].hex()},
+        {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()},
         0,
     )
     first = w.ledger.submit(tx)
@@ -85,7 +85,7 @@ def test_payload_tamper_breaks_signature(world_cls):
     tx = make_transaction(
         w.developer,
         "assign_shot_to_clinic",
-        {"shot": shot.hex(), "clinic": w.config.clinics[0].hex()},
+        {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()},
         0,
     )
     flipped = bytearray(tx.payload)
@@ -178,12 +178,12 @@ def hand_signed(kp, w, method: str, payload: bytes) -> SignedTransaction:
 def test_non_canonical_payload_rejected(world_cls):
     w = world_cls()
     shot, clinic = w.shot_list()[0].hex(), w.config.clinics[0].hex()
-    canonical = canonical_json({"clinic": clinic, "shot": shot})
+    canonical = canonical_json({"clinic": clinic, "shots": [shot]})
     ambiguous = (
         # duplicate keys: a last-wins parser assigns the real shot
-        f'{{ "shot" : "{"00" * 32}", "clinic": "{clinic}", "shot": "{shot}" }}'.encode(),
+        f'{{ "shots" : ["{"00" * 32}"], "clinic": "{clinic}", "shots": ["{shot}"] }}'.encode(),
         canonical.replace(b",", b", "),
-        f'{{"shot":"{shot}","clinic":"{clinic}"}}'.encode(),
+        f'{{"shots":["{shot}"],"clinic":"{clinic}"}}'.encode(),
     )
     before = w.ledger.state_digest()
     for payload in ambiguous:
@@ -193,12 +193,19 @@ def test_non_canonical_payload_rejected(world_cls):
     assert w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", canonical)).accepted
 
 
+def test_brackets_inside_strings_do_not_count_as_nesting(world_cls):
+    w = world_cls()
+    payload = canonical_json({"note": '"' + "[{" * 100})
+    receipt = w.ledger.submit(hand_signed(w.patients[0], w, "report_sick", payload))
+    assert receipt.code == "TrialNotActive"  # parsed and dispatched
+
+
 def test_rejection_leaves_state_untouched(world_cls):
     w = world_cls()
     w.assign_all()
     before = w.ledger.state_digest()
     w.call(w.outsider, "begin_binding", {"patient": w.patients[0].address.hex(), "commitment": "00" * 32})
-    w.call(w.developer, "assign_shot_to_clinic", {"shot": "11" * 32, "clinic": w.config.clinics[0].hex()})
+    w.call(w.developer, "assign_shot_to_clinic", {"shots": ["11" * 32], "clinic": w.config.clinics[0].hex()})
     assert w.ledger.state_digest() == before
     # and the rejections are journaled, not dropped
     assert [e.code for e in w.ledger.journal[-2:]] == ["NotClinic", "WrongPhase"]
@@ -209,10 +216,10 @@ def test_sequences_are_per_sender_and_not_consumed_on_reject(world_cls):
     dev, clinic = w.developer, w.clinics[0]
     assert w.ledger.next_sequence(dev.address) == 0
     shot = w.shot_list()[0]
-    w.ok(dev, "assign_shot_to_clinic", {"shot": shot.hex(), "clinic": w.config.clinics[0].hex()})
+    w.ok(dev, "assign_shot_to_clinic", {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()})
     assert w.ledger.next_sequence(dev.address) == 1
     assert w.ledger.next_sequence(clinic.address) == 0
-    w.call(dev, "assign_shot_to_clinic", {"shot": shot.hex(), "clinic": w.config.clinics[0].hex()})
+    w.call(dev, "assign_shot_to_clinic", {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()})
     assert w.ledger.next_sequence(dev.address) == 1  # AlreadyAssigned, seq kept
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from vaccsc import cli
 from vaccsc.contract import canonical_json, json_value
-from vaccsc.ledger import ACCEPTED, REJECTED
+from vaccsc.ledger import ACCEPTED, REJECTED, SignedTransaction, signing_bytes
 from vaccsc.logio import (
     MAGIC,
     VERSION,
@@ -277,6 +278,7 @@ def _set(*path_and_value):
 
 HOSTILE_GENESES = {
     "vaccsc-1": (_set("contract", "vaccsc-1"), "unsupported contract id 'vaccsc-1'"),
+    "vaccsc-2": (_set("contract", "vaccsc-2"), "unsupported contract id 'vaccsc-2'"),
     "zero participants": (
         _set("params", "config", "num_participants", 0),
         "num_participants must be positive",
@@ -309,15 +311,56 @@ def test_hostile_genesis_is_a_format_error(logged, tmp_path, case):
         read_log(path)
 
 
-def test_non_canonical_genesis_bytes_are_a_format_error(logged):
-    w, path = logged
+def with_genesis_bytes(path, genesis_bytes):
+    """Swap the genesis bytes of the log at ``path`` and re-hash the file."""
     data = path.read_bytes()
     old_len = int.from_bytes(data[5:9], "big")
-    spaced = json.dumps(w.genesis).encode()  # same document, with whitespace
-    body = data[:5] + len(spaced).to_bytes(4, "big") + spaced + data[9 + old_len : -32]
+    body = data[:5] + len(genesis_bytes).to_bytes(4, "big") + genesis_bytes + data[9 + old_len : -32]
     path.write_bytes(body + sha256(body).digest())
+
+
+def test_non_canonical_genesis_bytes_are_a_format_error(logged):
+    w, path = logged
+    with_genesis_bytes(path, json.dumps(w.genesis).encode())  # same document, with whitespace
     with pytest.raises(LogFormatError, match="genesis is not canonical JSON"):
         read_log(path)
+
+
+def nested(depth: int) -> bytes:
+    return b'{"a":' + b"[" * depth + b"]" * depth + b"}"
+
+
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_deeply_nested_genesis_is_a_format_error(logged, depth):
+    _, path = logged
+    with_genesis_bytes(path, nested(depth))
+    with pytest.raises(LogFormatError, match="genesis nests deeper than 32"):
+        read_log(path)
+
+
+@pytest.mark.parametrize("depth", [2_000, 100_000])
+def test_deeply_nested_payload_is_malformed_live_and_in_replay(world_cls, tmp_path, capsys, depth):
+    w = world_cls(num_shots=4)
+    kp, payload = w.developer, nested(depth)
+    tx = SignedTransaction(
+        sender=kp.address,
+        public_key=kp.public_key,
+        method="assign_shot_to_clinic",
+        payload=payload,
+        sequence_number=0,
+        signature=kp.sign(signing_bytes("assign_shot_to_clinic", 0, payload)),
+    )
+    assert w.ledger.submit(tx).code == "MalformedPayload"
+    w.assign_all()
+    path = tmp_path / "deep.vscl"
+    write_ledger_log(path, w.ledger)
+    report, replayed = audit_log(read_log(path))
+    assert report.ok
+    outcomes = [(e.status, e.code) for e in w.ledger.journal]
+    assert [(e.status, e.code) for e in replayed.journal] == outcomes
+    assert outcomes[0] == (REJECTED, "MalformedPayload")
+    assert cli.main(["audit", str(path)]) == 0
+    assert "audit ok" in capsys.readouterr().out
 
 
 def genesis_fields(doc, prefix=()):
