@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 
 from .commitment import Opening, ShotContent, commit, generate_nonce
-from .coinflip import RandomContribution, commit_contribution
+from .coinflip import RandomContribution, commit_contribution, select_index
 from .contract import TrialConfig, efficiency_percent, json_value, make_genesis
 from .keys import KeyPair
 from .ledger import ACCEPTED, Ledger, Receipt, make_transaction
@@ -258,6 +258,13 @@ class _Actor:
         )
         return self.ledger.submit(tx)
 
+    def must(self, method: str, params: dict) -> Receipt:
+        """``call`` for a step the run cannot go on without: a rejection raises."""
+        receipt = self.call(method, params)
+        if not receipt.accepted:
+            raise RuntimeError(f"{method} failed: {receipt.code}")
+        return receipt
+
 
 @dataclass
 class _PatientState:
@@ -332,81 +339,74 @@ class _Runner:
         # with no shot (fewer shots than clinics) gets no call.
         for i, clinic in enumerate(self.config.clinics[: len(shots)]):
             batch = [shot.hex() for shot in shots[i :: len(self.clinics)]]
-            receipt = self.developer.call(
-                "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch}
-            )
-            if not receipt.accepted:
-                raise RuntimeError(f"distribution failed: {receipt.code}")
+            self.developer.must("assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
 
-    def _bind_all(self) -> None:
-        colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
-        free_shots = self.ledger.contract.free_shots
-        cursor = 0
-        for patient in self.patients:
-            for _ in range(len(self.clinics)):
-                if free_shots[self.config.clinics[cursor % len(self.clinics)]]:
-                    break
-                cursor += 1
-            clinic_index = cursor % len(self.clinics)
-            cursor += 1
-            collude_here = colluding and patient.index == 0
-            self._bind_one(patient, clinic_index, collude_here)
+    def _bind_all(self, patients: list[_PatientState]) -> None:
+        """Bind ``patients``, a prefix of ``self.patients``, at clinic
+        ``index % C``, which mirrors how the shots were dealt.
 
-    def _bind_one(self, patient: _PatientState, clinic_index: int, collude: bool) -> None:
+        Each clinic opens all its sessions in one call; then the sessions
+        complete one at a time, in patient order.
+        """
         rng = self.rng
-        clinic = self.clinics[clinic_index]
-        r1 = rng.getrandbits(64)
-        if collude:
-            # both parties pick values before committing; XOR lands on the
-            # agreed index of the contract's public, digest-sorted free list
-            free_sorted = list(self.ledger.contract.free_shots[self.config.clinics[clinic_index]])
-            target_index = rng.randrange(len(free_sorted))
-            r2 = r1 ^ target_index
-        else:
-            target_index = None
-            r2 = rng.getrandbits(64)
-        contrib1 = RandomContribution(value=r1, nonce=generate_nonce(rng))
-        contrib2 = RandomContribution(value=r2, nonce=generate_nonce(rng))
-        receipt = clinic.call(
-            "begin_binding",
-            {
-                "patient": patient.address_hex,
-                "commitment": commit_contribution(contrib1).hex(),
-            },
-        )
-        if not receipt.accepted:
-            raise RuntimeError(f"begin_binding failed: {receipt.code}")
-        session = receipt.events[0].payload["session"]
-        for call in (
-            (patient.actor, "patient_commit", {"session": session, "commitment": commit_contribution(contrib2).hex()}),
-            (clinic, "clinic_reveal", {"session": session, "value": r1, "nonce": contrib1.nonce.hex()}),
-            (patient.actor, "patient_reveal", {"session": session, "value": r2, "nonce": contrib2.nonce.hex()}),
-        ):
-            actor, method, params = call
-            receipt = actor.call(method, params)
-            if not receipt.accepted:
-                raise RuntimeError(f"{method} failed: {receipt.code}")
-        shot_hex = self.ledger.query("patient_shot", {"patient": patient.address_hex})
-        shot = bytes.fromhex(shot_hex)
-        receipt = patient.actor.call("confirm_binding", {"shot": shot_hex})
-        if not receipt.accepted:
-            raise RuntimeError(f"confirm_binding failed: {receipt.code}")
-        patient.shot = shot
-        if collude:
-            expected = free_sorted[target_index]
-            self.evidence.append(
-                {
-                    "kind": "collusion",
-                    "target_index": target_index,
-                    "selected_index": free_sorted.index(shot),
-                    "matched": shot == expected,
-                    "content": self.manifest[shot].content.label,
-                    "stock_vaccine": sum(
-                        1 for c in free_sorted if self.manifest[c].content is ShotContent.VACCINE
-                    ),
-                    "stock_total": len(free_sorted),
-                }
+        colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
+        num_clinics = len(self.clinics)
+        plans = []
+        for patient in patients:
+            clinic_address = self.config.clinics[patient.index % num_clinics]
+            r1 = rng.getrandbits(64)
+            if colluding and patient.index == 0:
+                # both parties pick values before committing; XOR lands on the
+                # agreed index of the contract's public, digest-sorted free list
+                free_sorted = list(self.ledger.contract.free_shots[clinic_address])
+                target_index = rng.randrange(len(free_sorted))
+                r2 = r1 ^ target_index
+            else:
+                free_sorted = target_index = None
+                r2 = rng.getrandbits(64)
+            contrib1 = RandomContribution(value=r1, nonce=generate_nonce(rng))
+            contrib2 = RandomContribution(value=r2, nonce=generate_nonce(rng))
+            plans.append((patient, contrib1, contrib2, free_sorted, target_index))
+        session_of: dict[str, int] = {}
+        for i, clinic in enumerate(self.clinics[: len(plans)]):
+            bindings = [
+                {"patient": patient.address_hex, "commitment": commit_contribution(contrib1).hex()}
+                for patient, contrib1, _, _, _ in plans[i::num_clinics]
+            ]
+            receipt = clinic.must("begin_binding", {"bindings": bindings})
+            for event in receipt.events:
+                session_of[event.payload["patient"]] = event.payload["session"]
+        for patient, contrib1, contrib2, free_sorted, target_index in plans:
+            clinic = patient.index % num_clinics
+            session = session_of[patient.address_hex]
+            patient.actor.must(
+                "patient_commit", {"session": session, "commitment": commit_contribution(contrib2).hex()}
             )
+            self.clinics[clinic].must(
+                "clinic_reveal", {"session": session, "value": contrib1.value, "nonce": contrib1.nonce.hex()}
+            )
+            # the patient names the shot the flip selects from the public free list
+            free = self.ledger.contract.free_shots[self.config.clinics[clinic]]
+            shot = free[select_index(contrib1.value ^ contrib2.value, len(free))]
+            patient.actor.must(
+                "patient_reveal",
+                {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
+            )
+            patient.shot = shot
+            if free_sorted is not None:
+                self.evidence.append(
+                    {
+                        "kind": "collusion",
+                        "target_index": target_index,
+                        "selected_index": free_sorted.index(shot),
+                        "matched": shot == free_sorted[target_index],
+                        "content": self.manifest[shot].content.label,
+                        "stock_vaccine": sum(
+                            1 for c in free_sorted if self.manifest[c].content is ShotContent.VACCINE
+                        ),
+                        "stock_total": len(free_sorted),
+                    }
+                )
 
     # -- epidemic --------------------------------------------------------
 
@@ -485,9 +485,7 @@ class _Runner:
         elif developer.behavior is Behavior.FORGE_CONTROLS:
             reveal_set = self._forge_attempts(controls, vaccines)
         openings = [self._opening_entry(shot, "placebo") for shot in reveal_set]
-        receipt = self.developer.call("reveal_controls", {"openings": openings})
-        if not receipt.accepted:
-            raise RuntimeError(f"reveal_controls failed: {receipt.code}")
+        self.developer.must("reveal_controls", {"openings": openings})
 
     def _forge_attempts(self, controls: list[bytes], vaccines: list[bytes]) -> list[bytes]:
         """Try to pass vaccine shots off as controls; both ways must fail.
@@ -527,7 +525,7 @@ class _Runner:
     def run(self) -> TrialReport:
         self._build()
         self._distribute()
-        self._bind_all()
+        self._bind_all(self.patients)
         complete = self._run_epidemic()
         if complete:
             self._reveal()
@@ -660,7 +658,7 @@ def collusion_attempt(seed: int, num_shots: int = 8, vaccine_fraction: float = 0
     )
     runner._build()
     runner._distribute()
-    runner._bind_one(runner.patients[0], 0, collude=True)
+    runner._bind_all(runner.patients[:1])
     record = dict(runner.evidence[0])
     record["seed"] = seed
     return record

@@ -14,7 +14,7 @@ before the reveal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass
+from dataclasses import dataclass, is_dataclass, replace
 from enum import Enum
 
 from .coinflip import (
@@ -28,9 +28,12 @@ from .coinflip import (
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-3"
+CONTRACT_ID = "vaccsc-4"
 
 DEFAULT_BINDING_DEADLINE = 100
+
+# The exact keys of one ``begin_binding`` entry.
+_BINDING_KEYS = {"patient", "commitment"}
 
 
 def _json_default(obj):
@@ -124,7 +127,6 @@ class ShotRecord:
     patient: bytes | None = None
     got_sick: bool = False
     vaccine_type: VaccineType = VaccineType.UNKNOWN
-    patient_confirmed: bool = False
 
 
 @dataclass(frozen=True)
@@ -216,13 +218,13 @@ class VaccineTrial:
             num_participants=raw["num_participants"],
             infected_threshold=raw["infected_threshold"],
             target_efficiency=raw["target_efficiency"],
-            clinics=tuple(_genesis_hex(c, "params.config.clinics") for c in raw["clinics"]),
-            developer=_genesis_hex(raw["developer"], "params.config.developer"),
+            clinics=tuple(_strict_hex(c, "params.config.clinics") for c in raw["clinics"]),
+            developer=_strict_hex(raw["developer"], "params.config.developer"),
             binding_deadline=raw["binding_deadline"],
         )
-        if _genesis_hex(genesis["deployer"], "deployer") != config.developer:
+        if _strict_hex(genesis["deployer"], "deployer") != config.developer:
             raise ValueError("genesis deployer does not match the configured developer")
-        commitments = [_genesis_hex(c, "params.commitments") for c in params["commitments"]]
+        commitments = [_strict_hex(c, "params.commitments") for c in params["commitments"]]
         return cls(config, commitments)
 
     # -- dispatch ----------------------------------------------------------
@@ -277,23 +279,39 @@ class VaccineTrial:
             raise ContractError("WrongPhase", "binding requires an active trial")
         if sender not in self.free_shots:
             raise ContractError("NotClinic", "only clinics start bindings")
-        patient = _address_param(params, "patient")
-        clinic_commit = _digest_param(params, "commitment")
-        if patient in self.patient_shot or patient in self.pending_by_patient:
-            raise ContractError("PatientAlreadyBound", "patient already has a shot or session")
+        entries = params.get("bindings")
+        if not isinstance(entries, list) or not entries:
+            raise ContractError("MalformedParams", "bindings must be a non-empty list")
+        batch = []
+        for entry in entries:
+            if type(entry) is not dict or entry.keys() != _BINDING_KEYS:
+                raise ContractError("MalformedParams", "each binding must be {patient, commitment}")
+            batch.append((_address_param(entry, "patient"), _digest_param(entry, "commitment")))
+        # Validate the whole batch before mutating anything: one bad entry
+        # rejects the entire call.
+        seen: set[bytes] = set()
+        for patient, _ in batch:
+            if patient in self.patient_shot or patient in self.pending_by_patient or patient in seen:
+                raise ContractError("PatientAlreadyBound", f"{patient.hex()} already has a shot or session")
+            seen.add(patient)
         if not self.free_shots[sender]:
             raise ContractError("NoShotsAvailable", "clinic has no unassigned shots")
-        flip = CoinFlipSession(deadline=tick + self.config.binding_deadline)
-        flip.add_commit(Party.A, clinic_commit)
-        session_id = len(self.sessions)
-        self.sessions.append(BindingSession(clinic=sender, patient=patient, flip=flip))
-        self.pending_by_patient[patient] = session_id
-        return [
-            (
-                "BindingStarted",
-                {"session": session_id, "clinic": sender.hex(), "patient": patient.hex()},
+        deadline = tick + self.config.binding_deadline
+        clinic_hex = sender.hex()
+        events = []
+        for patient, clinic_commit in batch:
+            flip = CoinFlipSession(deadline=deadline)
+            flip.add_commit(Party.A, clinic_commit)
+            session_id = len(self.sessions)
+            self.sessions.append(BindingSession(clinic=sender, patient=patient, flip=flip))
+            self.pending_by_patient[patient] = session_id
+            events.append(
+                (
+                    "BindingStarted",
+                    {"session": session_id, "clinic": clinic_hex, "patient": patient.hex()},
+                )
             )
-        ]
+        return events
 
     def _patient_commit(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
         session = self._active_session(params)
@@ -307,56 +325,45 @@ class VaccineTrial:
         session = self._active_session(params)
         if sender != session.clinic:
             raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-        return self._apply_reveal(session, Party.A, params)
+        _session_op(session.flip.add_reveal, Party.A, _contribution_param(params))
+        return []
 
     def _patient_reveal(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+        """The completing reveal: it selects the shot, which the patient has
+        named in advance, and binds the patient to it in the same call."""
         session = self._active_session(params)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        return self._apply_reveal(session, Party.B, params)
-
-    def _apply_reveal(
-        self, session: BindingSession, party: Party, params: dict
-    ) -> list[tuple[str, dict]]:
         contribution = _contribution_param(params)
-        # When this reveal completes the flip the shot is selected in the
-        # same call, so the free list must be checked before mutating the
-        # session; otherwise a failed selection would leave a half-applied
-        # reveal behind.
+        named = _digest_param(params, "shot")
+        # Reveal on a copy of the flip, so that any later check can still
+        # reject the call with the session untouched.
+        flip = replace(session.flip)
+        _session_op(flip.add_reveal, Party.B, contribution)
+        if flip.result is None:
+            raise ContractError("RevealOutOfOrder", "the clinic reveals before the patient")
         free = self.free_shots[session.clinic]
-        if session.flip.will_complete(party) and not free:
+        if not free:
             raise ContractError("NoShotsAvailable", "clinic ran out of shots before completion")
-        _session_op(session.flip.add_reveal, party, contribution)
-        if session.flip.result is not None:
-            index = select_index(session.flip.result, len(free))
-            shot = free.pop(index)
-            self.shots[shot].patient = session.patient
-            session.shot = shot
-            self.patient_shot[session.patient] = shot
-            del self.pending_by_patient[session.patient]
-        return []
-
-    def _confirm_binding(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
-        if self.phase is not TrialPhase.ACTIVE:
-            raise ContractError("WrongPhase", "confirmation requires an active trial")
-        shot = _digest_param(params, "shot")
-        record = self.shots.get(shot)
-        if record is None:
-            raise ContractError("UnknownShot", "no such shot commitment")
-        if record.patient != sender:
-            raise ContractError("NotProvisionalPatient", "caller is not this shot's patient")
-        if record.patient_confirmed:
-            raise ContractError("AlreadyConfirmed", "binding already confirmed")
-        record.patient_confirmed = True
+        index = select_index(flip.result, len(free))
+        shot = free[index]
+        if shot != named:
+            raise ContractError("WrongShot", f"the flip selects {shot.hex()}")
+        del free[index]
+        session.flip = flip
+        session.shot = shot
+        self.shots[shot].patient = sender
+        self.patient_shot[sender] = shot
+        del self.pending_by_patient[sender]
         return [("BindingConfirmed", {"shot": shot.hex(), "patient": sender.hex()})]
 
     def _report_sick(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase is not TrialPhase.ACTIVE:
             raise ContractError("TrialNotActive", "sickness reports are closed")
         shot = self.patient_shot.get(sender)
-        record = self.shots.get(shot) if shot else None
-        if record is None or not record.patient_confirmed:
-            raise ContractError("NotBoundPatient", "caller has no confirmed shot")
+        if shot is None:
+            raise ContractError("NotBoundPatient", "caller has no shot")
+        record = self.shots[shot]
         if record.got_sick:
             raise ContractError("AlreadySick", "sickness already reported")
         record.got_sick = True
@@ -549,14 +556,17 @@ def _check_json(value, schema, path: str) -> None:
             raise ValueError(f"{path} must be a JSON {' or '.join(k.__name__ for k in kinds)}")
 
 
-def _genesis_hex(value: str, path: str) -> bytes:
-    try:
-        raw = bytes.fromhex(value)
-    except ValueError:
-        raise ValueError(f"{path} is not hex") from None
-    if raw.hex() != value:
-        raise ValueError(f"{path} must be lowercase hex without spaces")
-    return raw
+def _strict_hex(value, what: str) -> bytes:
+    """Decode lower-case hex with no spaces, the one spelling of bytes in a
+    genesis or a payload; raises ValueError naming ``what`` otherwise."""
+    if type(value) is str:
+        try:
+            raw = bytes.fromhex(value)
+        except ValueError:
+            raw = None
+        if raw is not None and raw.hex() == value:
+            return raw
+    raise ValueError(f"{what} must be lowercase hex without spaces")
 
 
 def _session_op(op, *args) -> None:
@@ -567,12 +577,10 @@ def _session_op(op, *args) -> None:
 
 
 def _as_hex(raw, what: str) -> bytes:
-    if not isinstance(raw, str):
-        raise ContractError("MalformedParams", f"{what} must be a hex string")
     try:
-        return bytes.fromhex(raw)
-    except ValueError:
-        raise ContractError("MalformedParams", f"{what} is not valid hex") from None
+        return _strict_hex(raw, what)
+    except ValueError as exc:
+        raise ContractError("MalformedParams", str(exc)) from None
 
 
 def _as_digest(raw, what: str) -> bytes:
@@ -613,7 +621,6 @@ _HANDLERS = {
     "patient_commit": VaccineTrial._patient_commit,
     "clinic_reveal": VaccineTrial._clinic_reveal,
     "patient_reveal": VaccineTrial._patient_reveal,
-    "confirm_binding": VaccineTrial._confirm_binding,
     "report_sick": VaccineTrial._report_sick,
     "reveal_controls": VaccineTrial._reveal_controls,
     "abort_binding": VaccineTrial._abort_binding,

@@ -103,43 +103,50 @@ class World:
                 {"clinic": clinic.hex(), "shots": shots[i :: len(self.clinics)]},
             )
 
-    def begin(self, patient_index: int, clinic_index: int = 0):
-        """Open a session with only the clinic committed; returns driving state."""
+    def contributions(self, r1: int | None = None, r2: int | None = None):
+        """The clinic's and the patient's coin-flip contributions, in draw order."""
         rng = self.rng
-        c1 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
-        c2 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
-        patient = self.patients[patient_index]
-        receipt = self.ok(
-            self.clinics[clinic_index],
-            "begin_binding",
-            {"patient": patient.address.hex(), "commitment": commit_contribution(c1).hex()},
-        )
-        session = receipt.events[0].payload["session"]
-        return session, c1, c2
-
-    def bind(
-        self,
-        patient_index: int,
-        clinic_index: int = 0,
-        r1: int | None = None,
-        r2: int | None = None,
-        confirm: bool = True,
-    ) -> bytes:
-        rng = self.rng
-        clinic = self.clinics[clinic_index]
-        patient = self.patients[patient_index]
         c1 = RandomContribution(
             value=rng.getrandbits(64) if r1 is None else r1, nonce=generate_nonce(rng)
         )
         c2 = RandomContribution(
             value=rng.getrandbits(64) if r2 is None else r2, nonce=generate_nonce(rng)
         )
+        return c1, c2
+
+    def binding(self, patient_index: int, c1: RandomContribution) -> dict:
+        """One ``begin_binding`` entry: the patient and the clinic's commitment."""
+        return {
+            "patient": self.patients[patient_index].address.hex(),
+            "commitment": commit_contribution(c1).hex(),
+        }
+
+    def begin(
+        self,
+        patient_index: int,
+        clinic_index: int = 0,
+        r1: int | None = None,
+        r2: int | None = None,
+    ):
+        """Open a session with only the clinic committed; returns driving state."""
+        c1, c2 = self.contributions(r1, r2)
         receipt = self.ok(
-            clinic,
+            self.clinics[clinic_index],
             "begin_binding",
-            {"patient": patient.address.hex(), "commitment": commit_contribution(c1).hex()},
+            {"bindings": [self.binding(patient_index, c1)]},
         )
         session = receipt.events[0].payload["session"]
+        return session, c1, c2
+
+    def selected_shot(self, clinic_index: int, c1: RandomContribution, c2: RandomContribution) -> bytes:
+        """The shot the flip of ``c1`` and ``c2`` selects from the clinic's free list now."""
+        free = self.ledger.contract.free_shots[self.config.clinics[clinic_index]]
+        return free[(c1.value ^ c2.value) % len(free)]
+
+    def complete(self, session: int, patient_index: int, clinic_index: int, c1, c2) -> bytes:
+        """Patient commit, clinic reveal, then the patient reveal naming its shot."""
+        clinic = self.clinics[clinic_index]
+        patient = self.patients[patient_index]
         self.ok(
             patient,
             "patient_commit",
@@ -150,21 +157,43 @@ class World:
             "clinic_reveal",
             {"session": session, "value": c1.value, "nonce": c1.nonce.hex()},
         )
+        shot = self.selected_shot(clinic_index, c1, c2)
         self.ok(
             patient,
             "patient_reveal",
-            {"session": session, "value": c2.value, "nonce": c2.nonce.hex()},
+            {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()},
         )
-        shot_hex = self.ledger.query("patient_shot", {"patient": patient.address.hex()})
-        shot = bytes.fromhex(shot_hex)
-        if confirm:
-            self.ok(patient, "confirm_binding", {"shot": shot_hex})
+        assert self.ledger.query("patient_shot", {"patient": patient.address.hex()}) == shot.hex()
         self.patient_shot[patient_index] = shot
         return shot
 
-    def bind_all(self, confirm: bool = True) -> None:
-        for i in range(self.config.num_participants):
-            self.bind(i, i % len(self.clinics), confirm=confirm)
+    def bind(
+        self,
+        patient_index: int,
+        clinic_index: int = 0,
+        r1: int | None = None,
+        r2: int | None = None,
+    ) -> bytes:
+        session, c1, c2 = self.begin(patient_index, clinic_index, r1, r2)
+        return self.complete(session, patient_index, clinic_index, c1, c2)
+
+    def bind_all(self) -> None:
+        """Bind patient i at clinic i % C: one begin_binding per clinic, then
+        the sessions complete in patient order."""
+        count, num_clinics = self.config.num_participants, len(self.clinics)
+        drawn = [self.contributions() for _ in range(count)]
+        session_of: dict[int, int] = {}
+        for c in range(min(num_clinics, count)):
+            indexes = range(c, count, num_clinics)
+            receipt = self.ok(
+                self.clinics[c],
+                "begin_binding",
+                {"bindings": [self.binding(i, drawn[i][0]) for i in indexes]},
+            )
+            for i, event in zip(indexes, receipt.events):
+                session_of[i] = event.payload["session"]
+        for i, (c1, c2) in enumerate(drawn):
+            self.complete(session_of[i], i, i % num_clinics, c1, c2)
 
     def arm(self, patient_index: int) -> ShotContent:
         return self.openings[self.patient_shot[patient_index]].content

@@ -315,7 +315,6 @@ PERMISSION_MATRIX = {
     "patient_commit": ({"patient"}, {"active"}),
     "clinic_reveal": ({"clinic"}, {"active"}),
     "patient_reveal": ({"patient"}, {"active"}),
-    "confirm_binding": ({"patient"}, {"active"}),
     "report_sick": ({"patient"}, {"active"}),
     "reveal_controls": ({"developer"}, {"reveal_pending"}),
     "abort_binding": ({"clinic", "patient"}, {"active"}),
@@ -333,7 +332,6 @@ class _FuzzDriver:
         self.stock = [0] * len(world.clinics)
         self.inflight = None  # (session, stage, patient_idx, clinic_idx, c1, c2)
         self.bound: dict[int, bytes] = {}
-        self.confirmed: set[int] = set()
         self.sick: set[int] = set()
 
     def next_step(self, phase):
@@ -365,13 +363,10 @@ class _FuzzDriver:
                     "clinic",
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {
-                        "patient": w.patients[patient_idx].address.hex(),
-                        "commitment": commit_contribution(c1).hex(),
-                    },
+                    {"bindings": [w.binding(patient_idx, c1)]},
                     ("begun", patient_idx, clinic_idx, c1, c2),
                 )
-            candidates = sorted(self.confirmed - self.sick)
+            candidates = sorted(self.bound.keys() - self.sick)
             if candidates and len(self.sick) < w.config.infected_threshold:
                 patient_idx = rng.choice(candidates)
                 return (
@@ -411,21 +406,13 @@ class _FuzzDriver:
                 {"session": session, "value": c1.value, "nonce": c1.nonce.hex()},
                 ("staged", "patient_reveal"),
             )
-        if stage == "patient_reveal":
-            return (
-                "patient",
-                patient,
-                "patient_reveal",
-                {"session": session, "value": c2.value, "nonce": c2.nonce.hex()},
-                ("completed", patient_idx, clinic_idx),
-            )
-        shot = self.bound[patient_idx]
+        shot = w.selected_shot(clinic_idx, c1, c2)
         return (
             "patient",
             patient,
-            "confirm_binding",
-            {"shot": shot.hex()},
-            ("confirmed", patient_idx),
+            "patient_reveal",
+            {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()},
+            ("completed", patient_idx, clinic_idx, shot),
         )
 
     def apply(self, note, receipt):
@@ -441,15 +428,9 @@ class _FuzzDriver:
         elif kind == "staged":
             self.inflight = self.inflight[:1] + (note[1],) + self.inflight[2:]
         elif kind == "completed":
-            patient_idx, clinic_idx = note[1], note[2]
-            shot_hex = self.w.ledger.query(
-                "patient_shot", {"patient": self.w.patients[patient_idx].address.hex()}
-            )
-            self.bound[patient_idx] = bytes.fromhex(shot_hex)
+            patient_idx, clinic_idx, shot = note[1], note[2], note[3]
+            self.bound[patient_idx] = shot
             self.stock[clinic_idx] -= 1
-            self.inflight = self.inflight[:1] + ("confirm",) + self.inflight[2:]
-        elif kind == "confirmed":
-            self.confirmed.add(note[1])
             self.inflight = None
         elif kind == "sickened":
             self.sick.add(note[1])
@@ -479,8 +460,12 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
                 w.patients[i].address.hex() for i in driver.bound
             ] or [w.outsider.address.hex()]
             params = {
-                "patient": rng.choice(bound_hexes + [w.outsider.address.hex()]),
-                "commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
+                "bindings": [
+                    {
+                        "patient": rng.choice(bound_hexes + [w.outsider.address.hex()]),
+                        "commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
+                    }
+                ]
             }
         elif method in ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding"):
             params = {"session": rng.randint(500, 600)}
@@ -488,9 +473,7 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
                 params["commitment"] = "ab" * 32
                 params["value"] = rng.getrandbits(64)
                 params["nonce"] = "cd" * 32
-        elif method == "confirm_binding":
-            done = [driver.bound[i].hex() for i in driver.confirmed] or ["dd" * 32]
-            params = {"shot": rng.choice(done + ["dd" * 32])}
+                params["shot"] = "dd" * 32
         elif method == "reveal_controls":
             params = {
                 "openings": rng.choice(
@@ -575,7 +558,6 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
         inflight = {}
         bound = {}
         owner = {}
-        confirmed = set()
         sick = []
         write_once_ok = True
         active = True
@@ -590,7 +572,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
             if unbound and startable:
                 actions.append("start")
             actions.extend(("advance", sid) for sid in inflight)
-            i_can_sicken = sorted(confirmed - set(sick))
+            i_can_sicken = sorted(bound.keys() - set(sick))
             if i_can_sicken and len(sick) < threshold:
                 actions.append("sicken")
             if not actions:
@@ -604,10 +586,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                 receipt = w.ok(
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {
-                        "patient": w.patients[patient_idx].address.hex(),
-                        "commitment": commit_contribution(c1).hex(),
-                    },
+                    {"bindings": [w.binding(patient_idx, c1)]},
                 )
                 sid = receipt.events[0].payload["session"]
                 stock[clinic_idx] -= 1  # reserve so completing reveals never race
@@ -642,11 +621,17 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                         "clinic_reveal",
                         {"session": sid, "value": entry["c1"].value, "nonce": entry["c1"].nonce.hex()},
                     )
-                elif stage == 2:
+                else:
+                    named = w.selected_shot(entry["clinic"], entry["c1"], entry["c2"])
                     w.ok(
                         patient,
                         "patient_reveal",
-                        {"session": sid, "value": entry["c2"].value, "nonce": entry["c2"].nonce.hex()},
+                        {
+                            "session": sid,
+                            "value": entry["c2"].value,
+                            "nonce": entry["c2"].nonce.hex(),
+                            "shot": named.hex(),
+                        },
                     )
                     shot_hex = w.ledger.query(
                         "patient_shot", {"patient": patient.address.hex()}
@@ -656,9 +641,6 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                         write_once_ok = False
                     owner[shot] = entry["patient"]
                     bound[entry["patient"]] = shot
-                else:
-                    w.ok(patient, "confirm_binding", {"shot": bound[entry["patient"]].hex()})
-                    confirmed.add(entry["patient"])
                     del inflight[sid]
                     continue
                 entry["stage"] += 1

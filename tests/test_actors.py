@@ -1,6 +1,7 @@
 """Scenario runner: honest recovery, adversaries, determinism, evidence."""
 
 import json
+from collections import Counter
 from importlib import resources
 
 import pytest
@@ -21,6 +22,7 @@ from vaccsc.actors import (
 )
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
+from vaccsc.ledger import ACCEPTED
 
 
 def bundled(name: str) -> dict:
@@ -120,6 +122,19 @@ def test_determinism_same_seed_same_ledger():
     assert a.to_json() == b.to_json()
     c = run_scenario(spec, 8)
     assert c.ledger.state_digest() != a.ledger.state_digest()
+
+
+def test_binding_journal_is_three_records_per_patient_and_one_begin_per_clinic():
+    spec = small_spec(seeds=[2])
+    report = run_scenario(spec, 2, keep_table=False)
+    counts = Counter(entry.tx.method for entry in report.ledger.journal if entry.status == ACCEPTED)
+    n, c = spec.num_participants, spec.num_clinics
+    assert (counts["patient_commit"], counts["clinic_reveal"], counts["patient_reveal"]) == (n, n, n)
+    assert counts["begin_binding"] == c
+    assert "confirm_binding" not in {entry.tx.method for entry in report.ledger.journal}
+    started = [e for e in report.ledger.events if e.name == "BindingStarted"]
+    assert [e.payload["session"] for e in started] == list(range(n))
+    assert sum(e.name == "BindingConfirmed" for e in report.ledger.events) == n
 
 
 def test_report_json_is_serializable():

@@ -207,6 +207,29 @@ def test_assign_batch_is_all_or_nothing(world_cls, data):
     ]
 
 
+def upper_case(text: str) -> str:
+    assert text.upper() != text
+    return text.upper()
+
+
+def spaced(text: str) -> str:
+    return " ".join(text[i : i + 2] for i in range(0, len(text), 2))
+
+
+@pytest.mark.parametrize("respell", [upper_case, spaced])
+def test_assign_hex_has_one_spelling(world_cls, respell):
+    w = world_cls(num_shots=4, num_clinics=2)
+    shot, clinic = w.shot_list()[0].hex(), w.config.clinics[0].hex()
+    sequence = w.ledger.next_sequence(w.developer.address)
+    for params in (
+        {"clinic": respell(clinic), "shots": [shot]},
+        {"clinic": clinic, "shots": [respell(shot)]},
+    ):
+        w.fail(w.developer, "assign_shot_to_clinic", params, "MalformedParams")
+        assert w.ledger.next_sequence(w.developer.address) == sequence
+    w.ok(w.developer, "assign_shot_to_clinic", {"clinic": clinic, "shots": [shot]})
+
+
 # -- binding ------------------------------------------------------------------
 
 
@@ -216,7 +239,7 @@ def test_binding_happy_path_sets_exactly_one_shot(world_cls):
     shot = w.bind(0, clinic_index=0)
     record = w.ledger.query("shot", {"commitment": shot.hex()})
     assert record["patient"] == w.patients[0].address.hex()
-    assert record["patient_confirmed"] is True
+    assert set(record) == {"clinic", "patient", "got_sick", "vaccine_type"}
     owners = [
         s
         for s in w.shot_list()
@@ -230,14 +253,154 @@ def test_binding_preconditions(world_cls):
     shots = w.shot_list()
     clinic0_hex = w.config.clinics[0].hex()
     p0 = w.patients[0].address.hex()
-    w.fail(w.clinics[0], "begin_binding", {"patient": p0, "commitment": "00" * 32}, "WrongPhase")
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "WrongPhase")
     w.assign_all()
-    w.fail(w.outsider, "begin_binding", {"patient": p0, "commitment": "00" * 32}, "NotClinic")
+    w.fail(w.outsider, "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "NotClinic")
     w.bind(0, clinic_index=0)
-    w.fail(w.clinics[1], "begin_binding", {"patient": p0, "commitment": "00" * 32}, "PatientAlreadyBound")
+    w.fail(w.clinics[1], "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "PatientAlreadyBound")
     # a patient with only a pending session counts as bound too
     w.begin(1, clinic_index=0)
-    w.fail(w.clinics[1], "begin_binding", {"patient": w.patients[1].address.hex(), "commitment": "00" * 32}, "PatientAlreadyBound")
+    w.fail(w.clinics[1], "begin_binding", {"bindings": [{"patient": w.patients[1].address.hex(), "commitment": "00" * 32}]}, "PatientAlreadyBound")
+
+
+@pytest.mark.parametrize("respell", [upper_case, spaced])
+def test_binding_hex_has_one_spelling(world_cls, respell):
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    entry = {"patient": w.patients[0].address.hex(), "commitment": "ab" * 32}
+    sequence = w.ledger.next_sequence(w.clinics[0].address)
+    for key in ("patient", "commitment"):
+        params = {"bindings": [{**entry, key: respell(entry[key])}]}
+        w.fail(w.clinics[0], "begin_binding", params, "MalformedParams")
+        assert w.ledger.next_sequence(w.clinics[0].address) == sequence
+    w.ok(w.clinics[0], "begin_binding", {"bindings": [entry]})
+
+
+def test_binding_entry_has_exactly_patient_and_commitment(world_cls):
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    entry = {"patient": w.patients[0].address.hex(), "commitment": "ab" * 32}
+    sequence = w.ledger.next_sequence(w.clinics[0].address)
+    for bad in ({**entry, "memo": "x"}, {"patient": entry["patient"]}):
+        w.fail(w.clinics[0], "begin_binding", {"bindings": [entry, bad]}, "MalformedParams")
+        assert w.ledger.next_sequence(w.clinics[0].address) == sequence
+
+
+def _drain_clinic0(w):
+    """Bind patients 0 and 1 at clinic 0, which holds two shots, leaving it none."""
+    w.assign_all()
+    w.bind(0, clinic_index=0)
+    w.bind(1, clinic_index=0)
+
+
+# Each case gives (sender, bindings) for a batch with one fault among valid
+# entries for patients 2 and 3; ``prepare`` readies the world first.
+BEGIN_REJECTIONS = {
+    "WrongPhase": (lambda w: None, lambda w, ok: (w.clinics[0], ok)),
+    "NotClinic": (lambda w: w.assign_all(), lambda w, ok: (w.developer, ok)),
+    "MalformedParams": (
+        lambda w: w.assign_all(),
+        lambda w, ok: (w.clinics[0], ok + [{**ok[0], "commitment": "zz" * 32}]),
+    ),
+    "PatientAlreadyBound": (lambda w: w.assign_all(), lambda w, ok: (w.clinics[0], ok + ok[:1])),
+    "NoShotsAvailable": (_drain_clinic0, lambda w, ok: (w.clinics[0], ok)),
+}
+
+
+@pytest.mark.parametrize("code", sorted(BEGIN_REJECTIONS))
+def test_begin_batch_rejection_leaves_no_trace(world_cls, code):
+    w = world_cls(num_shots=4, num_clinics=2)
+    prepare, make = BEGIN_REJECTIONS[code]
+    prepare(w)
+    ok = [{"patient": w.patients[i].address.hex(), "commitment": f"{i:02x}" * 32} for i in (2, 3)]
+    sender, bindings = make(w, ok)
+    sequence = w.ledger.next_sequence(sender.address)
+    sessions = len(w.ledger.contract.sessions)
+    w.fail(sender, "begin_binding", {"bindings": bindings}, code)
+    assert w.ledger.next_sequence(sender.address) == sequence
+    assert len(w.ledger.contract.sessions) == sessions
+
+
+@pytest.mark.parametrize("bad", [[], None, "aa" * 20, {}, [7], [None], [["aa" * 20, "ab" * 32]]])
+def test_begin_batch_bindings_must_be_a_non_empty_list_of_objects(world_cls, bad):
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    params = {} if bad is None else {"bindings": bad}
+    w.fail(w.clinics[0], "begin_binding", params, "MalformedParams")
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_begin_batch_is_all_or_nothing(world_cls, data):
+    w = world_cls(num_shots=4, num_clinics=2, extra_patients=4, binding_deadline=7)
+    contract = w.ledger.contract
+    w.assign_all()  # two shots per clinic
+    bound = list(range(data.draw(st.integers(0, 2))))  # two drain clinic 0
+    for i in bound:
+        w.bind(i, clinic_index=0)
+    pending = data.draw(st.lists(st.sampled_from(range(2, 8)), unique=True, max_size=2))
+    for i in pending:
+        w.begin(i, clinic_index=1)
+    addresses = [p.address.hex() for p in w.patients]
+    good = st.builds(
+        lambda i, c: {"patient": addresses[i], "commitment": c},
+        st.integers(0, len(addresses) - 1),
+        st.binary(min_size=32, max_size=32).map(bytes.hex),
+    )
+    bad = st.one_of(
+        st.sampled_from(["aa" * 20, 7, None, [], True]),  # not an object
+        good.map(lambda e: {**e, "patient": "AB" + e["patient"][2:]}),  # upper-case hex
+        good.map(lambda e: {**e, "commitment": e["commitment"][:2] + " " + e["commitment"][2:]}),
+        good.map(lambda e: {**e, "patient": e["patient"][:38]}),  # 19 bytes
+        good.map(lambda e: {**e, "memo": "x"}),  # an extra key
+        good.map(lambda e: {"commitment": e["commitment"]}),  # a missing key
+    )
+    tagged = st.one_of(good.map(lambda e: (e, True)), bad.map(lambda e: (e, False)))
+    drawn = data.draw(st.lists(tagged, max_size=4) | st.sampled_from([None, "x", {}]))
+    entries = [e for e, _ in drawn] if isinstance(drawn, list) else drawn
+    sender = data.draw(st.sampled_from([w.clinics[0], w.clinics[1], w.developer, w.outsider, w.patients[0]]))
+    params = {} if entries is None else {"bindings": entries}
+
+    taken = {addresses[i] for i in bound + pending}
+    if sender not in w.clinics:
+        expected = "NotClinic"
+    elif not isinstance(drawn, list) or not drawn or not all(well_formed for _, well_formed in drawn):
+        expected = "MalformedParams"
+    elif any(e["patient"] in taken for e in entries) or len({e["patient"] for e in entries}) < len(entries):
+        expected = "PatientAlreadyBound"
+    elif not contract.free_shots[sender.address]:
+        expected = "NoShotsAvailable"
+    else:
+        expected = None
+    digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
+    first = len(contract.sessions)
+
+    receipt = w.call(sender, "begin_binding", params)
+
+    assert receipt.code == expected, receipt.detail
+    if not receipt.accepted:
+        assert w.ledger.state_digest() == digest
+        assert w.ledger.next_sequence(sender.address) == sequence
+        assert len(contract.sessions) == first
+        return
+    ids = range(first, first + len(entries))
+    assert len(contract.sessions) == ids.stop
+    for session_id, entry in zip(ids, entries):
+        session = contract.sessions[session_id]
+        assert session.clinic == sender.address
+        assert session.patient.hex() == entry["patient"]
+        assert session.flip.commit_a.hex() == entry["commitment"]
+        assert session.flip.commit_b is None and session.shot is None
+        assert session.flip.deadline == receipt.position + 7
+        assert contract.pending_by_patient[session.patient] == session_id
+    assert [(e.name, e.payload) for e in receipt.events] == [
+        ("BindingStarted", {"session": i, "clinic": sender.address.hex(), "patient": e["patient"]})
+        for i, e in zip(ids, entries)
+    ]
 
 
 def test_clinic_out_of_shots(world_cls):
@@ -247,7 +410,7 @@ def test_clinic_out_of_shots(world_cls):
     w.fail(
         w.clinics[0],
         "begin_binding",
-        {"patient": w.patients[1].address.hex(), "commitment": "00" * 32},
+        {"bindings": [{"patient": w.patients[1].address.hex(), "commitment": "00" * 32}]},
         "NoShotsAvailable",
     )
 
@@ -264,12 +427,13 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
         w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(cb).hex()})
     w.ok(w.clinics[0], "clinic_reveal", {"session": s1, "value": a1.value, "nonce": a1.nonce.hex()})
     w.ok(w.clinics[0], "clinic_reveal", {"session": s2, "value": a2.value, "nonce": a2.nonce.hex()})
-    w.ok(w.patients[0], "patient_reveal", {"session": s1, "value": b1.value, "nonce": b1.nonce.hex()})
+    shot = w.selected_shot(0, a1, b1)
+    w.ok(w.patients[0], "patient_reveal", {"session": s1, "value": b1.value, "nonce": b1.nonce.hex(), "shot": shot.hex()})
     # session 2's completing reveal must reject atomically: no shot left
     w.fail(
         w.patients[1],
         "patient_reveal",
-        {"session": s2, "value": b2.value, "nonce": b2.nonce.hex()},
+        {"session": s2, "value": b2.value, "nonce": b2.nonce.hex(), "shot": shot.hex()},
         "NoShotsAvailable",
     )
     session_view = w.ledger.query("session", {"session": s2})
@@ -329,14 +493,47 @@ def test_binding_selection_follows_xor_over_sorted_digests(world_cls):
     assert shot == expected
 
 
-def test_confirm_binding_rules(world_cls):
-    w = world_cls(num_shots=4)
+def test_patient_reveal_must_name_the_selected_shot(world_cls):
+    from vaccsc.coinflip import commit_contribution
+
+    w = world_cls(num_shots=6, num_clinics=1)
     w.assign_all()
-    shot = w.bind(0, confirm=False)
-    w.fail(w.patients[1], "confirm_binding", {"shot": shot.hex()}, "NotProvisionalPatient")
-    w.ok(w.patients[0], "confirm_binding", {"shot": shot.hex()})
-    w.fail(w.patients[0], "confirm_binding", {"shot": shot.hex()}, "AlreadyConfirmed")
-    w.fail(w.patients[0], "confirm_binding", {"shot": "bb" * 32}, "UnknownShot")
+    sid, a, b = w.begin(0)
+    patient = w.patients[0]
+    w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
+    w.ok(w.clinics[0], "clinic_reveal", {"session": sid, "value": a.value, "nonce": a.nonce.hex()})
+    right = w.selected_shot(0, a, b)
+    other = next(s for s in w.ledger.contract.free_shots[w.config.clinics[0]] if s != right)
+    reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex()}
+    sequence = w.ledger.next_sequence(patient.address)
+    # another free shot, or a digest that names no shot at all
+    for wrong in (other, b"\xbb" * 32):
+        w.fail(patient, "patient_reveal", {**reveal, "shot": wrong.hex()}, "WrongShot")
+        assert w.ledger.next_sequence(patient.address) == sequence
+    assert w.ledger.query("patient_shot", {"patient": patient.address.hex()}) is None
+    # the same sequence number carries the corrected reveal
+    receipt = w.ok(patient, "patient_reveal", {**reveal, "shot": right.hex()})
+    assert receipt.events[0].name == "BindingConfirmed"
+    assert receipt.events[0].payload == {"shot": right.hex(), "patient": patient.address.hex()}
+    assert w.ledger.next_sequence(patient.address) == sequence + 1
+    assert w.ledger.query("shot", {"commitment": right.hex()})["patient"] == patient.address.hex()
+    assert right not in w.ledger.contract.free_shots[w.config.clinics[0]]
+
+
+def test_patient_reveal_waits_for_the_clinic(world_cls):
+    from vaccsc.coinflip import commit_contribution
+
+    w = world_cls(num_shots=4, num_clinics=1)
+    w.assign_all()
+    sid, a, b = w.begin(0)
+    patient = w.patients[0]
+    reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex(), "shot": w.selected_shot(0, a, b).hex()}
+    w.fail(patient, "patient_reveal", reveal, "RevealBeforeCommits")
+    w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
+    w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
+    assert w.ledger.query("session", {"session": sid})["flip"]["reveal_b"] is None
+    w.ok(w.clinics[0], "clinic_reveal", {"session": sid, "value": a.value, "nonce": a.nonce.hex()})
+    w.ok(patient, "patient_reveal", reveal)
 
 
 def test_abort_binding(world_cls):
@@ -396,7 +593,7 @@ def test_report_sick_counters_and_threshold(world_cls):
 def test_unconfirmed_patient_cannot_report(world_cls):
     w = world_cls(num_shots=4, threshold=2)
     w.assign_all()
-    w.bind(0, confirm=False)
+    w.begin(0)  # an open session, no shot yet
     w.fail(w.patients[0], "report_sick", {}, "NotBoundPatient")
 
 

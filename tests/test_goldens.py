@@ -21,59 +21,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "fb23e7943268bff5e38f50429565725a584a109524aac4cec04b41987fd22582",
-        "da6ebf826d5370340947fe64dcda6832bcdd38d7c8beaad800bfcc2fbb1dd633",
-        "caf3a0a3aaa3758efee397dff703db75499920bc1932c6288a75a1037f9351d1",
+        "2ea4bafbdfdaf828e60787913445e517ae18df608ad18ab4bb4f0f3f4ab37004",
+        "71f065b8c2c2f9d269a1b8f979e68182ec67a1b338e7ab41191809f092622d9a",
+        "c2a5b9bea1ef8a18d30e33c584dbbf896bc94a43f5bce6b74544004b601691be",
     ),
     "honest_pfizer_like-s1": (
-        "f4e457799866a73454db33e7b5f84a84af86a91ad8b24880843bb301f67f69f8",
-        "7daffbfa41e988992bde820845cffd8ae1ae4ca93b693a83fa82ef12b9f3a143",
-        "9f91159f782f9cb16ad6a2ae68d09faa23ee7d4258358b4cfa860a3e617dd955",
+        "a7347aa7b2f7920f6de10556986e37c6a7a563a56191182ac6a53bbef6184874",
+        "7a692c8c1c8f24571bac62cfefc3135c70e2b5e617f4b28235a61b7da3dd0625",
+        "3b598c3892bafa7434e7e6ca48cea1fca7754f61d9496916efbedcbf3cb07a1e",
     ),
     "grid/honest": (
-        "7955bce9d71b435309052432f7493b1289b1a48dda8a79819287c8147149501f",
-        "6cf929d6cd6877a702a8564d2a09422fc209a36b80715a4fd1a35dfae02eeaf3",
-        "52f03de13737ab62f004a89c6a92f6c499bb2647e58f4e681807571545a1c467",
+        "8ea7394ee28015c396dc19f0fd7eedfc947079da988d5ac399bc44903542d6c4",
+        "6a95bb9a9f64cad353f749eb703ba86df11f2434b05d91523060002e4439fa5f",
+        "691b12d07c26f622626ad9866d0de5b5b7d6804c80078df293888b49ea0c823c",
     ),
     "grid/omit_10": (
-        "8d6d4785ae6cb9ff97d4b813883f3167e72e831488fbef23365deb80bb47b02b",
-        "c9edecc4ec7ce575af25428101755defac4ddbd5184153e50ffe80f65e6ef8d2",
-        "79e99662584817fedd4db02c7407379c58135aa8fc0675359dd09ffac59308cc",
+        "cf430b1e20db77194932c31be36f35a21ab3793f08eb83cb3be652d81e130727",
+        "42f1182f6b44749109b0bdd207a8ea50bbb3c946d71c841b4b3c681ffa373f66",
+        "89c7a6e0da85c18bc91bfa72a3674637e78c1caf8ac290d1216e5ce28bbcd05b",
     ),
     "grid/omit_25": (
-        "d7a6b643c8937edd3a34501a95ea57a3e157e76d496085fcd36124aa17356425",
-        "562b658b7793cee946f4232b82d4dcabefb78a0e7792a0d8e09f9699e9e6467c",
-        "0dad1b49c8228e1d0268211997a4ff5f6063037dc363f856564a716250720db0",
+        "b6c4c68fe3ba74e3bd3fa8c3d4af2d68fda079fbe45b89e1a04037ac5cec8708",
+        "e9070cd30b20405f149fad0ffc70e4a67db91902ce23b33e9bb2a42bee7b1e77",
+        "939831aa57ca03fe478dcc564cb354fcdcc92f3f00b64c051e9bf9693853815a",
     ),
     "grid/omit_50": (
-        "b8ffdf46857d5b6568e40b479e63625dafeeeefe5fda951eb67ee7df2472d902",
-        "689d01d6e33b4b3f821e03a54e52fe614c3183554bcc5197fa39068ebd36bcaf",
-        "32ff84149ae93f1e4d40f3199a922c8f5a0b52a30b53f52b4a3fbee13a6a5f66",
+        "8e39753583e5bbe117a0ec1c14ad8051a84fc8118b68afa84836d8f60d5dac54",
+        "003b242bd82d6995a2d4e7dc778980f53f6c69d0bcec38ee8d2b09a537fbee18",
+        "6fe3346e56bae77ed442a5345481d892affa50e3a9ac6eb9bd437eebbe7e41b3",
     ),
     "grid/forge_1": (
-        "0f6a38e0c1aebef23801cc9918f1e963264f4ff05dd7d3948e10e70ea704e89d",
-        "97aecca5da256e865937ec8598a04ae368260d271da6911d7cf621ec2895a12d",
-        "1923ee66e997b7c7cff5f73a14b9bbb9b5a9aff74b9e87fe722e27b34f5b5ced",
+        "ed480311d77de936a3199d7e68d363b53eb6d0c9ef51b1886075601ff6915818",
+        "56bf27a567f4561af14a963f7169364171c972e0a612b5142c2d21eee8841197",
+        "be9796ce96530381314bf1b8cf77b148a01731c121924e3b494096413f71e320",
     ),
     "grid/biased_distribution": (
-        "a052e71eb2bd17b8cc9599eef7434d9025db8fcaad9a6399466bfc2daf48ee58",
-        "93edf39d19fe83c7be654946356ab2f9708e5659bb039b1865f843ac0777ac9f",
-        "d49390c5da3ea16428d869eb505b16ddbb802c024d23435c3867d274760d60e1",
+        "66db2a44a48e838b5b69948f14c32c249976adbdfeb204715024fce35455404a",
+        "7e4243f110f6cfaed29d099eaffb1774ebe1d5d827bc72004e400d02d446e534",
+        "47e718ebcd1293bb7d623e9cda06c8b126799434fd89492ea99425d108458e44",
     ),
     "grid/collude": (
-        "ae4a4794f8fdf54a668581b4fbf86fdc5cada57f5e79531794ad91008093e530",
-        "71cd9bcac7624cf6dcdcec624b555faa405125cd2949a789bde75485be7eb4b6",
-        "150a33fe8ab98537fbdb2abd494b1e4bc602308d5a49b440bc6a920752fbe0e6",
+        "dcee3f2722a3af6e947b1047597560ebfc6df71bb1ed70ba1df50f1cfaf27c23",
+        "6e0482aaeecbf78e088c345dbbaf336dec013221505ae784c65227ade1e15a2d",
+        "5c81e6af14bae2eb63980d96039ac06dda97c9caadd7d9b3e9aa696f2df7a15c",
     ),
     "grid/false_sick_5": (
-        "e86e290550e0c2938838a774a3a94530faf51c7d3d04bdf2112961dcd0060c4c",
-        "832c0c88d12a7cb595e88959a33946be31a1c3397040c6760a706647da426d24",
-        "d77c7dbbcd07d7c570a411080bd196b60fecf3e0cf2a7b9271d53fae359c43ea",
+        "884a825897742d7e6fa8a241807d9988cf021a42a5fd90825a767809a46a2b3b",
+        "e3993d7f4be8b9321bd9e3b45c4e0c2879312235522345230c2750a5bd9b53b6",
+        "9a484820b0a6358dcee9141ef3a42bec0cd9881e372063ee5f7ba7aa8283befa",
     ),
     "grid/never_report_5": (
-        "e3af9de8b2d8d199a8b1c3c2c5c269e221affc823ce908b0f31654427b4750fc",
-        "8d0af1e3e4f92bf0d23f538b61a2be9c50d5e8abb012308644a210576abb5422",
-        "d432ed8272723a11f2dbfe787dc9845764ccfa24aba1215f1f1a54d707de1030",
+        "f1d218c6c9ad0b203040cee372d05de5b2e54e18e7b8eb8021b1ce2bb64157f2",
+        "f5bd4c9578972164e226ace6e9c05b80fae51fc28423f81798668dfe21db9da3",
+        "6b0b94ac4052a10b5b4a2610cecfb1c0b5f6ba787c3463871a319b145ac748ce",
     ),
 }
 

@@ -204,7 +204,7 @@ def test_rejection_leaves_state_untouched(world_cls):
     w = world_cls()
     w.assign_all()
     before = w.ledger.state_digest()
-    w.call(w.outsider, "begin_binding", {"patient": w.patients[0].address.hex(), "commitment": "00" * 32})
+    w.call(w.outsider, "begin_binding", {"bindings": [{"patient": w.patients[0].address.hex(), "commitment": "00" * 32}]})
     w.call(w.developer, "assign_shot_to_clinic", {"shots": ["11" * 32], "clinic": w.config.clinics[0].hex()})
     assert w.ledger.state_digest() == before
     # and the rejections are journaled, not dropped

@@ -279,6 +279,7 @@ def _set(*path_and_value):
 HOSTILE_GENESES = {
     "vaccsc-1": (_set("contract", "vaccsc-1"), "unsupported contract id 'vaccsc-1'"),
     "vaccsc-2": (_set("contract", "vaccsc-2"), "unsupported contract id 'vaccsc-2'"),
+    "vaccsc-3": (_set("contract", "vaccsc-3"), "unsupported contract id 'vaccsc-3'"),
     "zero participants": (
         _set("params", "config", "num_participants", 0),
         "num_participants must be positive",
