@@ -111,11 +111,6 @@ class CoinFlipSession:
             self.result = self.reveal_a.value ^ self.reveal_b.value
             self.phase = SessionPhase.COMPLETE
 
-    def will_complete(self, party: Party) -> bool:
-        """True if a valid reveal from ``party`` would finish the session."""
-        other = self.reveal_b if party is Party.A else self.reveal_a
-        return self.phase is SessionPhase.AWAITING_REVEALS and other is not None
-
     def abort(self, now: int) -> None:
         if self.phase in (SessionPhase.COMPLETE, SessionPhase.ABORTED):
             raise SessionError("AbortAfterComplete", "session already settled")

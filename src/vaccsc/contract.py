@@ -28,12 +28,9 @@ from .coinflip import (
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-4"
+CONTRACT_ID = "vaccsc-5"
 
 DEFAULT_BINDING_DEADLINE = 100
-
-# The exact keys of one ``begin_binding`` entry.
-_BINDING_KEYS = {"patient", "commitment"}
 
 
 def _json_default(obj):
@@ -211,47 +208,40 @@ class VaccineTrial:
         contract = genesis.get("contract")
         if contract != CONTRACT_ID:
             raise ValueError(f"unsupported contract id {contract!r}")
-        _check_json(genesis, _GENESIS_SCHEMA, "genesis")
-        params = genesis["params"]
-        raw = params["config"]
-        config = TrialConfig(
-            num_participants=raw["num_participants"],
-            infected_threshold=raw["infected_threshold"],
-            target_efficiency=raw["target_efficiency"],
-            clinics=tuple(_strict_hex(c, "params.config.clinics") for c in raw["clinics"]),
-            developer=_strict_hex(raw["developer"], "params.config.developer"),
-            binding_deadline=raw["binding_deadline"],
-        )
-        if _strict_hex(genesis["deployer"], "deployer") != config.developer:
+        doc = _decode(genesis, _GENESIS_SCHEMA, "genesis")
+        raw = doc["params"]["config"]
+        config = TrialConfig(**dict(raw, clinics=tuple(raw["clinics"])))
+        if doc["deployer"] != config.developer:
             raise ValueError("genesis deployer does not match the configured developer")
-        commitments = [_strict_hex(c, "params.commitments") for c in params["commitments"]]
-        return cls(config, commitments)
+        return cls(config, doc["params"]["commitments"])
 
     # -- dispatch ----------------------------------------------------------
 
     def dispatch(self, sender: bytes, method: str, params: dict, tick: int) -> list[tuple[str, dict]]:
         """Apply one call; returns emitted events or raises ContractError.
 
-        Handlers validate everything before touching state so a raised
+        ``params`` is decoded against the method's schema before the handler
+        runs, as ABI decoding does, and the handler gets the decoded values.
+        Handlers validate everything else before touching state, so a raised
         ContractError always leaves the contract exactly as it was.
         """
-        handler = _HANDLERS.get(method)
-        if handler is None:
+        schema = _METHOD_SCHEMA.get(method)
+        if schema is None:
             raise ContractError("UnknownMethod", f"no such method {method!r}")
-        return handler(self, sender, params, tick)
+        try:
+            args = _decode(params, schema, "params")
+        except ValueError as exc:
+            raise ContractError("MalformedParams", str(exc)) from None
+        return _HANDLERS[method](self, sender, args, tick)
 
     # -- operations --------------------------------------------------------
 
-    def _assign_shot(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+    def _assign_shot(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase not in (TrialPhase.DEPLOYED, TrialPhase.DISTRIBUTING):
             raise ContractError("WrongPhase", "distribution is closed")
         if sender != self.config.developer:
             raise ContractError("NotDeveloper", "only the developer distributes shots")
-        entries = params.get("shots")
-        if not isinstance(entries, list) or not entries:
-            raise ContractError("MalformedParams", "shots must be a non-empty list")
-        batch = [_as_digest(entry, "shots[]") for entry in entries]
-        clinic = _address_param(params, "clinic")
+        batch, clinic = args["shots"], args["clinic"]
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call.
         seen: set[bytes] = set()
@@ -274,19 +264,12 @@ class VaccineTrial:
         clinic_hex = clinic.hex()
         return [("ShotAssigned", {"shot": shot.hex(), "clinic": clinic_hex}) for shot in batch]
 
-    def _begin_binding(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+    def _begin_binding(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase is not TrialPhase.ACTIVE:
             raise ContractError("WrongPhase", "binding requires an active trial")
         if sender not in self.free_shots:
             raise ContractError("NotClinic", "only clinics start bindings")
-        entries = params.get("bindings")
-        if not isinstance(entries, list) or not entries:
-            raise ContractError("MalformedParams", "bindings must be a non-empty list")
-        batch = []
-        for entry in entries:
-            if type(entry) is not dict or entry.keys() != _BINDING_KEYS:
-                raise ContractError("MalformedParams", "each binding must be {patient, commitment}")
-            batch.append((_address_param(entry, "patient"), _digest_param(entry, "commitment")))
+        batch = [(entry["patient"], entry["commitment"]) for entry in args["bindings"]]
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call.
         seen: set[bytes] = set()
@@ -313,33 +296,35 @@ class VaccineTrial:
             )
         return events
 
-    def _patient_commit(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
-        session = self._active_session(params)
+    # Each accepted step before the completing reveal (begin, patient commit,
+    # clinic reveal) sets the session's deadline ``binding_deadline`` after it.
+
+    def _patient_commit(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
+        session = self._active_session(args)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        commitment = _digest_param(params, "commitment")
-        _session_op(session.flip.add_commit, Party.B, commitment)
+        _session_op(session.flip.add_commit, Party.B, args["commitment"])
+        session.flip.deadline = tick + self.config.binding_deadline
         return []
 
-    def _clinic_reveal(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
-        session = self._active_session(params)
+    def _clinic_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
+        session = self._active_session(args)
         if sender != session.clinic:
             raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-        _session_op(session.flip.add_reveal, Party.A, _contribution_param(params))
+        _session_op(session.flip.add_reveal, Party.A, RandomContribution(args["value"], args["nonce"]))
+        session.flip.deadline = tick + self.config.binding_deadline
         return []
 
-    def _patient_reveal(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+    def _patient_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         """The completing reveal: it selects the shot, which the patient has
         named in advance, and binds the patient to it in the same call."""
-        session = self._active_session(params)
+        session = self._active_session(args)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        contribution = _contribution_param(params)
-        named = _digest_param(params, "shot")
         # Reveal on a copy of the flip, so that any later check can still
         # reject the call with the session untouched.
         flip = replace(session.flip)
-        _session_op(flip.add_reveal, Party.B, contribution)
+        _session_op(flip.add_reveal, Party.B, RandomContribution(args["value"], args["nonce"]))
         if flip.result is None:
             raise ContractError("RevealOutOfOrder", "the clinic reveals before the patient")
         free = self.free_shots[session.clinic]
@@ -347,7 +332,7 @@ class VaccineTrial:
             raise ContractError("NoShotsAvailable", "clinic ran out of shots before completion")
         index = select_index(flip.result, len(free))
         shot = free[index]
-        if shot != named:
+        if shot != args["shot"]:
             raise ContractError("WrongShot", f"the flip selects {shot.hex()}")
         del free[index]
         session.flip = flip
@@ -357,7 +342,7 @@ class VaccineTrial:
         del self.pending_by_patient[sender]
         return [("BindingConfirmed", {"shot": shot.hex(), "patient": sender.hex()})]
 
-    def _report_sick(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+    def _report_sick(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase is not TrialPhase.ACTIVE:
             raise ContractError("TrialNotActive", "sickness reports are closed")
         shot = self.patient_shot.get(sender)
@@ -374,30 +359,20 @@ class VaccineTrial:
             events.append(("TrialFinished", {"infected": self.infected}))
         return events
 
-    def _reveal_controls(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
+    def _reveal_controls(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase is not TrialPhase.REVEAL_PENDING:
             raise ContractError("NotRevealPhase", "reveal requires the infected threshold")
         if sender != self.config.developer:
             raise ContractError("NotDeveloper", "only the developer reveals controls")
-        openings = params.get("openings")
-        if not isinstance(openings, list):
-            raise ContractError("MalformedParams", "openings must be a list")
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call.
         revealed: set[bytes] = set()
-        for entry in openings:
-            if not isinstance(entry, dict):
-                raise ContractError("MalformedParams", "each opening must be an object")
-            shot = _digest_param(entry, "commitment")
+        for entry in args["openings"]:
+            shot, content = entry["commitment"], entry["content"]
             record = self.shots.get(shot)
             if record is None or not record.got_sick:
                 raise ContractError("NotSickShot", f"{shot.hex()} is not a sick shot")
-            nonce = _hex_param(entry, "nonce")
-            try:
-                content = ShotContent.from_name(str(entry.get("content", "")))
-            except ValueError:
-                raise ContractError("BadOpening", "unknown content label") from None
-            if not verify_raw_opening(shot, nonce, content.value):
+            if not verify_raw_opening(shot, entry["nonce"], content.value):
                 raise ContractError("BadOpening", f"opening does not match {shot.hex()}")
             if content is not ShotContent.PLACEBO:
                 raise ContractError("NotPlacebo", f"{shot.hex()} is not a control shot")
@@ -423,36 +398,30 @@ class VaccineTrial:
             )
         ]
 
-    def _abort_binding(self, sender: bytes, params: dict, tick: int) -> list[tuple[str, dict]]:
-        session = self._active_session(params)
+    def _abort_binding(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
+        session = self._active_session(args)
         if sender not in (session.clinic, session.patient):
             raise ContractError("NotSessionParty", "caller is not part of this session")
         _session_op(session.flip.abort, tick)
         del self.pending_by_patient[session.patient]
         return []
 
-    def _active_session(self, params: dict) -> BindingSession:
+    def _active_session(self, args: dict) -> BindingSession:
         if self.phase is not TrialPhase.ACTIVE:
             raise ContractError("WrongPhase", "session operations require an active trial")
-        session = self._session(params)
+        session_id = args["session"]
+        if not 0 <= session_id < len(self.sessions):
+            raise ContractError("UnknownSession", f"no session {session_id}")
+        session = self.sessions[session_id]
         if session.shot is not None or session.flip.result is not None:
             raise ContractError("SessionSettled", "session already selected a shot")
         if session.flip.phase.value == "aborted":
             raise ContractError("SessionSettled", "session was aborted")
         return session
 
-    def _session(self, params: dict) -> BindingSession:
-        raw = params.get("session")
-        if type(raw) is not int:  # a JSON bool is not a session id
-            raise ContractError("MalformedParams", "session id must be an integer")
-        if not 0 <= raw < len(self.sessions):
-            raise ContractError("UnknownSession", f"no session {raw}")
-        return self.sessions[raw]
-
     # -- views -------------------------------------------------------------
 
-    def view(self, name: str, params: dict | None = None) -> object:
-        params = params or {}
+    def view(self, name: str) -> object:
         if name == "phase":
             return self.phase.value
         if name == "infected_count":
@@ -471,21 +440,6 @@ class VaccineTrial:
             return json_value(self.outcome)
         if name == "config":
             return json_value(self.config)
-        if name == "shot":
-            record = self.shots.get(_digest_param(params, "commitment"))
-            if record is None:
-                raise ContractError("UnknownShot", "no such shot commitment")
-            return json_value(record)
-        if name == "patient_shot":
-            shot = self.patient_shot.get(_address_param(params, "patient"))
-            return shot.hex() if shot else None
-        if name == "session":
-            return json_value(self._session(params))
-        if name == "shots_available":
-            clinic = _address_param(params, "clinic")
-            if clinic not in self.free_shots:
-                raise ContractError("UnknownClinic", "address is not a registered clinic")
-            return len(self.free_shots[clinic])
         raise ContractError("UnknownView", f"no view named {name!r}")
 
     # -- canonical state ---------------------------------------------------
@@ -516,57 +470,93 @@ def make_genesis(config: TrialConfig, commitments) -> dict:
     )
 
 
-# Exact JSON shape of a genesis: an object's keys must match exactly, and a
-# number must have one of the listed types, so a bool never passes as an int.
+def _strict_hex(size: int):
+    """A leaf of ``size`` bytes, spelled as lower-case hex with no spaces: the
+    one spelling of bytes in a genesis or a payload."""
+
+    def decode(value, path: str) -> bytes:
+        if type(value) is str and len(value) == 2 * size:
+            try:
+                raw = bytes.fromhex(value)
+            except ValueError:
+                raw = None
+            if raw is not None and raw.hex() == value:
+                return raw
+        raise ValueError(f"{path} must be {size} bytes of lowercase hex without spaces")
+
+    return decode
+
+
+_ADDRESS = _strict_hex(ADDRESS_SIZE)
+_DIGEST = _strict_hex(DIGEST_SIZE)
+_NONCE = _strict_hex(NONCE_SIZE)
+_LABELS = {content.label: content for content in ShotContent}
+
+
+def _u64(value, path: str) -> int:
+    if type(value) is not int or not 0 <= value <= U64_MAX:
+        raise ValueError(f"{path} must be an unsigned 64-bit integer")
+    return value
+
+
+def _label(value, path: str) -> ShotContent:
+    if type(value) is not str or value not in _LABELS:
+        raise ValueError(f"{path} must be {' or '.join(map(repr, _LABELS))}")
+    return _LABELS[value]
+
+
+# Exact JSON shapes, decoded by ``_decode``: an object has exactly its keys;
+# ``[item]`` is a list and ``[item, ...]`` a non-empty list of items; a JSON
+# type matches only itself, so a bool is never an int and an int never a
+# float; any other leaf decodes the value or raises ValueError.
 _GENESIS_SCHEMA = {
     "contract": str,
-    "deployer": str,
+    "deployer": _ADDRESS,
     "params": {
         "config": {
             "num_participants": int,
             "infected_threshold": int,
-            "target_efficiency": (int, float),
-            "clinics": [str],
-            "developer": str,
+            "target_efficiency": float,
+            "clinics": [_ADDRESS],
+            "developer": _ADDRESS,
             "binding_deadline": int,
         },
-        "commitments": [str],
+        "commitments": [_DIGEST],
     },
 }
 
+# The params of each method. A session id is any JSON int; its range is
+# the contract's check (UnknownSession).
+_METHOD_SCHEMA = {
+    "assign_shot_to_clinic": {"clinic": _ADDRESS, "shots": [_DIGEST, ...]},
+    "begin_binding": {"bindings": [{"patient": _ADDRESS, "commitment": _DIGEST}, ...]},
+    "patient_commit": {"session": int, "commitment": _DIGEST},
+    "clinic_reveal": {"session": int, "value": _u64, "nonce": _NONCE},
+    "patient_reveal": {"session": int, "value": _u64, "nonce": _NONCE, "shot": _DIGEST},
+    "report_sick": {},
+    "reveal_controls": {"openings": [{"commitment": _DIGEST, "nonce": _NONCE, "content": _label}]},
+    "abort_binding": {"session": int},
+}
 
-def _check_json(value, schema, path: str) -> None:
+
+def _decode(value, schema, path: str):
+    """``value`` decoded against ``schema``; raises ValueError naming the first bad field."""
     if isinstance(schema, dict):
         if type(value) is not dict:
             raise ValueError(f"{path} must be an object")
-        odd = sorted(schema.keys() ^ value.keys())
-        if odd:
-            key = odd[0]
+        if value.keys() != schema.keys():
+            key = min(schema.keys() ^ value.keys())
             raise ValueError(f"{path}.{key} is {'missing' if key in schema else 'unexpected'}")
-        for key, item_schema in schema.items():
-            _check_json(value[key], item_schema, f"{path}.{key}")
-    elif isinstance(schema, list):
-        if type(value) is not list:
-            raise ValueError(f"{path} must be a list")
-        for item in value:
-            _check_json(item, schema[0], f"{path}[]")
-    else:
-        kinds = schema if isinstance(schema, tuple) else (schema,)
-        if type(value) not in kinds:
-            raise ValueError(f"{path} must be a JSON {' or '.join(k.__name__ for k in kinds)}")
-
-
-def _strict_hex(value, what: str) -> bytes:
-    """Decode lower-case hex with no spaces, the one spelling of bytes in a
-    genesis or a payload; raises ValueError naming ``what`` otherwise."""
-    if type(value) is str:
-        try:
-            raw = bytes.fromhex(value)
-        except ValueError:
-            raw = None
-        if raw is not None and raw.hex() == value:
-            return raw
-    raise ValueError(f"{what} must be lowercase hex without spaces")
+        return {key: _decode(value[key], item, f"{path}.{key}") for key, item in schema.items()}
+    if isinstance(schema, list):
+        if type(value) is not list or (len(schema) > 1 and not value):
+            raise ValueError(f"{path} must be a {'non-empty ' if len(schema) > 1 else ''}list")
+        return [_decode(item, schema[0], f"{path}[]") for item in value]
+    if isinstance(schema, type):
+        if type(value) is not schema:
+            raise ValueError(f"{path} must be a JSON {schema.__name__}")
+        return value
+    return schema(value, path)
 
 
 def _session_op(op, *args) -> None:
@@ -574,45 +564,6 @@ def _session_op(op, *args) -> None:
         op(*args)
     except SessionError as exc:
         raise ContractError(exc.code, str(exc)) from None
-
-
-def _as_hex(raw, what: str) -> bytes:
-    try:
-        return _strict_hex(raw, what)
-    except ValueError as exc:
-        raise ContractError("MalformedParams", str(exc)) from None
-
-
-def _as_digest(raw, what: str) -> bytes:
-    value = _as_hex(raw, what)
-    if len(value) != DIGEST_SIZE:
-        raise ContractError("MalformedParams", f"{what} must be 32 bytes")
-    return value
-
-
-def _hex_param(params: dict, key: str) -> bytes:
-    return _as_hex(params.get(key), key)
-
-
-def _digest_param(params: dict, key: str) -> bytes:
-    return _as_digest(params.get(key), key)
-
-
-def _address_param(params: dict, key: str) -> bytes:
-    value = _hex_param(params, key)
-    if len(value) != ADDRESS_SIZE:
-        raise ContractError("MalformedParams", f"{key} must be a 20-byte address")
-    return value
-
-
-def _contribution_param(params: dict) -> RandomContribution:
-    value = params.get("value")
-    if type(value) is not int or not 0 <= value <= U64_MAX:
-        raise ContractError("MalformedParams", "value must be an unsigned 64-bit integer")
-    nonce = _hex_param(params, "nonce")
-    if len(nonce) != NONCE_SIZE:
-        raise ContractError("MalformedParams", "nonce must be 32 bytes")
-    return RandomContribution(value=value, nonce=nonce)
 
 
 _HANDLERS = {

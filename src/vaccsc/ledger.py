@@ -212,8 +212,8 @@ class Ledger:
 
     # -- queries ---------------------------------------------------------
 
-    def query(self, view: str, params: dict | None = None) -> object:
-        return self.contract.view(view, params)
+    def query(self, view: str) -> object:
+        return self.contract.view(view)
 
     def next_sequence(self, sender: bytes) -> int:
         return self.sequences.get(sender, 0)

@@ -163,7 +163,7 @@ class World:
             "patient_reveal",
             {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()},
         )
-        assert self.ledger.query("patient_shot", {"patient": patient.address.hex()}) == shot.hex()
+        assert self.ledger.contract.patient_shot[patient.address] == shot
         self.patient_shot[patient_index] = shot
         return shot
 

@@ -468,12 +468,17 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
                 ]
             }
         elif method in ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding"):
-            params = {"session": rng.randint(500, 600)}
-            if method != "abort_binding":
-                params["commitment"] = "ab" * 32
-                params["value"] = rng.getrandbits(64)
-                params["nonce"] = "cd" * 32
-                params["shot"] = "dd" * 32
+            session = rng.randint(500, 600)
+            # each method gets exactly its own keys, so the probe reaches the session checks
+            value = rng.getrandbits(64) if method != "abort_binding" else None
+            params = {
+                "patient_commit": {"session": session, "commitment": "ab" * 32},
+                "clinic_reveal": {"session": session, "value": value, "nonce": "cd" * 32},
+                "patient_reveal": {
+                    "session": session, "value": value, "nonce": "cd" * 32, "shot": "dd" * 32
+                },
+                "abort_binding": {"session": session},
+            }[method]
         elif method == "reveal_controls":
             params = {
                 "openings": rng.choice(
@@ -633,10 +638,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                             "shot": named.hex(),
                         },
                     )
-                    shot_hex = w.ledger.query(
-                        "patient_shot", {"patient": patient.address.hex()}
-                    )
-                    shot = bytes.fromhex(shot_hex)
+                    shot = w.ledger.contract.patient_shot[patient.address]
                     if shot in owner:
                         write_once_ok = False
                     owner[shot] = entry["patient"]
@@ -653,10 +655,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
         receipt = w.ok(w.developer, "reveal_controls", {"openings": openings})
         outcome = receipt.events[0].payload
         truth_ar0 = len(openings)
-        free_left = sum(
-            w.ledger.query("shots_available", {"clinic": c.hex()})
-            for c in w.config.clinics
-        )
+        free_left = sum(len(w.ledger.contract.free_shots[c]) for c in w.config.clinics)
         patients_map = w.ledger.contract.patient_shot
         conserved = (
             outcome["ar0"] + outcome["ar1"] == threshold

@@ -206,7 +206,7 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = [LoggedTransaction(e.status, e.code, e.tx) for e in w.ledger.journal]
-    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3"):
+    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4"):
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
         code, _, err = run_cli(capsys, "audit", str(path))

@@ -151,17 +151,6 @@ def test_select_index_examples():
         select_index(5, 0)
 
 
-def test_will_complete():
-    s = CoinFlipSession(deadline=10)
-    ca, cb = make_contribution(1, 1), make_contribution(2, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    s.add_commit(Party.B, commit_contribution(cb))
-    assert not s.will_complete(Party.A)
-    s.add_reveal(Party.A, ca)
-    assert s.will_complete(Party.B)
-    assert not s.will_complete(Party.A)
-
-
 def _chi_square(counts: dict[int, int], total: int, cells: int) -> float:
     expected = total / cells
     return sum((counts.get(i, 0) - expected) ** 2 / expected for i in range(cells))

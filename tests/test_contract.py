@@ -1,18 +1,24 @@
 """Trial contract: lifecycle, access control, atomic reveal, views."""
 
+import copy
 import json
+import re
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vaccsc.coinflip import commit_contribution
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
+    _METHOD_SCHEMA,
     TrialConfig,
     VaccineTrial,
     decide_outcome,
     efficiency_percent,
+    json_value,
     risk_ratio_percent,
 )
 
@@ -27,7 +33,7 @@ def test_deploy_initial_state(world_cls):
     assert ledger.query("infected_count") == 0
     assert ledger.query("vaccine_status") == "Pending"
     for shot in w.shot_list():
-        record = ledger.query("shot", {"commitment": shot.hex()})
+        record = json_value(ledger.contract.shots[shot])
         assert record["clinic"] is None
         assert record["patient"] is None
         assert record["vaccine_type"] == "unknown"
@@ -86,7 +92,7 @@ def test_assignment_flow(world_cls):
     receipt = w.ok(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0})
     assert receipt.events[0].name == "ShotAssigned"
     assert w.ledger.query("phase") == "distributing"
-    assert w.ledger.query("shots_available", {"clinic": clinic0}) == 1
+    assert len(w.ledger.contract.free_shots[w.config.clinics[0]]) == 1
 
     w.fail(w.clinics[0], "assign_shot_to_clinic", {"shots": [shots[1].hex()], "clinic": clinic0}, "NotDeveloper")
     w.fail(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0}, "AlreadyAssigned")
@@ -237,14 +243,10 @@ def test_binding_happy_path_sets_exactly_one_shot(world_cls):
     w = world_cls(num_shots=6, num_clinics=2)
     w.assign_all()
     shot = w.bind(0, clinic_index=0)
-    record = w.ledger.query("shot", {"commitment": shot.hex()})
+    record = json_value(w.ledger.contract.shots[shot])
     assert record["patient"] == w.patients[0].address.hex()
     assert set(record) == {"clinic", "patient", "got_sick", "vaccine_type"}
-    owners = [
-        s
-        for s in w.shot_list()
-        if w.ledger.query("shot", {"commitment": s.hex()})["patient"] is not None
-    ]
+    owners = [s for s in w.shot_list() if w.ledger.contract.shots[s].patient is not None]
     assert owners == [shot]
 
 
@@ -366,10 +368,10 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
     params = {} if entries is None else {"bindings": entries}
 
     taken = {addresses[i] for i in bound + pending}
-    if sender not in w.clinics:
-        expected = "NotClinic"
-    elif not isinstance(drawn, list) or not drawn or not all(well_formed for _, well_formed in drawn):
+    if not isinstance(drawn, list) or not drawn or not all(well_formed for _, well_formed in drawn):
         expected = "MalformedParams"
+    elif sender not in w.clinics:
+        expected = "NotClinic"
     elif any(e["patient"] in taken for e in entries) or len({e["patient"] for e in entries}) < len(entries):
         expected = "PatientAlreadyBound"
     elif not contract.free_shots[sender.address]:
@@ -436,7 +438,7 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
         {"session": s2, "value": b2.value, "nonce": b2.nonce.hex(), "shot": shot.hex()},
         "NoShotsAvailable",
     )
-    session_view = w.ledger.query("session", {"session": s2})
+    session_view = json_value(w.ledger.contract.sessions[s2])
     assert session_view["flip"]["reveal_b"] is None  # reveal was not half-applied
     assert session_view["flip"]["phase"] == "awaiting_reveals"
 
@@ -510,13 +512,13 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
     for wrong in (other, b"\xbb" * 32):
         w.fail(patient, "patient_reveal", {**reveal, "shot": wrong.hex()}, "WrongShot")
         assert w.ledger.next_sequence(patient.address) == sequence
-    assert w.ledger.query("patient_shot", {"patient": patient.address.hex()}) is None
+    assert patient.address not in w.ledger.contract.patient_shot
     # the same sequence number carries the corrected reveal
     receipt = w.ok(patient, "patient_reveal", {**reveal, "shot": right.hex()})
     assert receipt.events[0].name == "BindingConfirmed"
     assert receipt.events[0].payload == {"shot": right.hex(), "patient": patient.address.hex()}
     assert w.ledger.next_sequence(patient.address) == sequence + 1
-    assert w.ledger.query("shot", {"commitment": right.hex()})["patient"] == patient.address.hex()
+    assert w.ledger.contract.shots[right].patient == patient.address
     assert right not in w.ledger.contract.free_shots[w.config.clinics[0]]
 
 
@@ -531,7 +533,7 @@ def test_patient_reveal_waits_for_the_clinic(world_cls):
     w.fail(patient, "patient_reveal", reveal, "RevealBeforeCommits")
     w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
     w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
-    assert w.ledger.query("session", {"session": sid})["flip"]["reveal_b"] is None
+    assert w.ledger.contract.sessions[sid].flip.reveal_b is None
     w.ok(w.clinics[0], "clinic_reveal", {"session": sid, "value": a.value, "nonce": a.nonce.hex()})
     w.ok(patient, "patient_reveal", reveal)
 
@@ -556,6 +558,29 @@ def test_abort_after_completion_rejected(world_cls):
     w.bind(0, clinic_index=0)
     # session 0 completed and selected a shot
     w.fail(w.patients[0], "abort_binding", {"session": 0}, "SessionSettled")
+
+
+def test_each_session_step_moves_the_deadline(world_cls):
+    w = world_cls(num_shots=4, binding_deadline=5)
+    w.assign_all()
+    sid, c1, c2 = w.begin(0, clinic_index=0)
+    flip = w.ledger.contract.sessions[sid].flip
+    steps = (
+        (w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(c2).hex()}),
+        (w.clinics[0], "clinic_reveal", {"session": sid, "value": c1.value, "nonce": c1.nonce.hex()}),
+    )
+    for sender, method, params in steps:
+        deadline = flip.deadline
+        # burn logical time with rejected submissions up to the deadline itself
+        while len(w.ledger.journal) < deadline:
+            w.call(w.outsider, "report_sick", {})
+        receipt = w.ok(sender, method, params)
+        assert receipt.position == deadline
+        assert flip.deadline == deadline + 5
+        w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
+    while len(w.ledger.journal) <= flip.deadline:
+        w.call(w.outsider, "report_sick", {})
+    w.ok(w.clinics[0], "abort_binding", {"session": sid})
 
 
 # -- sickness and threshold ---------------------------------------------------
@@ -623,14 +648,14 @@ def test_reveal_by_elimination_and_conservation(world_cls):
     assert event.payload["ar0"] + event.payload["ar1"] == w.config.infected_threshold
     assert w.ledger.query("phase") == "finalized"
     for index in w.sick:
-        record = w.ledger.query("shot", {"commitment": w.patient_shot[index].hex()})
+        record = json_value(w.ledger.contract.shots[w.patient_shot[index]])
         expected = (
             "placebo" if w.arm(index) is ShotContent.PLACEBO else "vaccine_by_elimination"
         )
         assert record["vaccine_type"] == expected
     # non-sick shots stay sealed
     for index in set(w.patient_shot) - set(w.sick):
-        record = w.ledger.query("shot", {"commitment": w.patient_shot[index].hex()})
+        record = json_value(w.ledger.contract.shots[w.patient_shot[index]])
         assert record["vaccine_type"] == "unknown"
 
 
@@ -781,10 +806,155 @@ def test_views(world_cls):
     assert w.ledger.query("config")["num_participants"] == 4
     assert w.ledger.query("outcome") is None
     assert w.ledger.query("efficiency") is None
-    assert w.ledger.query("patient_shot", {"patient": w.patients[0].address.hex()}) is None
-    with pytest.raises(ContractError):
-        w.ledger.query("shots_available", {"clinic": w.outsider.address.hex()})
     with pytest.raises(ContractError):
         w.ledger.query("no_such_view")
-    with pytest.raises(ContractError):
-        w.ledger.query("session", {"session": 5})
+
+
+# -- one signed spelling per call ---------------------------------------------
+
+
+def respelling_world(world_cls):
+    """One clinic and three placebo shots, so that the reveal has openings."""
+    return world_cls(num_shots=3, num_clinics=1, threshold=2, vaccine_fraction=0.0, binding_deadline=0)
+
+
+def honest_calls(w):
+    """An accepted honest call of every method, in trial order. Yields
+    ``(sender, method, params)``; the consumer sends each call before it
+    asks for the next."""
+    drawn = [w.contributions() for _ in range(3)]
+    (c1, c2), clinic = drawn[0], w.clinics[0]
+    shots = [shot.hex() for shot in w.shot_list()]
+    yield w.developer, "assign_shot_to_clinic", {"clinic": clinic.address.hex(), "shots": shots}
+    yield clinic, "begin_binding", {"bindings": [w.binding(i, c) for i, (c, _) in enumerate(drawn)]}
+    yield w.patients[0], "patient_commit", {"session": 0, "commitment": commit_contribution(c2).hex()}
+    yield clinic, "clinic_reveal", {"session": 0, "value": c1.value, "nonce": c1.nonce.hex()}
+    shot = w.selected_shot(0, c1, c2)
+    reveal = {"session": 0, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()}
+    yield w.patients[0], "patient_reveal", reveal
+    w.patient_shot[0] = shot
+    yield w.patients[2], "abort_binding", {"session": 2}  # a deadline of 0 has passed
+    w.complete(1, 1, 0, *drawn[1])
+    yield w.patients[0], "report_sick", {}
+    w.sick.append(0)
+    w.sicken(1)
+    yield w.developer, "reveal_controls", {"openings": w.sick_control_openings()}
+
+
+def assert_malformed_then_honest(world_cls, method, respell):
+    """Send ``respell`` of the honest ``method`` call, expecting MalformedParams
+    with the state and the sender's sequence unchanged, then the honest call."""
+    w = respelling_world(world_cls)
+    for sender, name, params in honest_calls(w):
+        if name == method:
+            break
+        w.ok(sender, name, params)
+    else:
+        pytest.fail(f"no honest {method} call")
+    sequence = w.ledger.next_sequence(sender.address)
+    w.fail(sender, method, respell(params), "MalformedParams")  # checks the state digest
+    assert w.ledger.next_sequence(sender.address) == sequence
+    w.ok(sender, method, params)
+
+
+def fields(value, path=()):
+    """(path, value) of every object and every scalar inside a JSON value."""
+    if isinstance(value, dict):
+        yield path, value
+        for key, item in value.items():
+            yield from fields(item, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from fields(item, path + (i,))
+    else:
+        yield path, value
+
+
+def replaced(params, path, new):
+    """A copy of ``params`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    out = copy.deepcopy(params)
+    target = out
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = new
+    return out
+
+
+def respellings(value, key):
+    """Other spellings of the honest field ``value`` named ``key``."""
+    if isinstance(value, dict):
+        extra = st.text(min_size=1, max_size=6).filter(lambda k: k not in value)
+        options = [extra.map(lambda k: {**value, k: "x"})]
+        if value:
+            options.append(st.sampled_from(sorted(value)).map(lambda k: {q: v for q, v in value.items() if q != k}))
+    elif isinstance(value, int):
+        options = [st.sampled_from([float(value), True, False])]
+    elif key == "content":
+        options = [st.sampled_from([value.upper(), value.title(), f" {value}", f"{value} ", f"  {value.upper()} "])]
+    else:  # hex
+        options = [st.integers(0, len(value)).map(lambda i: value[:i] + " " + value[i:])]
+        if value.upper() != value:
+            options.append(st.just(value.upper()))
+    return st.one_of(options)
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_every_respelling_of_an_honest_call_is_malformed(world_cls, data):
+    def respell(params):
+        path, value = data.draw(st.sampled_from(list(fields(params))))
+        return replaced(params, path, data.draw(respellings(value, path[-1] if path else None)))
+
+    assert_malformed_then_honest(world_cls, data.draw(st.sampled_from(sorted(_METHOD_SCHEMA))), respell)
+
+
+def first_opening(change):
+    return lambda p: {"openings": [{**p["openings"][0], **change}] + p["openings"][1:]}
+
+
+# One fixed respelling of each kind: (method, respell the honest params).
+RESPELLINGS = {
+    "upper-case hex": ("patient_reveal", lambda p: {**p, "shot": upper_case(p["shot"])}),
+    "spaced hex": ("clinic_reveal", lambda p: {**p, "nonce": spaced(p["nonce"])}),
+    "an extra top-level key": ("assign_shot_to_clinic", lambda p: {**p, "memo": "x"}),
+    "an extra key on an empty payload": ("report_sick", lambda p: {"memo": "x"}),
+    "an extra entry key": ("reveal_controls", first_opening({"memo": "x"})),
+    "a missing key": ("patient_reveal", lambda p: {k: v for k, v in p.items() if k != "shot"}),
+    "a missing entry key": (
+        "begin_binding",
+        lambda p: {"bindings": p["bindings"][:1] + [{"patient": p["bindings"][1]["patient"]}]},
+    ),
+    "a padded upper-case label": ("reveal_controls", first_opening({"content": "  PLACEBO "})),
+    "an upper-case label": ("reveal_controls", first_opening({"content": "PLACEBO"})),
+    "an int as a float": ("clinic_reveal", lambda p: {**p, "value": float(p["value"])}),
+    "a session id as a float": ("abort_binding", lambda p: {"session": float(p["session"])}),
+    "an int as a bool": ("patient_commit", lambda p: {**p, "session": False}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(RESPELLINGS))
+def test_each_respelling_is_malformed(world_cls, kind):
+    method, respell = RESPELLINGS[kind]
+    assert_malformed_then_honest(world_cls, method, respell)
+
+
+def schema_keys(schema) -> set[str]:
+    """Every object key in a schema, nested ones included."""
+    if isinstance(schema, dict):
+        return set(schema).union(*(schema_keys(item) for item in schema.values()))
+    if isinstance(schema, list):
+        return schema_keys(schema[0])
+    return set()
+
+
+def test_formats_method_table_names_exactly_the_schema_keys():
+    text = (Path(__file__).parents[1] / "docs" / "FORMATS.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \|[^|\n]*\|[^|\n]*\|([^|\n]*)\|$", text, re.M)
+    documented = {method: set(re.findall(r"`(\w+)`", params)) for method, params in rows}
+    assert documented == {method: schema_keys(schema) for method, schema in _METHOD_SCHEMA.items()}

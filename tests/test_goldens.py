@@ -21,59 +21,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "2ea4bafbdfdaf828e60787913445e517ae18df608ad18ab4bb4f0f3f4ab37004",
+        "b24a466c1e6cf60de37da2ec45a57c9954afc4c3edea5ea228bf4e34a398391e",
         "71f065b8c2c2f9d269a1b8f979e68182ec67a1b338e7ab41191809f092622d9a",
-        "c2a5b9bea1ef8a18d30e33c584dbbf896bc94a43f5bce6b74544004b601691be",
+        "9e49f377e70baf1432bd770677fc8d90677030b3a4664fc1e895a8c26b43b059",
     ),
     "honest_pfizer_like-s1": (
-        "a7347aa7b2f7920f6de10556986e37c6a7a563a56191182ac6a53bbef6184874",
+        "0d8a70bd719aa27555f94333bf1f5fa376c3efa3ea577940df6d312011ffe074",
         "7a692c8c1c8f24571bac62cfefc3135c70e2b5e617f4b28235a61b7da3dd0625",
-        "3b598c3892bafa7434e7e6ca48cea1fca7754f61d9496916efbedcbf3cb07a1e",
+        "4be24c20e7f8cebf207f5c862d4a0b5558b407e03288659efbcd38753ed672f9",
     ),
     "grid/honest": (
-        "8ea7394ee28015c396dc19f0fd7eedfc947079da988d5ac399bc44903542d6c4",
+        "01658448f75b0025cd667e887844e1c8c87bb3cec6e6c2ab7602ffaa8e6a3bb8",
         "6a95bb9a9f64cad353f749eb703ba86df11f2434b05d91523060002e4439fa5f",
-        "691b12d07c26f622626ad9866d0de5b5b7d6804c80078df293888b49ea0c823c",
+        "4b469802839e0977f5a8cb9c2e7714e870d92c150d5f2e5c1190ac072ec9e4d5",
     ),
     "grid/omit_10": (
-        "cf430b1e20db77194932c31be36f35a21ab3793f08eb83cb3be652d81e130727",
+        "b74057361aa1fd78e36f59b7543e924381010b7b32f8f285c0415e35970dd3e0",
         "42f1182f6b44749109b0bdd207a8ea50bbb3c946d71c841b4b3c681ffa373f66",
-        "89c7a6e0da85c18bc91bfa72a3674637e78c1caf8ac290d1216e5ce28bbcd05b",
+        "2e13b86f60238c82fc0cf7487cbce260641008d2072e1fdd772dca0c353bfeb5",
     ),
     "grid/omit_25": (
-        "b6c4c68fe3ba74e3bd3fa8c3d4af2d68fda079fbe45b89e1a04037ac5cec8708",
+        "e1003230ec7ca501c927172a82c27d89353aa7506f9f4aa963ceb06c2d5705a6",
         "e9070cd30b20405f149fad0ffc70e4a67db91902ce23b33e9bb2a42bee7b1e77",
-        "939831aa57ca03fe478dcc564cb354fcdcc92f3f00b64c051e9bf9693853815a",
+        "b696fbf4d7dedeaac4d7fbd03e09c2c6de8fadeb550a2899a3a0852ba61bab2b",
     ),
     "grid/omit_50": (
-        "8e39753583e5bbe117a0ec1c14ad8051a84fc8118b68afa84836d8f60d5dac54",
+        "ccb75c970eb6cf89b96b2541eafffa8f555e78f7057f680c859145714c6c79be",
         "003b242bd82d6995a2d4e7dc778980f53f6c69d0bcec38ee8d2b09a537fbee18",
-        "6fe3346e56bae77ed442a5345481d892affa50e3a9ac6eb9bd437eebbe7e41b3",
+        "464aea3649b7db9da08311a7bacf124b105746ad0665651e67951c4a683cb40f",
     ),
     "grid/forge_1": (
-        "ed480311d77de936a3199d7e68d363b53eb6d0c9ef51b1886075601ff6915818",
+        "e496626e5b517bf8a89330a3271ff7c1bab33dc14bcbe3c6cff6ec34d2bf619a",
         "56bf27a567f4561af14a963f7169364171c972e0a612b5142c2d21eee8841197",
-        "be9796ce96530381314bf1b8cf77b148a01731c121924e3b494096413f71e320",
+        "cdb4635c1cd22ad5e6785c0ce1d715d0af4003838a2e1eb4f74ee1252b4d5d59",
     ),
     "grid/biased_distribution": (
-        "66db2a44a48e838b5b69948f14c32c249976adbdfeb204715024fce35455404a",
+        "59ea66b8df3d927f59b502ba5898822dd32b6a7e06758e4271d2665934335172",
         "7e4243f110f6cfaed29d099eaffb1774ebe1d5d827bc72004e400d02d446e534",
-        "47e718ebcd1293bb7d623e9cda06c8b126799434fd89492ea99425d108458e44",
+        "45c49908d29b6d48c2fff02548b40cf6dd60494257ebd3381fcb3ca8ffae5354",
     ),
     "grid/collude": (
-        "dcee3f2722a3af6e947b1047597560ebfc6df71bb1ed70ba1df50f1cfaf27c23",
+        "41c1a4df3c7fad8bda0b4917a18c4c89e5ffb85286650564cc39f3f9d6ea7a01",
         "6e0482aaeecbf78e088c345dbbaf336dec013221505ae784c65227ade1e15a2d",
-        "5c81e6af14bae2eb63980d96039ac06dda97c9caadd7d9b3e9aa696f2df7a15c",
+        "5abf119d88fc03fe179c81c5d2b26d0432fcce436d0f4634edef965be1051dcc",
     ),
     "grid/false_sick_5": (
-        "884a825897742d7e6fa8a241807d9988cf021a42a5fd90825a767809a46a2b3b",
+        "757efb39de1b5e32b82f0b4c26e89e5097ae39888f2ad6f02feb9cff2673030a",
         "e3993d7f4be8b9321bd9e3b45c4e0c2879312235522345230c2750a5bd9b53b6",
-        "9a484820b0a6358dcee9141ef3a42bec0cd9881e372063ee5f7ba7aa8283befa",
+        "ae10f14b496867308d0958ddcbce2c20f15ea8cdd1b0f6d1c151b99a2ceca32e",
     ),
     "grid/never_report_5": (
-        "f1d218c6c9ad0b203040cee372d05de5b2e54e18e7b8eb8021b1ce2bb64157f2",
+        "4b023b331b5894d813c8c22f3eb12cb429b194d8ec4d28a20a24e756296bfa8b",
         "f5bd4c9578972164e226ace6e9c05b80fae51fc28423f81798668dfe21db9da3",
-        "6b0b94ac4052a10b5b4a2610cecfb1c0b5f6ba787c3463871a319b145ac748ce",
+        "43d60cada4308ca12c695edf410fae0fb42b02c89f56feddaa92aa59fbbac5bf",
     ),
 }
 

@@ -197,7 +197,8 @@ def test_brackets_inside_strings_do_not_count_as_nesting(world_cls):
     w = world_cls()
     payload = canonical_json({"note": '"' + "[{" * 100})
     receipt = w.ledger.submit(hand_signed(w.patients[0], w, "report_sick", payload))
-    assert receipt.code == "TrialNotActive"  # parsed and dispatched
+    # parsed and handed to the contract, whose schema has no "note" key
+    assert receipt.code == "MalformedParams"
 
 
 def test_rejection_leaves_state_untouched(world_cls):

@@ -280,6 +280,7 @@ HOSTILE_GENESES = {
     "vaccsc-1": (_set("contract", "vaccsc-1"), "unsupported contract id 'vaccsc-1'"),
     "vaccsc-2": (_set("contract", "vaccsc-2"), "unsupported contract id 'vaccsc-2'"),
     "vaccsc-3": (_set("contract", "vaccsc-3"), "unsupported contract id 'vaccsc-3'"),
+    "vaccsc-4": (_set("contract", "vaccsc-4"), "unsupported contract id 'vaccsc-4'"),
     "zero participants": (
         _set("params", "config", "num_participants", 0),
         "num_participants must be positive",
@@ -291,6 +292,10 @@ HOSTILE_GENESES = {
     "float participants": (
         _set("params", "config", "num_participants", 2.5),
         "params.config.num_participants must be a JSON int",
+    ),
+    "int target efficiency": (
+        _set("params", "config", "target_efficiency", 50),
+        "params.config.target_efficiency must be a JSON float",
     ),
     "params deleted": (lambda genesis: genesis.pop("params"), "genesis.params is missing"),
     "commitment not hex": (_set("params", "commitments", 0, "zz" * 32), "params.commitments"),
