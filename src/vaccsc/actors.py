@@ -341,9 +341,9 @@ class _Runner:
             batch = [shot.hex() for shot in shots[i :: len(self.clinics)]]
             self.developer.must("assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
 
-    def _bind_all(self, patients: list[_PatientState]) -> None:
-        """Bind ``patients``, a prefix of ``self.patients``, at clinic
-        ``index % C``, which mirrors how the shots were dealt.
+    def _bind_all(self) -> None:
+        """Bind each patient at clinic ``index % C``, which mirrors how the
+        shots were dealt.
 
         Each clinic opens all its sessions in one call; then the sessions
         complete one at a time, in patient order.
@@ -352,7 +352,7 @@ class _Runner:
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
         num_clinics = len(self.clinics)
         plans = []
-        for patient in patients:
+        for patient in self.patients:
             clinic_address = self.config.clinics[patient.index % num_clinics]
             r1 = rng.getrandbits(64)
             if colluding and patient.index == 0:
@@ -525,7 +525,7 @@ class _Runner:
     def run(self) -> TrialReport:
         self._build()
         self._distribute()
-        self._bind_all(self.patients)
+        self._bind_all()
         complete = self._run_epidemic()
         if complete:
             self._reveal()
@@ -631,34 +631,3 @@ def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[Tr
         cell.label: run_many(spec, strategies=cell.strategies, label=cell.label, keep_tables=keep_tables)
         for cell in cells
     }
-
-
-def collusion_attempt(seed: int, num_shots: int = 8, vaccine_fraction: float = 0.5) -> dict:
-    """A minimal world where clinic and patient steer the coin flip together.
-
-    They always hit their chosen index; what they cannot pick is the arm,
-    so over many seeds their vaccine rate tracks the clinic's stock ratio.
-    """
-    spec = ScenarioSpec(
-        name="collusion-probe",
-        num_participants=num_shots,
-        infected_threshold=1,
-        target_efficiency=50.0,
-        num_clinics=1,
-        disease=DiseaseModel(p_control=0.0, p_vaccine=0.0, epochs=1),
-        seeds=(seed,),
-        vaccine_fraction=vaccine_fraction,
-    )
-    runner = _Runner(
-        spec,
-        (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),),
-        seed,
-        "collusion-probe",
-        keep_table=False,
-    )
-    runner._build()
-    runner._distribute()
-    runner._bind_all(runner.patients[:1])
-    record = dict(runner.evidence[0])
-    record["seed"] = seed
-    return record

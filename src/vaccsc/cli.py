@@ -58,9 +58,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
     seed = args.seed if args.seed is not None else spec.seeds[0]
-    report = run_scenario(spec, seed)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    report = run_scenario(spec, seed)
     base = f"{spec.name}-s{seed}"
     log_path = out_dir / f"{base}.vscl"
     report_path = out_dir / f"{base}.report.json"
@@ -94,11 +98,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_audit(args: argparse.Namespace) -> int:
     path = Path(args.log)
-    if not path.exists():
-        print(f"error: no such log file: {path}", file=sys.stderr)
-        return EXIT_INPUT
     try:
         log = read_log(path)
+    except OSError as exc:
+        print(f"error: cannot read log: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except LogFormatError as exc:
         print(f"audit failure: {exc}", file=sys.stderr)
         return EXIT_AUDIT
@@ -155,13 +159,9 @@ def cmd_verify_reveal(args: argparse.Namespace) -> int:
 
 
 def cmd_status(args: argparse.Namespace) -> int:
-    path = Path(args.log)
-    if not path.exists():
-        print(f"error: no such log file: {path}", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        log = read_log(path)
-    except LogFormatError as exc:
+        log = read_log(args.log)
+    except (OSError, LogFormatError) as exc:
         print(f"error: unreadable log: {exc}", file=sys.stderr)
         return EXIT_INPUT
     report, ledger = audit_log(log)

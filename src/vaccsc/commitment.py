@@ -8,7 +8,6 @@ force from the digest alone.
 
 from __future__ import annotations
 
-import secrets
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
@@ -75,12 +74,6 @@ def verify_raw_opening(commitment: bytes, nonce: bytes, content_byte: int) -> bo
     return sha256(nonce + bytes([content_byte])).digest() == commitment
 
 
-def generate_nonce(rng: Random | None = None) -> bytes:
-    """Fresh 32-byte nonce.
-
-    Pass a seeded ``random.Random`` for reproducible simulation runs;
-    with no argument the OS entropy pool is used.
-    """
-    if rng is None:
-        return secrets.token_bytes(NONCE_SIZE)
+def generate_nonce(rng: Random) -> bytes:
+    """A 32-byte nonce drawn from a seeded ``random.Random``, so runs reproduce."""
     return rng.randbytes(NONCE_SIZE)

@@ -39,25 +39,20 @@ class KeyPair:
         self.address = address_from_public_key(self.public_key)
 
     @classmethod
-    def generate(cls, rng: Random | None = None) -> "KeyPair":
-        """New keypair; pass a seeded ``random.Random`` for reproducibility."""
-        if rng is None:
-            key = Ed25519PrivateKey.generate()
-            return cls(key.private_bytes_raw())
+    def generate(cls, rng: Random) -> "KeyPair":
+        """New keypair drawn from a seeded ``random.Random``, so runs reproduce."""
         return cls(rng.randbytes(32))
 
     def sign(self, message: bytes) -> bytes:
         return self._private.sign(message)
 
 
-def verify_signature(public_key: bytes | Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
-    """True iff ``signature`` over ``message`` verifies under ``public_key``."""
+def verify_signature(public_key: Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
+    """True iff ``signature`` over ``message`` verifies under a key from ``load_public_key``."""
     try:
-        if isinstance(public_key, bytes):
-            public_key = Ed25519PublicKey.from_public_bytes(public_key)
         public_key.verify(signature, message)
         return True
-    except (InvalidSignature, ValueError):
+    except InvalidSignature:
         return False
 
 

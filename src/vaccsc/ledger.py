@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -135,10 +136,14 @@ class Receipt:
 
 @dataclass(frozen=True)
 class JournalEntry:
-    position: int
-    tx: SignedTransaction
+    """One journaled submission and its outcome: the record a log file holds.
+
+    The fields are in the order ``--export-json`` writes them.
+    """
+
     status: str
     code: str | None
+    tx: SignedTransaction
 
 
 class Ledger:
@@ -162,7 +167,7 @@ class Ledger:
         else:
             events = ()
         status = ACCEPTED if code is None else REJECTED
-        self.journal.append(JournalEntry(position=position, tx=tx, status=status, code=code))
+        self.journal.append(JournalEntry(status=status, code=code, tx=tx))
         return Receipt(status=status, code=code, detail=detail, position=position, events=events)
 
     def _authenticate(self, tx: SignedTransaction) -> tuple[str | None, str]:
@@ -229,9 +234,7 @@ class Ledger:
     # -- replay ------------------------------------------------------------
 
     @classmethod
-    def replay(
-        cls, genesis: dict, entries: list[tuple[SignedTransaction, str, str | None]]
-    ) -> tuple["Ledger", list[int]]:
+    def replay(cls, genesis: dict, entries: Iterable[JournalEntry]) -> tuple["Ledger", list[int]]:
         """Re-run a journal from genesis.
 
         Returns the rebuilt ledger and the journal positions whose outcome
@@ -241,8 +244,8 @@ class Ledger:
         """
         ledger = cls(genesis)
         divergent: list[int] = []
-        for position, (tx, status, code) in enumerate(entries):
-            receipt = ledger.submit(tx)
-            if receipt.status != status or receipt.code != code:
+        for position, entry in enumerate(entries):
+            receipt = ledger.submit(entry.tx)
+            if receipt.status != entry.status or receipt.code != entry.code:
                 divergent.append(position)
         return ledger, divergent

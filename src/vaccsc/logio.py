@@ -31,6 +31,7 @@ from .ledger import (
     ACCEPTED,
     MAX_JSON_DEPTH,
     REJECTED,
+    JournalEntry,
     Ledger,
     SignedTransaction,
     canonical_json,
@@ -49,13 +50,6 @@ class LogFormatError(Exception):
 
 
 @dataclass(frozen=True)
-class LoggedTransaction:
-    status: str
-    code: str | None
-    tx: SignedTransaction
-
-
-@dataclass(frozen=True)
 class LogTrailer:
     record_count: int
     state_digest: bytes
@@ -66,14 +60,14 @@ class LogTrailer:
 @dataclass(frozen=True)
 class LogFile:
     genesis: dict
-    records: tuple[LoggedTransaction, ...]
+    records: tuple[JournalEntry, ...]
     trailer: LogTrailer
 
 
 # -- writing -----------------------------------------------------------------
 
 
-def _encode_record(record: LoggedTransaction) -> bytes:
+def _encode_record(record: JournalEntry) -> bytes:
     tx = record.tx
     code = (record.code or "").encode()
     method = tx.method.encode()
@@ -102,7 +96,7 @@ def _encode_record(record: LoggedTransaction) -> bytes:
 def write_log(
     path: str | Path,
     genesis: dict,
-    records: list[LoggedTransaction],
+    records: list[JournalEntry],
     state_digest: bytes,
     events_digest: bytes,
 ) -> None:
@@ -123,10 +117,7 @@ def write_log(
 
 
 def write_ledger_log(path: str | Path, ledger: Ledger) -> None:
-    records = [
-        LoggedTransaction(status=e.status, code=e.code, tx=e.tx) for e in ledger.journal
-    ]
-    write_log(path, ledger.genesis, records, ledger.state_digest(), ledger.events_digest())
+    write_log(path, ledger.genesis, ledger.journal, ledger.state_digest(), ledger.events_digest())
 
 
 # -- reading -----------------------------------------------------------------
@@ -185,7 +176,7 @@ def read_log(path: str | Path) -> LogFile:
     except ValueError as exc:
         raise LogFormatError(f"invalid genesis: {exc}") from None
 
-    records: list[LoggedTransaction] = []
+    records: list[JournalEntry] = []
     while True:
         tag = cur.take(1, "record tag")
         if tag == b"F":
@@ -214,7 +205,7 @@ def read_log(path: str | Path) -> LogFile:
         if (status == ACCEPTED) != (code is None):
             raise LogFormatError("status byte and error code disagree")
         records.append(
-            LoggedTransaction(
+            JournalEntry(
                 status=status,
                 code=code,
                 tx=SignedTransaction(
@@ -268,8 +259,7 @@ class AuditReport:
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:
     """Replay every journaled transaction and compare outcomes and digests."""
-    entries = [(r.tx, r.status, r.code) for r in log.records]
-    ledger, divergent = Ledger.replay(log.genesis, entries)
+    ledger, divergent = Ledger.replay(log.genesis, log.records)
     state_match = ledger.state_digest() == log.trailer.state_digest
     events_match = ledger.events_digest() == log.trailer.events_digest
     ok = not divergent and state_match and events_match

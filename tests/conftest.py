@@ -11,6 +11,7 @@ from random import Random
 
 import pytest
 
+from vaccsc.actors import Behavior, DiseaseModel, Role, ScenarioSpec, Strategy, run_scenario
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.coinflip import RandomContribution, commit_contribution
 from vaccsc.contract import TrialConfig, make_genesis
@@ -249,6 +250,32 @@ def vectors():
 @pytest.fixture
 def world_cls():
     return World
+
+
+@pytest.fixture
+def collusion_record():
+    """The evidence a colluding clinic and its first patient leave when they
+    steer their coin flip together, in a one-clinic world of 8 shots."""
+
+    def record(seed: int) -> dict:
+        spec = ScenarioSpec(
+            name="collusion-probe",
+            num_participants=8,
+            infected_threshold=1,
+            target_efficiency=50.0,
+            num_clinics=1,
+            disease=DiseaseModel(p_control=0.0, p_vaccine=0.0, epochs=1),
+            seeds=(seed,),
+        )
+        report = run_scenario(
+            spec,
+            seed,
+            strategies=(Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),),
+            keep_table=False,
+        )
+        return report.evidence[0]
+
+    return record
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from vaccsc.actors import (
     Behavior,
     Role,
     Strategy,
-    collusion_attempt,
     run_scenario,
     scenario_from_dict,
 )
@@ -244,12 +243,12 @@ def test_criterion_05b_omission_always_detected(acceptance, timer):
     )
 
 
-def test_criterion_05c_collusion_steers_index_not_arm(acceptance, timer):
+def test_criterion_05c_collusion_steers_index_not_arm(acceptance, timer, collusion_record):
     matched = 0
     vaccine = 0
     seeds = 1000
     for seed in range(seeds):
-        record = collusion_attempt(seed)
+        record = collusion_record(seed)
         matched += record["matched"]
         vaccine += record["content"] == "vaccine"
         stock_ratio = record["stock_vaccine"] / record["stock_total"]

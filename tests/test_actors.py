@@ -13,7 +13,6 @@ from vaccsc.actors import (
     ScenarioSpec,
     Strategy,
     _Runner,
-    collusion_attempt,
     load_scenario,
     run_grid,
     run_many,
@@ -229,10 +228,10 @@ def test_biased_distribution_cannot_move_the_outcome():
     assert report.divergence["efficiency_gap"] == 0.0
 
 
-def test_collusion_hits_target_index_but_not_arm():
+def test_collusion_hits_target_index_but_not_arm(collusion_record):
     hits, vaccine = 0, 0
     for seed in range(24):
-        record = collusion_attempt(seed)
+        record = collusion_record(seed)
         assert record["matched"] is True
         assert record["selected_index"] == record["target_index"]
         assert record["content"] in {"placebo", "vaccine"}

@@ -7,7 +7,7 @@ import pytest
 
 from vaccsc import cli
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
-from vaccsc.logio import LoggedTransaction, read_log, write_ledger_log, write_log
+from vaccsc.logio import read_log, write_ledger_log, write_log
 
 
 def run_cli(capsys, *argv):
@@ -201,11 +201,31 @@ def test_status_missing_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("audit", "{dir}"),
+        ("status", "{dir}"),
+        ("simulate", "--scenario", "honest_small", "--out", "{file}"),
+    ],
+    ids=["audit-directory", "status-directory", "simulate-out-is-a-file"],
+)
+def test_unusable_path_is_an_input_error(tmp_path, capsys, argv):
+    existing = tmp_path / "existing"
+    existing.write_text("not a directory\n")
+    code, out, err = run_cli(
+        capsys, *(arg.format(dir=tmp_path, file=existing) for arg in argv)
+    )
+    assert code == 1
+    assert out == ""  # simulate gives up before running the trial
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w = world_cls(num_shots=4)
     w.assign_all()
     path = tmp_path / "old.vscl"
-    records = [LoggedTransaction(e.status, e.code, e.tx) for e in w.ledger.journal]
+    records = w.ledger.journal
     for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4"):
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())

@@ -72,13 +72,10 @@ def test_verify_raw_opening_is_total():
     assert not verify_raw_opening(b"not a digest", bytes(32), 0x00)
 
 
-def test_generate_nonce_seeded_and_secure():
+def test_generate_nonce_seeded():
     a = generate_nonce(Random(99))
     b = generate_nonce(Random(99))
     assert a == b and len(a) == NONCE_SIZE
-    c = generate_nonce()
-    d = generate_nonce()
-    assert c != d  # secrets-based, 2^-256 collision chance
 
 
 def test_determinism():

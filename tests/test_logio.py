@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from vaccsc import cli
 from vaccsc.contract import canonical_json, json_value
-from vaccsc.ledger import ACCEPTED, REJECTED, SignedTransaction, signing_bytes
+from vaccsc.ledger import ACCEPTED, REJECTED, JournalEntry, Ledger, SignedTransaction, signing_bytes
 from vaccsc.logio import (
     MAGIC,
     VERSION,
     LogFormatError,
-    LoggedTransaction,
     audit_log,
     read_log,
     write_ledger_log,
@@ -31,13 +30,6 @@ def finished_world(world_cls):
     w.sicken_exact(1, 1)
     w.reveal_honest()
     return w
-
-
-def journal_records(ledger):
-    return [
-        LoggedTransaction(status=e.status, code=e.code, tx=e.tx)
-        for e in ledger.journal
-    ]
 
 
 @pytest.fixture
@@ -55,14 +47,19 @@ def test_roundtrip(logged):
     w, path = logged
     log = read_log(path)
     assert log.genesis == w.genesis
-    assert len(log.records) == len(w.ledger.journal)
-    for record, entry in zip(log.records, w.ledger.journal):
-        assert record.status == entry.status
-        assert record.tx == entry.tx
-        assert (record.code or None) == (entry.code or None)
+    assert log.records == tuple(w.ledger.journal)
     assert log.trailer.record_count == len(log.records)
     assert log.trailer.state_digest == w.ledger.state_digest()
     assert log.trailer.events_digest == w.ledger.events_digest()
+
+
+def test_replay_takes_the_records_read_from_a_file(logged):
+    w, path = logged
+    log = read_log(path)
+    replayed, divergent = Ledger.replay(log.genesis, log.records)
+    assert divergent == []
+    assert replayed.state_digest() == log.trailer.state_digest == w.ledger.state_digest()
+    assert replayed.events_digest() == log.trailer.events_digest == w.ledger.events_digest()
 
 
 def test_header_bytes(logged):
@@ -174,10 +171,10 @@ def test_record_count_mismatch(logged):
 
 def test_status_code_disagreement(logged, tmp_path):
     w, _ = logged
-    records = journal_records(w.ledger)
+    records = w.ledger.journal
     # an accepted record must not carry a rejection code, and vice versa
-    bad_accept = LoggedTransaction(status=ACCEPTED, code="NotClinic", tx=records[0].tx)
-    bad_reject = LoggedTransaction(status=REJECTED, code="", tx=records[0].tx)
+    bad_accept = JournalEntry(status=ACCEPTED, code="NotClinic", tx=records[0].tx)
+    bad_reject = JournalEntry(status=REJECTED, code="", tx=records[0].tx)
     for bad in (bad_accept, bad_reject):
         path = tmp_path / "bad.vscl"
         write_log(
@@ -207,7 +204,7 @@ def test_fresh_log_audits_clean(logged):
 
 def test_deleted_record_with_consistent_digests(logged, tmp_path):
     w, _ = logged
-    records = journal_records(w.ledger)
+    records = w.ledger.journal
     drop = next(i for i, r in enumerate(records) if r.tx.method == "patient_commit")
     path = tmp_path / "edited.vscl"
     write_log(
@@ -225,9 +222,9 @@ def test_deleted_record_with_consistent_digests(logged, tmp_path):
 
 def test_flipped_status_with_consistent_digests(logged, tmp_path):
     w, _ = logged
-    records = journal_records(w.ledger)
+    records = list(w.ledger.journal)
     flip = next(i for i, r in enumerate(records) if r.status == ACCEPTED)
-    records[flip] = LoggedTransaction(
+    records[flip] = JournalEntry(
         status=REJECTED, code="NotClinic", tx=records[flip].tx
     )
     path = tmp_path / "flipped.vscl"
@@ -243,7 +240,7 @@ def test_forged_state_digest_detected(logged, tmp_path):
     write_log(
         path,
         w.genesis,
-        journal_records(w.ledger),
+        w.ledger.journal,
         b"\x00" * 32,
         w.ledger.events_digest(),
     )
@@ -260,7 +257,7 @@ def test_forged_state_digest_detected(logged, tmp_path):
 def rehashed_with_genesis(w, path, genesis):
     """The world's journal under another genesis, with a valid file digest."""
     write_log(
-        path, genesis, journal_records(w.ledger), w.ledger.state_digest(), w.ledger.events_digest()
+        path, genesis, w.ledger.journal, w.ledger.state_digest(), w.ledger.events_digest()
     )
     return path
 
