@@ -345,8 +345,13 @@ class _Runner:
         """Bind each patient at clinic ``index % C``, which mirrors how the
         shots were dealt.
 
-        Each clinic opens all its sessions in one call; then the sessions
-        complete one at a time, in patient order.
+        Each clinic, in clinic order, binds its patients in chunks of at most
+        ``max(1, binding_deadline)`` sessions: one ``begin_binding``, each patient's
+        commit, one ``clinic_reveal`` of the chunk, then each patient's
+        reveal in patient order. A chunk that small keeps every step within
+        its session's deadline, and since a clinic's free list changes only
+        through its own patients' reveals, every patient gets the shot that
+        binding them one at a time in patient order would give.
         """
         rng = self.rng
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
@@ -367,46 +372,56 @@ class _Runner:
             contrib1 = RandomContribution(value=r1, nonce=generate_nonce(rng))
             contrib2 = RandomContribution(value=r2, nonce=generate_nonce(rng))
             plans.append((patient, contrib1, contrib2, free_sorted, target_index))
-        session_of: dict[str, int] = {}
+        chunk_size = max(1, self.config.binding_deadline)
         for i, clinic in enumerate(self.clinics[: len(plans)]):
-            bindings = [
-                {"patient": patient.address_hex, "commitment": commit_contribution(contrib1).hex()}
-                for patient, contrib1, _, _, _ in plans[i::num_clinics]
-            ]
-            receipt = clinic.must("begin_binding", {"bindings": bindings})
-            for event in receipt.events:
-                session_of[event.payload["patient"]] = event.payload["session"]
-        for patient, contrib1, contrib2, free_sorted, target_index in plans:
-            clinic = patient.index % num_clinics
-            session = session_of[patient.address_hex]
-            patient.actor.must(
-                "patient_commit", {"session": session, "commitment": commit_contribution(contrib2).hex()}
+            mine = plans[i::num_clinics]
+            for start in range(0, len(mine), chunk_size):
+                chunk = mine[start : start + chunk_size]
+                bindings = [
+                    {"patient": patient.address_hex, "commitment": commit_contribution(contrib1).hex()}
+                    for patient, contrib1, _, _, _ in chunk
+                ]
+                receipt = clinic.must("begin_binding", {"bindings": bindings})
+                sessions = [event.payload["session"] for event in receipt.events]
+                for session, (patient, _, contrib2, _, _) in zip(sessions, chunk):
+                    patient.actor.must(
+                        "patient_commit",
+                        {"session": session, "commitment": commit_contribution(contrib2).hex()},
+                    )
+                reveals = [
+                    {"session": session, "value": contrib1.value, "nonce": contrib1.nonce.hex()}
+                    for session, (_, contrib1, _, _, _) in zip(sessions, chunk)
+                ]
+                clinic.must("clinic_reveal", {"reveals": reveals})
+                for session, plan in zip(sessions, chunk):
+                    self._patient_reveal(clinic.keypair.address, session, *plan)
+
+    def _patient_reveal(
+        self, clinic: bytes, session: int, patient, contrib1, contrib2, free_sorted, target_index
+    ) -> None:
+        """The completing reveal: the patient names the shot the flip
+        selects from the clinic's public free list."""
+        free = self.ledger.contract.free_shots[clinic]
+        shot = free[select_index(contrib1.value ^ contrib2.value, len(free))]
+        patient.actor.must(
+            "patient_reveal",
+            {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
+        )
+        patient.shot = shot
+        if free_sorted is not None:
+            self.evidence.append(
+                {
+                    "kind": "collusion",
+                    "target_index": target_index,
+                    "selected_index": free_sorted.index(shot),
+                    "matched": shot == free_sorted[target_index],
+                    "content": self.manifest[shot].content.label,
+                    "stock_vaccine": sum(
+                        1 for c in free_sorted if self.manifest[c].content is ShotContent.VACCINE
+                    ),
+                    "stock_total": len(free_sorted),
+                }
             )
-            self.clinics[clinic].must(
-                "clinic_reveal", {"session": session, "value": contrib1.value, "nonce": contrib1.nonce.hex()}
-            )
-            # the patient names the shot the flip selects from the public free list
-            free = self.ledger.contract.free_shots[self.config.clinics[clinic]]
-            shot = free[select_index(contrib1.value ^ contrib2.value, len(free))]
-            patient.actor.must(
-                "patient_reveal",
-                {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
-            )
-            patient.shot = shot
-            if free_sorted is not None:
-                self.evidence.append(
-                    {
-                        "kind": "collusion",
-                        "target_index": target_index,
-                        "selected_index": free_sorted.index(shot),
-                        "matched": shot == free_sorted[target_index],
-                        "content": self.manifest[shot].content.label,
-                        "stock_vaccine": sum(
-                            1 for c in free_sorted if self.manifest[c].content is ShotContent.VACCINE
-                        ),
-                        "stock_total": len(free_sorted),
-                    }
-                )
 
     # -- epidemic --------------------------------------------------------
 

@@ -68,11 +68,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     base = f"{spec.name}-s{seed}"
     log_path = out_dir / f"{base}.vscl"
     report_path = out_dir / f"{base}.report.json"
-    write_ledger_log(log_path, report.ledger)
-    report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
+    export_path = out_dir / f"{base}.log.json"
+    try:
+        write_ledger_log(log_path, report.ledger)
+        report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
+        if args.export_json:
+            export_path.write_text(json.dumps(json_value(read_log(log_path)), indent=2) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if args.export_json:
-        export_path = out_dir / f"{base}.log.json"
-        export_path.write_text(json.dumps(json_value(read_log(log_path)), indent=2) + "\n")
         print(f"log json:  {export_path}")
     print(f"log:       {log_path}")
     print(f"report:    {report_path}")
@@ -109,7 +114,11 @@ def cmd_audit(args: argparse.Namespace) -> int:
     report, ledger = audit_log(log)
     if args.export_json:
         export_path = path.with_suffix(path.suffix + ".json")
-        export_path.write_text(json.dumps(json_value(log), indent=2) + "\n")
+        try:
+            export_path.write_text(json.dumps(json_value(log), indent=2) + "\n")
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"log json:  {export_path}")
     print(f"records:   {report.record_count}")
     print(f"phase:     {ledger.query('phase')}")

@@ -28,7 +28,7 @@ from .coinflip import (
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-5"
+CONTRACT_ID = "vaccsc-6"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -308,11 +308,24 @@ class VaccineTrial:
         return []
 
     def _clinic_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
-        session = self._active_session(args)
-        if sender != session.clinic:
-            raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-        _session_op(session.flip.add_reveal, Party.A, RandomContribution(args["value"], args["nonce"]))
-        session.flip.deadline = tick + self.config.binding_deadline
+        """The clinic's reveals for a batch of its sessions. Once both
+        commitments are on chain the clinic's reveal carries no choice, so
+        one call can open many flips without moving who reveals last."""
+        # Validate the whole batch before mutating anything: each reveal is
+        # applied to a copy of its flip, and one bad entry rejects the call.
+        # A session listed twice meets its own revealed copy (DuplicateReveal).
+        revealed: dict[int, CoinFlipSession] = {}
+        for entry in args["reveals"]:
+            session = self._active_session(entry)  # WrongPhase is checked first
+            if sender != session.clinic:
+                raise ContractError("NotSessionClinic", "caller is not this session's clinic")
+            flip = revealed.get(entry["session"]) or replace(session.flip)
+            _session_op(flip.add_reveal, Party.A, RandomContribution(entry["value"], entry["nonce"]))
+            revealed[entry["session"]] = flip
+        deadline = tick + self.config.binding_deadline
+        for session_id, flip in revealed.items():
+            flip.deadline = deadline
+            self.sessions[session_id].flip = flip
         return []
 
     def _patient_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
@@ -531,7 +544,7 @@ _METHOD_SCHEMA = {
     "assign_shot_to_clinic": {"clinic": _ADDRESS, "shots": [_DIGEST, ...]},
     "begin_binding": {"bindings": [{"patient": _ADDRESS, "commitment": _DIGEST}, ...]},
     "patient_commit": {"session": int, "commitment": _DIGEST},
-    "clinic_reveal": {"session": int, "value": _u64, "nonce": _NONCE},
+    "clinic_reveal": {"reveals": [{"session": int, "value": _u64, "nonce": _NONCE}, ...]},
     "patient_reveal": {"session": int, "value": _u64, "nonce": _NONCE, "shot": _DIGEST},
     "report_sick": {},
     "reveal_controls": {"openings": [{"commitment": _DIGEST, "nonce": _NONCE, "content": _label}]},

@@ -144,6 +144,16 @@ class World:
         free = self.ledger.contract.free_shots[self.config.clinics[clinic_index]]
         return free[(c1.value ^ c2.value) % len(free)]
 
+    @staticmethod
+    def reveal(session: int, c1: RandomContribution) -> dict:
+        """One ``clinic_reveal`` entry: the session and the clinic's contribution."""
+        return {"session": session, "value": c1.value, "nonce": c1.nonce.hex()}
+
+    def patient_reveal(self, session: int, clinic_index: int, c1, c2) -> dict:
+        """The completing reveal's params, naming the shot the flip selects now."""
+        shot = self.selected_shot(clinic_index, c1, c2)
+        return {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()}
+
     def complete(self, session: int, patient_index: int, clinic_index: int, c1, c2) -> bytes:
         """Patient commit, clinic reveal, then the patient reveal naming its shot."""
         clinic = self.clinics[clinic_index]
@@ -153,17 +163,10 @@ class World:
             "patient_commit",
             {"session": session, "commitment": commit_contribution(c2).hex()},
         )
-        self.ok(
-            clinic,
-            "clinic_reveal",
-            {"session": session, "value": c1.value, "nonce": c1.nonce.hex()},
-        )
-        shot = self.selected_shot(clinic_index, c1, c2)
-        self.ok(
-            patient,
-            "patient_reveal",
-            {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()},
-        )
+        self.ok(clinic, "clinic_reveal", {"reveals": [self.reveal(session, c1)]})
+        reveal = self.patient_reveal(session, clinic_index, c1, c2)
+        self.ok(patient, "patient_reveal", reveal)
+        shot = bytes.fromhex(reveal["shot"])
         assert self.ledger.contract.patient_shot[patient.address] == shot
         self.patient_shot[patient_index] = shot
         return shot

@@ -402,7 +402,7 @@ class _FuzzDriver:
                 "clinic",
                 w.clinics[clinic_idx],
                 "clinic_reveal",
-                {"session": session, "value": c1.value, "nonce": c1.nonce.hex()},
+                {"reveals": [w.reveal(session, c1)]},
                 ("staged", "patient_reveal"),
             )
         shot = w.selected_shot(clinic_idx, c1, c2)
@@ -472,7 +472,7 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
             value = rng.getrandbits(64) if method != "abort_binding" else None
             params = {
                 "patient_commit": {"session": session, "commitment": "ab" * 32},
-                "clinic_reveal": {"session": session, "value": value, "nonce": "cd" * 32},
+                "clinic_reveal": {"reveals": [{"session": session, "value": value, "nonce": "cd" * 32}]},
                 "patient_reveal": {
                     "session": session, "value": value, "nonce": "cd" * 32, "shot": "dd" * 32
                 },
@@ -623,7 +623,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                     w.ok(
                         clinic,
                         "clinic_reveal",
-                        {"session": sid, "value": entry["c1"].value, "nonce": entry["c1"].nonce.hex()},
+                        {"reveals": [w.reveal(sid, entry["c1"])]},
                     )
                 else:
                     named = w.selected_shot(entry["clinic"], entry["c1"], entry["c2"])

@@ -1,5 +1,6 @@
 """Scenario runner: honest recovery, adversaries, determinism, evidence."""
 
+import dataclasses
 import json
 from collections import Counter
 from importlib import resources
@@ -21,7 +22,7 @@ from vaccsc.actors import (
 )
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
-from vaccsc.ledger import ACCEPTED
+from vaccsc.ledger import ACCEPTED, Ledger
 
 
 def bundled(name: str) -> dict:
@@ -123,17 +124,46 @@ def test_determinism_same_seed_same_ledger():
     assert c.ledger.state_digest() != a.ledger.state_digest()
 
 
-def test_binding_journal_is_three_records_per_patient_and_one_begin_per_clinic():
+def test_binding_journal_is_two_records_per_patient_and_two_per_clinic_chunk():
     spec = small_spec(seeds=[2])
     report = run_scenario(spec, 2, keep_table=False)
     counts = Counter(entry.tx.method for entry in report.ledger.journal if entry.status == ACCEPTED)
-    n, c = spec.num_participants, spec.num_clinics
-    assert (counts["patient_commit"], counts["clinic_reveal"], counts["patient_reveal"]) == (n, n, n)
-    assert counts["begin_binding"] == c
+    n, c, d = spec.num_participants, spec.num_clinics, spec.binding_deadline
+    # each clinic's patients i::C, in chunks of at most binding_deadline sessions
+    chunks = sum(-(-len(range(i, n, c)) // d) for i in range(c))
+    assert chunks > c  # the scenario makes more than one chunk per clinic
+    assert (counts["patient_commit"], counts["patient_reveal"]) == (n, n)
+    assert (counts["begin_binding"], counts["clinic_reveal"]) == (chunks, chunks)
     assert "confirm_binding" not in {entry.tx.method for entry in report.ledger.journal}
     started = [e for e in report.ledger.events if e.name == "BindingStarted"]
     assert [e.payload["session"] for e in started] == list(range(n))
     assert sum(e.name == "BindingConfirmed" for e in report.ledger.events) == n
+
+
+SESSION_STEPS = ("patient_commit", "clinic_reveal", "patient_reveal")
+
+
+def late_session_steps(ledger) -> list[int]:
+    """Replay ``ledger``'s journal and return the positions of the accepted
+    session steps that land after the deadline of a session they name."""
+    replayed = Ledger(ledger.genesis)
+    late = []
+    for position, entry in enumerate(ledger.journal):
+        if entry.status == ACCEPTED and entry.tx.method in SESSION_STEPS:
+            params = json.loads(entry.tx.payload)
+            named = [r["session"] for r in params["reveals"]] if "reveals" in params else [params["session"]]
+            if any(position > replayed.contract.sessions[s].flip.deadline for s in named):
+                late.append(position)
+        replayed.submit(entry.tx)
+    return late
+
+
+def test_no_session_step_lands_after_its_deadline():
+    runs = [run_scenario(small_spec(seeds=[2]), 2, keep_table=False)]
+    grid = load_scenario(resources.files("vaccsc") / "data" / "scenarios" / "adversary_grid.json")
+    runs += [report for (report,) in run_grid(dataclasses.replace(grid, seeds=(101,))).values()]
+    for report in runs:
+        assert late_session_steps(report.ledger) == [], report.label
 
 
 def test_report_json_is_serializable():

@@ -202,22 +202,41 @@ def test_status_missing_file(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,blocked",
     [
-        ("audit", "{dir}"),
-        ("status", "{dir}"),
-        ("simulate", "--scenario", "honest_small", "--out", "{file}"),
+        (("audit", "{dir}"), None),
+        (("status", "{dir}"), None),
+        (("simulate", "--scenario", "honest_small", "--out", "{file}"), None),
+        (("audit", "{log}", "--export-json"), "tiny.vscl.json"),
+        (("simulate", "--scenario", "honest_small", "--seed", "2", "--out", "{dir}"), "honest_small-s2.vscl"),
+        (("simulate", "--scenario", "honest_small", "--seed", "2", "--out", "{dir}"), "honest_small-s2.report.json"),
+        (
+            ("simulate", "--scenario", "honest_small", "--seed", "2", "--out", "{dir}", "--export-json"),
+            "honest_small-s2.log.json",
+        ),
     ],
-    ids=["audit-directory", "status-directory", "simulate-out-is-a-file"],
+    ids=[
+        "audit-directory",
+        "status-directory",
+        "simulate-out-is-a-file",
+        "audit-export-is-a-directory",
+        "simulate-log-is-a-directory",
+        "simulate-report-is-a-directory",
+        "simulate-export-is-a-directory",
+    ],
 )
-def test_unusable_path_is_an_input_error(tmp_path, capsys, argv):
+def test_unusable_path_is_an_input_error(tmp_path, capsys, world_cls, argv, blocked):
     existing = tmp_path / "existing"
     existing.write_text("not a directory\n")
+    log = tmp_path / "tiny.vscl"
+    write_ledger_log(log, world_cls(num_shots=4).ledger)
+    if blocked:
+        (tmp_path / blocked).mkdir()  # an output file's name, taken by a directory
     code, out, err = run_cli(
-        capsys, *(arg.format(dir=tmp_path, file=existing) for arg in argv)
+        capsys, *(arg.format(dir=tmp_path, file=existing, log=log) for arg in argv)
     )
     assert code == 1
-    assert out == ""  # simulate gives up before running the trial
+    assert out == ""  # nothing is printed before every output is written
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
@@ -226,7 +245,7 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = w.ledger.journal
-    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4"):
+    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5"):
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
         code, _, err = run_cli(capsys, "audit", str(path))

@@ -405,6 +405,132 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
     ]
 
 
+def reveal_world(world_cls, **kwargs):
+    """Six shots over two clinics and these sessions, with the clinic's
+    contribution to each: 0, bound at clinic 0 (settled); 1 and 2, committed
+    at clinic 0; 3, committed at clinic 0 and already revealed; 4, open at
+    clinic 0 with no patient commitment; 5, committed at clinic 1."""
+    w = world_cls(num_shots=6, num_clinics=2, extra_patients=4, threshold=1, **kwargs)
+    w.assign_all()
+    session, c1, c2 = w.begin(0, clinic_index=0)
+    w.complete(session, 0, 0, c1, c2)
+    drawn = {0: c1}
+    for clinic_index, patients in ((0, (1, 2, 3, 4)), (1, (5,))):
+        contributions = [w.contributions() for _ in patients]
+        receipt = w.ok(
+            w.clinics[clinic_index],
+            "begin_binding",
+            {"bindings": [w.binding(i, c) for i, (c, _) in zip(patients, contributions)]},
+        )
+        for i, event, (c1, c2) in zip(patients, receipt.events, contributions):
+            assert event.payload["session"] == i
+            drawn[i] = c1
+            if i != 4:
+                w.ok(w.patients[i], "patient_commit", {"session": i, "commitment": commit_contribution(c2).hex()})
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(3, drawn[3])]})
+    return w, drawn
+
+
+# Each case gives (prepare, fault): clinic 0 sends a batch that reveals
+# session 1, then the faulty entry, then session 2; ``prepare`` readies the
+# world first.
+REVEAL_REJECTIONS = {
+    "MalformedParams": (None, lambda w, d: {**w.reveal(2, d[2]), "nonce": "zz" * 32}),
+    "WrongPhase": (lambda w: w.sicken(0), lambda w, d: w.reveal(2, d[2])),  # threshold reached
+    "UnknownSession": (None, lambda w, d: {**w.reveal(2, d[2]), "session": 6}),
+    "SessionSettled": (None, lambda w, d: w.reveal(0, d[0])),
+    "NotSessionClinic": (None, lambda w, d: w.reveal(5, d[5])),
+    "DuplicateReveal": (None, lambda w, d: w.reveal(1, d[1])),  # listed twice
+    "RevealBeforeCommits": (None, lambda w, d: w.reveal(4, d[4])),
+    "RevealMismatch": (None, lambda w, d: {**w.reveal(2, d[2]), "value": d[2].value ^ 1}),
+}
+
+
+@pytest.mark.parametrize("code", sorted(REVEAL_REJECTIONS))
+def test_reveal_batch_rejection_leaves_no_trace(world_cls, code):
+    w, drawn = reveal_world(world_cls)
+    prepare, fault = REVEAL_REJECTIONS[code]
+    if prepare:
+        prepare(w)
+    clinic = w.clinics[0]
+    sequence = w.ledger.next_sequence(clinic.address)
+    reveals = [w.reveal(1, drawn[1]), fault(w, drawn), w.reveal(2, drawn[2])]
+    w.fail(clinic, "clinic_reveal", {"reveals": reveals}, code)  # checks the state digest
+    assert w.ledger.next_sequence(clinic.address) == sequence
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_reveal_batch_is_all_or_nothing(world_cls, data):
+    w, drawn = reveal_world(world_cls, binding_deadline=7)
+    contract = w.ledger.contract
+
+    def well_formed(session, right):
+        c1 = drawn.get(session, drawn[1])  # any contribution for an unknown id
+        return {**w.reveal(session, c1), "value": c1.value if right else c1.value ^ 1}
+
+    # the sessions of reveal_world, then unknown ids; a right or a wrong value
+    good = st.builds(well_formed, st.sampled_from([0, 1, 2, 3, 4, 5, 6, 999, -1]), st.booleans())
+    bad = st.one_of(
+        st.sampled_from([7, None, "x", [], True]),  # not an object
+        good.map(lambda e: {**e, "memo": "x"}),  # an extra key
+        good.map(lambda e: {k: v for k, v in e.items() if k != "value"}),  # a missing key
+        good.map(lambda e: {**e, "value": float(e["value"])}),  # an int as a float
+        good.map(lambda e: {**e, "session": bool(e["session"])}),  # an int as a bool
+        good.map(lambda e: {**e, "nonce": e["nonce"].upper()}),  # upper-case hex
+    )
+    tagged = st.one_of(good.map(lambda e: (e, True)), bad.map(lambda e: (e, False)))
+    drawn_entries = data.draw(st.lists(tagged, max_size=4) | st.sampled_from([None, "x", {}]))
+    entries = [e for e, _ in drawn_entries] if isinstance(drawn_entries, list) else drawn_entries
+    sender = data.draw(st.sampled_from([w.clinics[0], w.clinics[1], w.developer, w.patients[1]]))
+    params = {} if entries is None else {"reveals": entries}
+
+    expected = None
+    if not isinstance(entries, list) or not entries or not all(ok for _, ok in drawn_entries):
+        expected = "MalformedParams"
+    else:
+        listed: set[int] = set()
+        for entry in entries:
+            session = entry["session"]
+            if not 0 <= session < len(contract.sessions):
+                expected = "UnknownSession"
+            elif session == 0:
+                expected = "SessionSettled"
+            elif contract.sessions[session].clinic != sender.address:
+                expected = "NotSessionClinic"
+            elif session == 3 or session in listed:
+                expected = "DuplicateReveal"
+            elif session == 4:
+                expected = "RevealBeforeCommits"
+            elif entry["value"] != drawn[session].value:
+                expected = "RevealMismatch"
+            if expected:
+                break
+            listed.add(session)
+    flips = [json_value(session.flip) for session in contract.sessions]
+    digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
+
+    receipt = w.call(sender, "clinic_reveal", params)
+
+    assert receipt.code == expected, receipt.detail
+    if not receipt.accepted:
+        assert w.ledger.state_digest() == digest
+        assert w.ledger.next_sequence(sender.address) == sequence
+        return
+    assert receipt.events == ()
+    for session_id, session in enumerate(contract.sessions):
+        if session_id not in listed:
+            assert json_value(session.flip) == flips[session_id]
+            continue
+        assert session.flip.reveal_a == drawn[session_id]
+        assert session.flip.phase.value == "awaiting_reveals" and session.flip.result is None
+        assert session.flip.deadline == receipt.position + 7
+
+
 def test_clinic_out_of_shots(world_cls):
     w = world_cls(num_shots=2, num_clinics=2, threshold=1)  # one shot per clinic
     w.assign_all()
@@ -427,8 +553,7 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
     s2, a2, b2 = w.begin(1, clinic_index=0)
     for sid, cb, patient in ((s1, b1, w.patients[0]), (s2, b2, w.patients[1])):
         w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(cb).hex()})
-    w.ok(w.clinics[0], "clinic_reveal", {"session": s1, "value": a1.value, "nonce": a1.nonce.hex()})
-    w.ok(w.clinics[0], "clinic_reveal", {"session": s2, "value": a2.value, "nonce": a2.nonce.hex()})
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(s1, a1), w.reveal(s2, a2)]})
     shot = w.selected_shot(0, a1, b1)
     w.ok(w.patients[0], "patient_reveal", {"session": s1, "value": b1.value, "nonce": b1.nonce.hex(), "shot": shot.hex()})
     # session 2's completing reveal must reject atomically: no shot left
@@ -456,19 +581,19 @@ def test_session_party_checks(world_cls):
         "NotSessionPatient",
     )
     w.ok(w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(b1).hex()})
+    w.fail(w.patients[0], "clinic_reveal", {"reveals": [w.reveal(sid, a1)]}, "NotSessionClinic")
     w.fail(
-        w.patients[0],
+        w.clinics[0],
         "clinic_reveal",
-        {"session": sid, "value": a1.value, "nonce": a1.nonce.hex()},
-        "NotSessionClinic",
+        {"reveals": [{**w.reveal(sid, a1), "value": a1.value ^ 1}]},
+        "RevealMismatch",
     )
     w.fail(
         w.clinics[0],
         "clinic_reveal",
-        {"session": sid, "value": a1.value ^ 1, "nonce": a1.nonce.hex()},
-        "RevealMismatch",
+        {"reveals": [{"session": 999, "value": 1, "nonce": "00" * 32}]},
+        "UnknownSession",
     )
-    w.fail(w.clinics[0], "clinic_reveal", {"session": 999, "value": 1, "nonce": "00" * 32}, "UnknownSession")
     # a JSON bool is not an integer, even though Python's bool is an int:
     # true must not stand for session 1, nor for a committed value of 1
     sid1, _, _ = w.begin(1, clinic_index=0)
@@ -503,7 +628,7 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
     sid, a, b = w.begin(0)
     patient = w.patients[0]
     w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
-    w.ok(w.clinics[0], "clinic_reveal", {"session": sid, "value": a.value, "nonce": a.nonce.hex()})
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
     right = w.selected_shot(0, a, b)
     other = next(s for s in w.ledger.contract.free_shots[w.config.clinics[0]] if s != right)
     reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex()}
@@ -534,7 +659,7 @@ def test_patient_reveal_waits_for_the_clinic(world_cls):
     w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
     w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
     assert w.ledger.contract.sessions[sid].flip.reveal_b is None
-    w.ok(w.clinics[0], "clinic_reveal", {"session": sid, "value": a.value, "nonce": a.nonce.hex()})
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
     w.ok(patient, "patient_reveal", reveal)
 
 
@@ -564,21 +689,21 @@ def test_each_session_step_moves_the_deadline(world_cls):
     w = world_cls(num_shots=4, binding_deadline=5)
     w.assign_all()
     sid, c1, c2 = w.begin(0, clinic_index=0)
-    flip = w.ledger.contract.sessions[sid].flip
+    session = w.ledger.contract.sessions[sid]  # a reveal replaces its flip
     steps = (
         (w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(c2).hex()}),
-        (w.clinics[0], "clinic_reveal", {"session": sid, "value": c1.value, "nonce": c1.nonce.hex()}),
+        (w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}),
     )
     for sender, method, params in steps:
-        deadline = flip.deadline
+        deadline = session.flip.deadline
         # burn logical time with rejected submissions up to the deadline itself
         while len(w.ledger.journal) < deadline:
             w.call(w.outsider, "report_sick", {})
         receipt = w.ok(sender, method, params)
         assert receipt.position == deadline
-        assert flip.deadline == deadline + 5
+        assert session.flip.deadline == deadline + 5
         w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
-    while len(w.ledger.journal) <= flip.deadline:
+    while len(w.ledger.journal) <= session.flip.deadline:
         w.call(w.outsider, "report_sick", {})
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
 
@@ -823,18 +948,20 @@ def honest_calls(w):
     ``(sender, method, params)``; the consumer sends each call before it
     asks for the next."""
     drawn = [w.contributions() for _ in range(3)]
-    (c1, c2), clinic = drawn[0], w.clinics[0]
+    clinic = w.clinics[0]
     shots = [shot.hex() for shot in w.shot_list()]
     yield w.developer, "assign_shot_to_clinic", {"clinic": clinic.address.hex(), "shots": shots}
     yield clinic, "begin_binding", {"bindings": [w.binding(i, c) for i, (c, _) in enumerate(drawn)]}
-    yield w.patients[0], "patient_commit", {"session": 0, "commitment": commit_contribution(c2).hex()}
-    yield clinic, "clinic_reveal", {"session": 0, "value": c1.value, "nonce": c1.nonce.hex()}
-    shot = w.selected_shot(0, c1, c2)
-    reveal = {"session": 0, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()}
+    commits = [{"session": i, "commitment": commit_contribution(c2).hex()} for i, (_, c2) in enumerate(drawn)]
+    yield w.patients[0], "patient_commit", commits[0]
+    w.ok(w.patients[1], "patient_commit", commits[1])
+    yield clinic, "clinic_reveal", {"reveals": [w.reveal(i, c1) for i, (c1, _) in enumerate(drawn[:2])]}
+    reveal = w.patient_reveal(0, 0, *drawn[0])
     yield w.patients[0], "patient_reveal", reveal
-    w.patient_shot[0] = shot
+    w.patient_shot[0] = bytes.fromhex(reveal["shot"])
     yield w.patients[2], "abort_binding", {"session": 2}  # a deadline of 0 has passed
-    w.complete(1, 1, 0, *drawn[1])
+    w.ok(w.patients[1], "patient_reveal", w.patient_reveal(1, 0, *drawn[1]))
+    w.patient_shot[1] = w.ledger.contract.patient_shot[w.patients[1].address]
     yield w.patients[0], "report_sick", {}
     w.sick.append(0)
     w.sicken(1)
@@ -914,17 +1041,27 @@ def test_every_respelling_of_an_honest_call_is_malformed(world_cls, data):
     assert_malformed_then_honest(world_cls, data.draw(st.sampled_from(sorted(_METHOD_SCHEMA))), respell)
 
 
+def first_entry(key, edit):
+    """Respell honest params by ``edit`` of the first entry of their list ``key``."""
+    return lambda p: {key: [edit(p[key][0])] + p[key][1:]}
+
+
 def first_opening(change):
-    return lambda p: {"openings": [{**p["openings"][0], **change}] + p["openings"][1:]}
+    return first_entry("openings", lambda entry: {**entry, **change})
 
 
 # One fixed respelling of each kind: (method, respell the honest params).
 RESPELLINGS = {
     "upper-case hex": ("patient_reveal", lambda p: {**p, "shot": upper_case(p["shot"])}),
-    "spaced hex": ("clinic_reveal", lambda p: {**p, "nonce": spaced(p["nonce"])}),
+    "spaced hex": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "nonce": spaced(e["nonce"])})),
     "an extra top-level key": ("assign_shot_to_clinic", lambda p: {**p, "memo": "x"}),
     "an extra key on an empty payload": ("report_sick", lambda p: {"memo": "x"}),
     "an extra entry key": ("reveal_controls", first_opening({"memo": "x"})),
+    "an extra reveal key": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "memo": "x"})),
+    "a missing reveal key": (
+        "clinic_reveal",
+        first_entry("reveals", lambda e: {k: v for k, v in e.items() if k != "nonce"}),
+    ),
     "a missing key": ("patient_reveal", lambda p: {k: v for k, v in p.items() if k != "shot"}),
     "a missing entry key": (
         "begin_binding",
@@ -932,7 +1069,7 @@ RESPELLINGS = {
     ),
     "a padded upper-case label": ("reveal_controls", first_opening({"content": "  PLACEBO "})),
     "an upper-case label": ("reveal_controls", first_opening({"content": "PLACEBO"})),
-    "an int as a float": ("clinic_reveal", lambda p: {**p, "value": float(p["value"])}),
+    "an int as a float": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "value": float(e["value"])})),
     "a session id as a float": ("abort_binding", lambda p: {"session": float(p["session"])}),
     "an int as a bool": ("patient_commit", lambda p: {**p, "session": False}),
 }

@@ -21,59 +21,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "b24a466c1e6cf60de37da2ec45a57c9954afc4c3edea5ea228bf4e34a398391e",
-        "71f065b8c2c2f9d269a1b8f979e68182ec67a1b338e7ab41191809f092622d9a",
-        "9e49f377e70baf1432bd770677fc8d90677030b3a4664fc1e895a8c26b43b059",
+        "d9723f4bcbe044bee260655a43bf9df47c78aa5458d9a9cccd0b2d8921b943a9",
+        "d33ad2de1b4a4e7d1951aaca7df165b1039db4e58b8e745253d271ef444e48ce",
+        "d939034713b101d170e24863a3ba7443722946dc7d75805c6e50220308c73616",
     ),
     "honest_pfizer_like-s1": (
-        "0d8a70bd719aa27555f94333bf1f5fa376c3efa3ea577940df6d312011ffe074",
-        "7a692c8c1c8f24571bac62cfefc3135c70e2b5e617f4b28235a61b7da3dd0625",
-        "4be24c20e7f8cebf207f5c862d4a0b5558b407e03288659efbcd38753ed672f9",
+        "443e4d89e760186df5c71adc392b5b3d6842d1a3274326523abee149e6fb617a",
+        "d668f95d5bcfb95ed6335b2960a39b607990f1edb3e4e29ec21381e539300185",
+        "35bb8a9738989e882da870fcf429873d810e76d30745e7e733560d3c06886cba",
     ),
     "grid/honest": (
-        "01658448f75b0025cd667e887844e1c8c87bb3cec6e6c2ab7602ffaa8e6a3bb8",
-        "6a95bb9a9f64cad353f749eb703ba86df11f2434b05d91523060002e4439fa5f",
-        "4b469802839e0977f5a8cb9c2e7714e870d92c150d5f2e5c1190ac072ec9e4d5",
+        "7c4b8e1ae5ad8c0f2116c136f775af4c7c2262e4501eb9394f1193c7f180e769",
+        "c3c44691c4964339deb7e634124ea9586eee26d182ea8cd28b0d9fc1f8550f34",
+        "8277b5fefb067e0078266ba20b929081df7f06ef3dfe4e5fad4a28bd851dd142",
     ),
     "grid/omit_10": (
-        "b74057361aa1fd78e36f59b7543e924381010b7b32f8f285c0415e35970dd3e0",
-        "42f1182f6b44749109b0bdd207a8ea50bbb3c946d71c841b4b3c681ffa373f66",
-        "2e13b86f60238c82fc0cf7487cbce260641008d2072e1fdd772dca0c353bfeb5",
+        "a6151c75d6e7debaef2cd8bf6acf8c04ec2ea2743b9f07fc0619e998584d7743",
+        "4b1d8ed2e0460bf069ee62dc28163632c430d12402778d4afa7af35dc084186b",
+        "086e8c8d88d093cf0d15817989aeb7ceba9753b3d33fe2a1c2147d81c2ceb0df",
     ),
     "grid/omit_25": (
-        "e1003230ec7ca501c927172a82c27d89353aa7506f9f4aa963ceb06c2d5705a6",
-        "e9070cd30b20405f149fad0ffc70e4a67db91902ce23b33e9bb2a42bee7b1e77",
-        "b696fbf4d7dedeaac4d7fbd03e09c2c6de8fadeb550a2899a3a0852ba61bab2b",
+        "5b9813e896c5115c3e59889ed9c388e17b8a375f77fd88b553ec23cfb204a6e6",
+        "3393977d5712695bb17c6f9ab0d02ee76ecb3e9d7da579abdc91e8d6b2b27fe7",
+        "7428de673b96362e1b17c84c55103a64ddb4046e5e60571f07bfd6add15fc391",
     ),
     "grid/omit_50": (
-        "ccb75c970eb6cf89b96b2541eafffa8f555e78f7057f680c859145714c6c79be",
-        "003b242bd82d6995a2d4e7dc778980f53f6c69d0bcec38ee8d2b09a537fbee18",
-        "464aea3649b7db9da08311a7bacf124b105746ad0665651e67951c4a683cb40f",
+        "568233f78bf171f8912832f8d624c328e45eed7a7f58cec21ab58f4c5ee0c806",
+        "27033b289b298b606bfd39ad6e697583c9eee2ad5fe3c433c3df7e05233db16e",
+        "46feae56e02f4e1c8c5e2bec297bc663d8db936f0b78184ebe62bc506ddffefb",
     ),
     "grid/forge_1": (
-        "e496626e5b517bf8a89330a3271ff7c1bab33dc14bcbe3c6cff6ec34d2bf619a",
-        "56bf27a567f4561af14a963f7169364171c972e0a612b5142c2d21eee8841197",
-        "cdb4635c1cd22ad5e6785c0ce1d715d0af4003838a2e1eb4f74ee1252b4d5d59",
+        "320bf87055b874ed42bbea535545f1d2dcadf0d720f57c5a69c6e77f313e516b",
+        "1113751b07a064426d45a70be8164e549cb739d57bb44f9b0bc0c4399e1700b3",
+        "1213e1e384de76ec650af5c96a9a8b1792607f26f8903a707951bb8e2f1c514a",
     ),
     "grid/biased_distribution": (
-        "59ea66b8df3d927f59b502ba5898822dd32b6a7e06758e4271d2665934335172",
-        "7e4243f110f6cfaed29d099eaffb1774ebe1d5d827bc72004e400d02d446e534",
-        "45c49908d29b6d48c2fff02548b40cf6dd60494257ebd3381fcb3ca8ffae5354",
+        "c9d2047e0fe9a3b9a5a0bd1d4ee483c3abc5cca172a2f7fdff84a8e3fac67836",
+        "4f40db783772c15498d7d3bd7ea4d242833ad6cf05d3db38f35a31e98fb9f363",
+        "159884af7f4ce3fef5baf4603d32877e17f1139fe87c060538a43bab64c25839",
     ),
     "grid/collude": (
-        "41c1a4df3c7fad8bda0b4917a18c4c89e5ffb85286650564cc39f3f9d6ea7a01",
-        "6e0482aaeecbf78e088c345dbbaf336dec013221505ae784c65227ade1e15a2d",
-        "5abf119d88fc03fe179c81c5d2b26d0432fcce436d0f4634edef965be1051dcc",
+        "a688464e1b4820b21c4ae5ab3402f79e6b623988cea6a11e30c07662a8e3d9cb",
+        "1868376a2ab0734f2b68115fc0c24204011849470e207a78b1ec3c3193620836",
+        "d0830b97cdee30ee0ff3bccc32386663d083c5ae91fb18a76d39fa00f76e2818",
     ),
     "grid/false_sick_5": (
-        "757efb39de1b5e32b82f0b4c26e89e5097ae39888f2ad6f02feb9cff2673030a",
-        "e3993d7f4be8b9321bd9e3b45c4e0c2879312235522345230c2750a5bd9b53b6",
-        "ae10f14b496867308d0958ddcbce2c20f15ea8cdd1b0f6d1c151b99a2ceca32e",
+        "373540af550fe2ff81eba336dd4e598c671f20118da9b5850126ea342447eb15",
+        "3d4fedc2b0ba16738bdca898f5bf951a9db33576fa890fb5afe8587d5eb0c47d",
+        "bdaa468ed4403bdca59bb25b37b85361a0f9cac6b74460d2e9a3efdd2b5b7e6d",
     ),
     "grid/never_report_5": (
-        "4b023b331b5894d813c8c22f3eb12cb429b194d8ec4d28a20a24e756296bfa8b",
-        "f5bd4c9578972164e226ace6e9c05b80fae51fc28423f81798668dfe21db9da3",
-        "43d60cada4308ca12c695edf410fae0fb42b02c89f56feddaa92aa59fbbac5bf",
+        "96ebcb2fdf579e78868d817d7afb9cf6b9130c92c35e61a34d339efcffa21aa2",
+        "15bcc99d1c731ef4032193c78b82e6f6106f5f5e8d2d3d787c49f53f895d2843",
+        "1f0aca243ab2a81c44890123a56b57abde4d7a817769dfd8dd5a4d3170b8b747",
     ),
 }
 
