@@ -17,9 +17,11 @@ from random import Random
 
 from .commitment import Opening, ShotContent, commit, generate_nonce
 from .coinflip import RandomContribution, commit_contribution, select_index
-from .contract import TrialConfig, efficiency_percent, json_value, make_genesis
+from .contract import (
+    TrialConfig, _decode, _label, check_numbers, efficiency_percent, json_value, make_genesis
+)
 from .keys import KeyPair
-from .ledger import ACCEPTED, Ledger, Receipt, make_transaction
+from .ledger import ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, make_transaction, too_deep
 
 
 class Role(Enum):
@@ -38,15 +40,17 @@ class Behavior(Enum):
     NEVER_REPORT = "never_report"
 
 
-_ROLE_BEHAVIORS = {
-    Role.DEVELOPER: {
-        Behavior.HONEST,
-        Behavior.OMIT_CONTROLS,
-        Behavior.FORGE_CONTROLS,
-        Behavior.BIASED_DISTRIBUTION,
-    },
-    Role.CLINIC: {Behavior.HONEST, Behavior.COLLUDE_WITH_PATIENT},
-    Role.PATIENT: {Behavior.HONEST, Behavior.FALSE_SICK, Behavior.NEVER_REPORT},
+# Each behavior's role (None: any role) and its knob with the knob's JSON
+# type. A strategy is spelled with exactly its behavior's knob, in a scenario
+# file and in a report.
+_BEHAVIORS = {
+    Behavior.HONEST: (None, {}),
+    Behavior.OMIT_CONTROLS: (Role.DEVELOPER, {"fraction": float}),
+    Behavior.FORGE_CONTROLS: (Role.DEVELOPER, {"count": int}),
+    Behavior.BIASED_DISTRIBUTION: (Role.DEVELOPER, {}),
+    Behavior.COLLUDE_WITH_PATIENT: (Role.CLINIC, {}),
+    Behavior.FALSE_SICK: (Role.PATIENT, {"probability": float}),
+    Behavior.NEVER_REPORT: (Role.PATIENT, {"probability": float}),
 }
 
 
@@ -66,7 +70,7 @@ class Strategy:
     probability: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.behavior not in _ROLE_BEHAVIORS[self.role]:
+        if _BEHAVIORS[self.behavior][0] not in (None, self.role):
             raise ValueError(f"{self.role.value} cannot use behavior {self.behavior.value}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError("fraction must be in [0, 1]")
@@ -80,38 +84,8 @@ class Strategy:
             raise ValueError("forge_controls needs a positive count")
 
     def to_dict(self) -> dict:
-        d: dict = {"role": self.role.value, "behavior": self.behavior.value}
-        if self.behavior is Behavior.OMIT_CONTROLS:
-            d["fraction"] = self.fraction
-        if self.behavior is Behavior.FORGE_CONTROLS:
-            d["count"] = self.count
-        if self.behavior in (Behavior.FALSE_SICK, Behavior.NEVER_REPORT):
-            d["probability"] = self.probability
-        return d
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Strategy":
-        return cls(
-            role=Role(raw["role"]),
-            behavior=Behavior(raw.get("behavior", "honest")),
-            fraction=float(raw.get("fraction", 0.0)),
-            count=int(raw.get("count", 0)),
-            probability=float(raw.get("probability", 0.0)),
-        )
-
-
-HONEST_STRATEGIES = (
-    Strategy(Role.DEVELOPER),
-    Strategy(Role.CLINIC),
-    Strategy(Role.PATIENT),
-)
-
-
-def strategy_map(strategies) -> dict[Role, Strategy]:
-    out = {role: Strategy(role) for role in Role}
-    for strategy in strategies:
-        out[strategy.role] = strategy
-    return out
+        knob = {key: getattr(self, key) for key in _BEHAVIORS[self.behavior][1]}
+        return {"role": self.role.value, "behavior": self.behavior.value, **knob}
 
 
 @dataclass(frozen=True)
@@ -132,14 +106,6 @@ class DiseaseModel:
         if self.epochs < 1:
             raise ValueError("epochs must be positive")
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "DiseaseModel":
-        return cls(
-            p_control=float(raw["p_control"]),
-            p_vaccine=float(raw["p_vaccine"]),
-            epochs=int(raw.get("epochs", 1000)),
-        )
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -158,10 +124,11 @@ class ScenarioSpec:
     seeds: tuple[int, ...]
     vaccine_fraction: float = 0.5
     binding_deadline: int = 100
-    strategies: tuple[Strategy, ...] = HONEST_STRATEGIES
+    strategies: tuple[Strategy, ...] = ()  # a role not listed is honest
     grid: tuple[GridCell, ...] = ()
 
     def __post_init__(self) -> None:
+        check_numbers(self)  # TrialConfig's checks, run at load so a bad scenario makes no output
         if self.num_clinics < 1:
             raise ValueError("need at least one clinic")
         if not 0.0 <= self.vaccine_fraction <= 1.0:
@@ -170,38 +137,62 @@ class ScenarioSpec:
             raise ValueError("at least one seed is required")
 
 
-def scenario_from_dict(raw: dict) -> ScenarioSpec:
-    config = raw["config"]
-    strategies = tuple(Strategy.from_dict(s) for s in raw.get("strategies", []))
-    if not strategies:
-        strategies = HONEST_STRATEGIES
-    grid = tuple(
-        GridCell(
-            label=str(cell["label"]),
-            strategies=tuple(Strategy.from_dict(s) for s in cell["strategies"]),
-        )
-        for cell in raw.get("grid", [])
-    )
-    return ScenarioSpec(
-        name=str(raw.get("name", "scenario")),
-        num_participants=int(config["num_participants"]),
-        infected_threshold=int(config["infected_threshold"]),
-        target_efficiency=float(config["target_efficiency"]),
-        num_clinics=int(config["num_clinics"]),
-        binding_deadline=int(config.get("binding_deadline", 100)),
-        disease=DiseaseModel.from_dict(raw["disease"]),
-        vaccine_fraction=float(raw.get("vaccine_fraction", 0.5)),
-        strategies=strategies,
-        grid=grid,
-        seeds=tuple(int(s) for s in raw["seeds"]),
-    )
+_ROLE = _label({role.value: role for role in Role})
+_BEHAVIOR = _label({behavior.value: behavior for behavior in Behavior})
+
+
+def _into(cls, schema: dict):
+    """A leaf that decodes an object against ``schema`` and builds ``cls`` from
+    its fields; a value ``cls`` rejects raises ValueError naming the object."""
+
+    def decode(value, path: str):
+        fields = _decode(value, schema, path)
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+    return decode
+
+
+def _strategy(value, path: str) -> Strategy:
+    """A strategy object: its role, its behavior and exactly that behavior's knob."""
+    knob = {}
+    if type(value) is dict and "behavior" in value:
+        knob = _BEHAVIORS[_BEHAVIOR(value["behavior"], f"{path}.behavior")][1]
+    return _into(Strategy, {"role": _ROLE, "behavior": _BEHAVIOR, **knob})(value, path)
+
+
+# A scenario document, in the grammar of the contract's ``_decode``. Every
+# key is required; the config keys are ScenarioSpec's flat fields.
+_SCENARIO_SCHEMA = {
+    "name": str,
+    "config": {
+        "num_participants": int,
+        "infected_threshold": int,
+        "target_efficiency": float,
+        "num_clinics": int,
+        "binding_deadline": int,
+    },
+    "disease": _into(DiseaseModel, {"p_control": float, "p_vaccine": float, "epochs": int}),
+    "vaccine_fraction": float,
+    "strategies": [_strategy],
+    "grid": [_into(GridCell, {"label": str, "strategies": [_strategy]})],
+    "seeds": [int],
+}
+
+
+def scenario_from_dict(raw) -> ScenarioSpec:
+    """A parsed scenario document as a ScenarioSpec; raises ValueError naming the bad field."""
+    doc = _decode(raw, _SCENARIO_SCHEMA, "scenario")
+    return ScenarioSpec(**doc.pop("config"), **doc)
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError("scenario file must contain a JSON object")
-    return scenario_from_dict(raw)
+    data = Path(path).read_bytes()
+    if too_deep(data):
+        raise ValueError(f"scenario nests deeper than {MAX_JSON_DEPTH}")
+    return scenario_from_dict(json.loads(data))
 
 
 @dataclass
@@ -281,7 +272,7 @@ class _PatientState:
 class _Runner:
     def __init__(self, spec: ScenarioSpec, strategies, seed: int, label: str, keep_table: bool):
         self.spec = spec
-        self.strategies = strategy_map(strategies)
+        self.strategies = {role: Strategy(role) for role in Role} | {s.role: s for s in strategies}
         self.seed = seed
         self.label = label
         self.keep_table = keep_table

@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import tempfile
 from importlib import resources
 from pathlib import Path
 
-from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
-from .actors import load_scenario, run_scenario, scenario_from_dict
-from .contract import json_value
+from .commitment import verify_raw_opening
+from .actors import load_scenario, run_scenario
+from .contract import _CONTENT, _DIGEST, _NONCE, json_value
 from .logio import LogFormatError, audit_log, read_log, write_ledger_log
 
 EXIT_OK = 0
@@ -35,16 +36,14 @@ def _bundled_scenarios() -> dict[str, object]:
 
 
 def _resolve_scenario(ref: str):
-    path = Path(ref)
-    if path.exists():
-        return load_scenario(path)
     bundled = _bundled_scenarios()
-    if ref in bundled:
-        return scenario_from_dict(json.loads(bundled[ref].read_text()))
-    raise FileNotFoundError(
-        f"scenario {ref!r} is neither a file nor a bundled name "
-        f"(bundled: {', '.join(sorted(bundled))})"
-    )
+    path = Path(ref) if Path(ref).exists() else bundled.get(ref)
+    if path is None:
+        raise FileNotFoundError(
+            f"scenario {ref!r} is neither a file nor a bundled name "
+            f"(bundled: {', '.join(sorted(bundled))})"
+        )
+    return load_scenario(path)
 
 
 def _fmt_eff(value) -> str:
@@ -54,7 +53,7 @@ def _fmt_eff(value) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         spec = _resolve_scenario(args.scenario)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
     seed = args.seed if args.seed is not None else spec.seeds[0]
@@ -69,11 +68,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     log_path = out_dir / f"{base}.vscl"
     report_path = out_dir / f"{base}.report.json"
     export_path = out_dir / f"{base}.log.json"
+    # All outputs or none: each is written to a private directory in out_dir,
+    # which is removed on the way out, and moved into place once all are written.
     try:
-        write_ledger_log(log_path, report.ledger)
-        report_path.write_text(json.dumps(report.to_json(), indent=2) + "\n")
-        if args.export_json:
-            export_path.write_text(json.dumps(json_value(read_log(log_path)), indent=2) + "\n")
+        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
+            staged = Path(staging)
+            write_ledger_log(staged / log_path.name, report.ledger)
+            (staged / report_path.name).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+            if args.export_json:
+                export = json_value(read_log(staged / log_path.name))
+                (staged / export_path.name).write_text(json.dumps(export, indent=2) + "\n")
+            # A rename onto a directory fails, so check every target before the first.
+            files = list(staged.iterdir())
+            for file in files:
+                if (out_dir / file.name).is_dir():
+                    raise IsADirectoryError(f"{out_dir / file.name} is a directory")
+            for file in files:
+                file.replace(out_dir / file.name)
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -143,22 +154,13 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_reveal(args: argparse.Namespace) -> int:
+    # The spelling a reveal_controls opening must use: lower-case hex, a label.
     try:
-        commitment = bytes.fromhex(args.commitment)
-        nonce = bytes.fromhex(args.nonce)
-    except ValueError:
-        print("error: commitment and nonce must be hex strings", file=sys.stderr)
-        return EXIT_INPUT
-    if len(commitment) != DIGEST_SIZE:
-        print(f"error: commitment must be {DIGEST_SIZE} bytes", file=sys.stderr)
-        return EXIT_INPUT
-    if len(nonce) != NONCE_SIZE:
-        print(f"error: nonce must be {NONCE_SIZE} bytes", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        content = ShotContent.from_name(args.content)
-    except ValueError:
-        print("error: content must be 'placebo' or 'vaccine'", file=sys.stderr)
+        commitment = _DIGEST(args.commitment, "commitment")
+        nonce = _NONCE(args.nonce, "nonce")
+        content = _CONTENT(args.content, "content")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if verify_raw_opening(commitment, nonce, content.value):
         print("MATCH")
@@ -214,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=cmd_audit)
 
     p_verify = sub.add_parser("verify-reveal", help="check a single commitment opening")
-    p_verify.add_argument("commitment", help="32-byte commitment digest, hex")
-    p_verify.add_argument("nonce", help="32-byte nonce, hex")
+    p_verify.add_argument("commitment", help="32-byte commitment digest, lower-case hex")
+    p_verify.add_argument("nonce", help="32-byte nonce, lower-case hex")
     p_verify.add_argument("content", help="'placebo' or 'vaccine'")
     p_verify.set_defaults(func=cmd_verify_reveal)
 

@@ -26,13 +26,6 @@ class ShotContent(Enum):
     def encode(self) -> bytes:
         return bytes([self.value])
 
-    @classmethod
-    def from_name(cls, name: str) -> "ShotContent":
-        try:
-            return cls[name.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown shot content {name!r}") from None
-
     @property
     def label(self) -> str:
         return self.name.lower()

@@ -96,12 +96,7 @@ class TrialConfig:
     binding_deadline: int = DEFAULT_BINDING_DEADLINE
 
     def __post_init__(self) -> None:
-        if self.num_participants < 1:
-            raise ValueError("num_participants must be positive")
-        if not 1 <= self.infected_threshold <= self.num_participants:
-            raise ValueError("infected_threshold must be in [1, num_participants]")
-        if not 0.0 <= self.target_efficiency <= 100.0:
-            raise ValueError("target_efficiency must be a percentage in [0, 100]")
+        check_numbers(self)
         if not self.clinics:
             raise ValueError("at least one clinic is required")
         if len(set(self.clinics)) != len(self.clinics):
@@ -112,8 +107,19 @@ class TrialConfig:
             raise ValueError("developer address must be 20 bytes")
         if self.developer in self.clinics:
             raise ValueError("developer cannot also be a clinic")
-        if self.binding_deadline < 0:
-            raise ValueError("binding_deadline must be non-negative")
+
+
+def check_numbers(trial) -> None:
+    """The range checks of a trial's numeric parameters, run on a TrialConfig
+    and on a scenario, which has the same fields, before it deploys one."""
+    if trial.num_participants < 1:
+        raise ValueError("num_participants must be positive")
+    if not 1 <= trial.infected_threshold <= trial.num_participants:
+        raise ValueError("infected_threshold must be in [1, num_participants]")
+    if not 0.0 <= trial.target_efficiency <= 100.0:
+        raise ValueError("target_efficiency must be a percentage in [0, 100]")
+    if trial.binding_deadline < 0:
+        raise ValueError("binding_deadline must be non-negative")
 
 
 @dataclass
@@ -209,8 +215,7 @@ class VaccineTrial:
         if contract != CONTRACT_ID:
             raise ValueError(f"unsupported contract id {contract!r}")
         doc = _decode(genesis, _GENESIS_SCHEMA, "genesis")
-        raw = doc["params"]["config"]
-        config = TrialConfig(**dict(raw, clinics=tuple(raw["clinics"])))
+        config = TrialConfig(**doc["params"]["config"])
         if doc["deployer"] != config.developer:
             raise ValueError("genesis deployer does not match the configured developer")
         return cls(config, doc["params"]["commitments"])
@@ -500,10 +505,21 @@ def _strict_hex(size: int):
     return decode
 
 
+def _label(members: dict):
+    """A leaf that reads one of ``members``' keys, exactly as spelled, as its member."""
+
+    def decode(value, path: str):
+        if type(value) is not str or value not in members:
+            raise ValueError(f"{path} must be {' or '.join(map(repr, members))}")
+        return members[value]
+
+    return decode
+
+
 _ADDRESS = _strict_hex(ADDRESS_SIZE)
 _DIGEST = _strict_hex(DIGEST_SIZE)
 _NONCE = _strict_hex(NONCE_SIZE)
-_LABELS = {content.label: content for content in ShotContent}
+_CONTENT = _label({content.label: content for content in ShotContent})
 
 
 def _u64(value, path: str) -> int:
@@ -512,16 +528,11 @@ def _u64(value, path: str) -> int:
     return value
 
 
-def _label(value, path: str) -> ShotContent:
-    if type(value) is not str or value not in _LABELS:
-        raise ValueError(f"{path} must be {' or '.join(map(repr, _LABELS))}")
-    return _LABELS[value]
-
-
 # Exact JSON shapes, decoded by ``_decode``: an object has exactly its keys;
-# ``[item]`` is a list and ``[item, ...]`` a non-empty list of items; a JSON
-# type matches only itself, so a bool is never an int and an int never a
-# float; any other leaf decodes the value or raises ValueError.
+# ``[item]`` is a list and ``[item, ...]`` a non-empty list of items, each
+# decoded to a tuple; a JSON type matches only itself, so a bool is never an
+# int and an int never a float; any other leaf decodes the value or raises
+# ValueError.
 _GENESIS_SCHEMA = {
     "contract": str,
     "deployer": _ADDRESS,
@@ -547,7 +558,7 @@ _METHOD_SCHEMA = {
     "clinic_reveal": {"reveals": [{"session": int, "value": _u64, "nonce": _NONCE}, ...]},
     "patient_reveal": {"session": int, "value": _u64, "nonce": _NONCE, "shot": _DIGEST},
     "report_sick": {},
-    "reveal_controls": {"openings": [{"commitment": _DIGEST, "nonce": _NONCE, "content": _label}]},
+    "reveal_controls": {"openings": [{"commitment": _DIGEST, "nonce": _NONCE, "content": _CONTENT}]},
     "abort_binding": {"session": int},
 }
 
@@ -564,7 +575,7 @@ def _decode(value, schema, path: str):
     if isinstance(schema, list):
         if type(value) is not list or (len(schema) > 1 and not value):
             raise ValueError(f"{path} must be a {'non-empty ' if len(schema) > 1 else ''}list")
-        return [_decode(item, schema[0], f"{path}[]") for item in value]
+        return tuple([_decode(item, schema[0], f"{path}[]") for item in value])
     if isinstance(schema, type):
         if type(value) is not schema:
             raise ValueError(f"{path} must be a JSON {schema.__name__}")

@@ -27,7 +27,7 @@ from vaccsc.coinflip import (
     select_index,
 )
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce, verify_raw_opening
-from vaccsc.contract import efficiency_percent, risk_ratio_percent
+from vaccsc.contract import _CONTENT, efficiency_percent, risk_ratio_percent
 from vaccsc.ledger import ACCEPTED
 from vaccsc.logio import audit_log, read_log, write_log
 
@@ -69,7 +69,7 @@ def test_criterion_02_commitment_conformance(vectors, acceptance, timer):
     vector_failures = 0
     for vec in vectors["commitment_vectors"]:
         opening = Opening(
-            content=ShotContent.from_name(vec["content"]), nonce=bytes.fromhex(vec["nonce"])
+            content=_CONTENT(vec["content"], "content"), nonce=bytes.fromhex(vec["nonce"])
         )
         digest = bytes.fromhex(vec["commitment"])
         if commit(opening) != digest or not verify_raw_opening(

@@ -4,6 +4,7 @@ import dataclasses
 import json
 from collections import Counter
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -73,15 +74,88 @@ def test_load_scenario_from_path(tmp_path):
     assert spec.name == "honest_small"
 
 
+def _set(*keys_and_value):
+    """A mutation of a scenario document setting one nested key."""
+    *keys, last, value = keys_and_value
+
+    def mutate(raw):
+        for key in keys:
+            raw = raw[key]
+        raw[last] = value
+
+    return mutate
+
+
+def _rename(section, old, new):
+    def mutate(raw):
+        raw[section][new] = raw[section].pop(old)
+
+    return mutate
+
+
+def _strategies(*strategies):
+    return _set("strategies", list(strategies))
+
+
 def test_scenario_validation():
-    raw = bundled("honest_small")
-    del raw["config"]
-    with pytest.raises((KeyError, ValueError)):
-        scenario_from_dict(raw)
-    raw = bundled("honest_small")
-    raw["strategies"] = [{"role": "developer", "behavior": "launder_results"}]
-    with pytest.raises(ValueError):
-        scenario_from_dict(raw)
+    # Each malformed document raises ValueError naming the field's path.
+    deadlien = _rename("config", "binding_deadline", "binding_deadlien")
+    cases = [
+        (deadlien, "scenario.config.binding_deadlien is unexpected"),
+        (_set("seeds", [2.9]), "scenario.seeds[] must be a JSON int"),
+        (_set("disease", "epochs", True), "scenario.disease.epochs must be a JSON int"),
+        (
+            _strategies({"role": "patient", "behavior": "false_sick", "probabilty": 0.5}),
+            "scenario.strategies[].probability is missing",
+        ),
+        (
+            _strategies({"role": "patient", "behavior": "never_report", "probabilty": 0.5}),
+            "scenario.strategies[].probability is missing",
+        ),
+        (_set("config", "num_participants", "400"), "scenario.config.num_participants must be a JSON int"),
+        (_set("vaccine_fraction", "0.5"), "scenario.vaccine_fraction must be a JSON float"),
+        (_set("config", "target_efficiency", 50), "scenario.config.target_efficiency must be a JSON float"),
+        (lambda raw: raw.pop("grid"), "scenario.grid is missing"),
+        (lambda raw: raw.pop("config"), "scenario.config is missing"),
+        (
+            _strategies({"role": "developer", "behavior": "launder_results"}),
+            "scenario.strategies[].behavior must be",
+        ),
+        (
+            _strategies({"role": "developer", "behavior": "honest", "count": 1}),
+            "scenario.strategies[].count is unexpected",
+        ),
+        (
+            _strategies({"role": "patient", "behavior": "omit_controls", "fraction": 0.5}),
+            "scenario.strategies[]: patient cannot use behavior omit_controls",
+        ),
+    ]
+    for mutate, message in cases:
+        raw = bundled("honest_small")
+        mutate(raw)
+        with pytest.raises(ValueError) as info:
+            scenario_from_dict(raw)
+        assert str(info.value).startswith(message), (message, str(info.value))
+
+
+def test_strategy_spelling_round_trips():
+    # A strategy is spelled the same way in a scenario file and in a report.
+    raw = bundled("adversary_grid")
+    grid = scenario_from_dict(raw)
+    strategies = [s for cell in grid.grid for s in cell.strategies] + list(grid.strategies)
+    assert {s.behavior for s in strategies} == set(Behavior)
+    for strategy in strategies:
+        raw["strategies"] = [strategy.to_dict()]
+        assert scenario_from_dict(raw).strategies == (strategy,)
+
+
+def test_formats_doc_scenario_example_decodes():
+    # The example in docs/FORMATS.md is a complete, valid scenario file.
+    doc = (Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    section = doc.split("## Scenario file (JSON)", 1)[1].split("\n## ", 1)[0]
+    example = section.split("```json\n", 1)[1].split("```", 1)[0]
+    spec = scenario_from_dict(json.loads(example))
+    assert spec.grid and spec.strategies
 
 
 def test_strategy_validation():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
@@ -92,6 +93,7 @@ def test_simulate_scenario_file_path(tmp_path, capsys):
         "disease": {"p_control": 0.9, "p_vaccine": 0.2, "epochs": 50},
         "vaccine_fraction": 0.5,
         "strategies": [],
+        "grid": [],
         "seeds": [9],
     }
     path = tmp_path / "tiny.json"
@@ -114,6 +116,7 @@ def test_simulate_incomplete_trial_exit_code(tmp_path, capsys):
         "disease": {"p_control": 0.001, "p_vaccine": 0.001, "epochs": 2},
         "vaccine_fraction": 0.5,
         "strategies": [],
+        "grid": [],
         "seeds": [1],
     }
     path = tmp_path / "quiet.json"
@@ -136,6 +139,61 @@ def test_simulate_malformed_scenario(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path))
     assert code == 1
+
+
+def _rename_deadline(raw):
+    raw["config"]["binding_deadlien"] = raw["config"].pop("binding_deadline")
+
+
+@pytest.mark.parametrize(
+    "mutate,field",
+    [
+        (_rename_deadline, "scenario.config.binding_deadlien is unexpected"),
+        (lambda raw: raw.update(seeds=[2.9]), "scenario.seeds[] must be a JSON int"),
+        (lambda raw: raw["disease"].update(epochs=True), "scenario.disease.epochs must be a JSON int"),
+        (
+            lambda raw: raw.update(
+                strategies=[{"role": "patient", "behavior": "false_sick", "probabilty": 0.5}]
+            ),
+            "scenario.strategies[].probability is missing",
+        ),
+        # values the deployed TrialConfig would reject, caught at load
+        (lambda raw: raw["config"].update(infected_threshold=0), "infected_threshold"),
+        (lambda raw: raw["config"].update(infected_threshold=500), "infected_threshold"),
+        (lambda raw: raw["config"].update(target_efficiency=150.0), "target_efficiency"),
+        (lambda raw: raw["config"].update(binding_deadline=-1), "binding_deadline"),
+    ],
+    ids=[
+        "binding_deadlien",
+        "float-seed",
+        "bool-epochs",
+        "probabilty",
+        "threshold-0",
+        "threshold-500",
+        "efficiency-150",
+        "deadline-negative",
+    ],
+)
+def test_bad_scenario_is_an_input_error(tmp_path, capsys, mutate, field):
+    raw = json.loads((resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json").read_text())
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
+    assert not (tmp_path / "out").exists()  # rejected before any output is made
+
+
+def test_deeply_nested_scenario_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 # -- audit ----------------------------------------------------------------------
@@ -232,12 +290,16 @@ def test_unusable_path_is_an_input_error(tmp_path, capsys, world_cls, argv, bloc
     write_ledger_log(log, world_cls(num_shots=4).ledger)
     if blocked:
         (tmp_path / blocked).mkdir()  # an output file's name, taken by a directory
+    made = set(tmp_path.iterdir())
     code, out, err = run_cli(
         capsys, *(arg.format(dir=tmp_path, file=existing, log=log) for arg in argv)
     )
     assert code == 1
     assert out == ""  # nothing is printed before every output is written
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert set(tmp_path.iterdir()) == made  # no output, not even a temporary file, is left
+    if blocked:
+        assert not any((tmp_path / blocked).iterdir())
 
 
 def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
@@ -307,3 +369,12 @@ def test_verify_reveal_bad_inputs(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "verify-reveal", "00" * 32, "11" * 32, "saline")
     assert code == 1
+    # exactly the spelling a reveal_controls opening accepts: lower-case hex, a bare label
+    for argv in (
+        ("AB" * 32, "11" * 32, "placebo"),
+        ("00" * 32, " ".join(["11"] * 32), "placebo"),
+        ("00" * 32, "11" * 32, " PLACEBO "),
+    ):
+        code, out, err = run_cli(capsys, "verify-reveal", *argv)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
