@@ -163,6 +163,17 @@ def _strategy(value, path: str) -> Strategy:
     return _into(Strategy, {"role": _ROLE, "behavior": _BEHAVIOR, **knob})(value, path)
 
 
+def _strategies(value, path: str) -> tuple[Strategy, ...]:
+    """A list of strategies that names each role at most once."""
+    strategies = _decode(value, [_strategy], path)
+    roles: set[Role] = set()
+    for strategy in strategies:
+        if strategy.role in roles:
+            raise ValueError(f"{path} names the {strategy.role.value} role twice")
+        roles.add(strategy.role)
+    return strategies
+
+
 # A scenario document, in the grammar of the contract's ``_decode``. Every
 # key is required; the config keys are ScenarioSpec's flat fields.
 _SCENARIO_SCHEMA = {
@@ -176,8 +187,8 @@ _SCENARIO_SCHEMA = {
     },
     "disease": _into(DiseaseModel, {"p_control": float, "p_vaccine": float, "epochs": int}),
     "vaccine_fraction": float,
-    "strategies": [_strategy],
-    "grid": [_into(GridCell, {"label": str, "strategies": [_strategy]})],
+    "strategies": _strategies,
+    "grid": [_into(GridCell, {"label": str, "strategies": _strategies})],
     "seeds": [int],
 }
 
@@ -591,7 +602,7 @@ class _Runner:
                 "accepted": accepted,
                 "rejected": len(ledger.journal) - accepted,
                 "rejections_by_code": rejections,
-                "events": len(ledger.events),
+                "events": ledger.event_count,
             },
             truth={
                 "ar0": truth_ar0,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .commitment import verify_raw_opening
 from .actors import load_scenario, run_scenario
-from .contract import _CONTENT, _DIGEST, _NONCE, json_value
+from .contract import _CONTENT, _DIGEST, _NONCE, _json_default
 from .logio import LogFormatError, audit_log, read_log, write_ledger_log
 
 EXIT_OK = 0
@@ -44,6 +44,13 @@ def _resolve_scenario(ref: str):
             f"(bundled: {', '.join(sorted(bundled))})"
         )
     return load_scenario(path)
+
+
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON, streamed into ``path`` piece by piece."""
+    with open(path, "w") as file:
+        json.dump(obj, file, indent=2, default=_json_default)
+        file.write("\n")
 
 
 def _fmt_eff(value) -> str:
@@ -74,10 +81,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
             staged = Path(staging)
             write_ledger_log(staged / log_path.name, report.ledger)
-            (staged / report_path.name).write_text(json.dumps(report.to_json(), indent=2) + "\n")
+            _write_json(staged / report_path.name, report.to_json())
             if args.export_json:
-                export = json_value(read_log(staged / log_path.name))
-                (staged / export_path.name).write_text(json.dumps(export, indent=2) + "\n")
+                _write_json(staged / export_path.name, read_log(staged / log_path.name))
             # A rename onto a directory fails, so check every target before the first.
             files = list(staged.iterdir())
             for file in files:
@@ -126,7 +132,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if args.export_json:
         export_path = path.with_suffix(path.suffix + ".json")
         try:
-            export_path.write_text(json.dumps(json_value(log), indent=2) + "\n")
+            _write_json(export_path, log)
         except OSError as exc:
             print(f"error: cannot write output: {exc}", file=sys.stderr)
             return EXIT_INPUT

@@ -32,6 +32,9 @@ CONTRACT_ID = "vaccsc-6"
 
 DEFAULT_BINDING_DEADLINE = 100
 
+# canonical_state encodes sessions and shots this many entries at a time.
+_STATE_SLICE = 256
+
 
 def _json_default(obj):
     """Encode the program's own types: bytes as hex, an Enum as its value,
@@ -50,9 +53,13 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
+# One encoder for every call: json.dumps with arguments builds a new one each time.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
+
+
 def canonical_json(obj) -> bytes:
     """Deterministic JSON bytes: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_json_default).encode()
+    return _CANONICAL.encode(obj).encode()
 
 
 def json_value(obj):
@@ -463,18 +470,48 @@ class VaccineTrial:
     # -- canonical state ---------------------------------------------------
 
     def canonical_state(self) -> bytes:
-        """Deterministic byte form of the full state, for digests and replay."""
-        return canonical_json(
+        """Deterministic byte form of the full state, for digests and replay.
+
+        The bytes are the canonical JSON of the object with the keys below
+        and ``sessions`` (the list) and ``shots`` (the rows keyed by
+        commitment hex). Those two grow with the trial, so they are encoded
+        ``_STATE_SLICE`` entries at a time and only the slices are joined.
+        """
+        head = canonical_json(
             {
                 "contract": CONTRACT_ID,
                 "phase": self.phase,
                 "config": self.config,
-                "shots": {c.hex(): r for c, r in self.shots.items()},
-                "sessions": self.sessions,
                 "infected": self.infected,
                 "outcome": self.outcome,
             }
         )
+        # Sorted keys put "sessions" and then "shots" after every key of head;
+        # commitments, all 32 bytes, sort as their lower-case hex does.
+        return b"".join(
+            [
+                head[:-1],
+                b',"sessions":[',
+                *_sliced(self.sessions, canonical_json),
+                b'],"shots":{',
+                *_sliced(sorted(self.shots), self._encode_shots),
+                b"}}",
+            ]
+        )
+
+    def _encode_shots(self, shots: list[bytes]) -> bytes:
+        return canonical_json({shot.hex(): self.shots[shot] for shot in shots})
+
+
+def _sliced(entries: list, encode) -> list[bytes]:
+    """The body of a JSON list or object: ``encode`` of each run of
+    _STATE_SLICE entries, its brackets dropped, with a comma between runs."""
+    pieces: list[bytes] = []
+    for start in range(0, len(entries), _STATE_SLICE):
+        if pieces:
+            pieces.append(b",")
+        pieces.append(encode(entries[start : start + _STATE_SLICE])[1:-1])
+    return pieces
 
 
 def make_genesis(config: TrialConfig, commitments) -> dict:

@@ -35,27 +35,29 @@ REJECTED = "rejected"
 # would depend on the caller's stack.
 MAX_JSON_DEPTH = 32
 
-# A JSON string (an unterminated one runs to the end, so every byte is
-# scanned once) or one bracket.
-_JSON_TOKEN = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', re.DOTALL)
+# A JSON string; an unterminated one runs to the end, so every byte is
+# scanned once.
+_JSON_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*"?', re.DOTALL)
+_NOT_BRACKET = bytes(byte for byte in range(256) if byte not in b"[]{}")
+_OPENING = frozenset(b"[{")
 
 
 def too_deep(text: bytes) -> bool:
     """True if JSON ``text`` nests arrays/objects deeper than MAX_JSON_DEPTH.
 
-    Brackets inside strings do not count. The scan is iterative and is
-    skipped when the text holds too few opening brackets to be too deep.
+    Brackets inside strings do not count: the strings are dropped, and only
+    the brackets left are walked. The scan is skipped when the text holds
+    too few opening brackets to be too deep.
     """
     if text.count(b"[") + text.count(b"{") <= MAX_JSON_DEPTH:
         return False
     depth = 0
-    for match in _JSON_TOKEN.finditer(text):
-        token = match.group()
-        if token in (b"[", b"{"):
+    for bracket in _JSON_STRING.sub(b"", text).translate(None, _NOT_BRACKET):
+        if bracket in _OPENING:
             depth += 1
             if depth > MAX_JSON_DEPTH:
                 return True
-        elif token in (b"]", b"}"):
+        else:
             depth -= 1
     return False
 
@@ -153,7 +155,11 @@ class Ledger:
         self.genesis = genesis
         self.contract = VaccineTrial.from_genesis(genesis)
         self.journal: list[JournalEntry] = []
-        self.events: list[Event] = []
+        # The events are not kept: each is hashed into the canonical JSON
+        # list of all events as it is emitted, and the list is closed with
+        # "]" on a copy of the hash when a digest is asked for.
+        self.event_count = 0
+        self._events_hash = sha256(b"[")
         self.sequences: dict[bytes, int] = {}
         self._pubkeys: dict[bytes, object] = {}
 
@@ -211,8 +217,12 @@ class Ledger:
         self.sequences[tx.sender] = tx.sequence_number + 1
         events = []
         for name, payload in emitted:
-            events.append(Event(index=len(self.events), name=name, payload=payload, cause=position))
-            self.events.append(events[-1])
+            event = Event(index=self.event_count, name=name, payload=payload, cause=position)
+            if self.event_count:
+                self._events_hash.update(b",")
+            self._events_hash.update(canonical_json(event))
+            self.event_count += 1
+            events.append(event)
         return None, "", tuple(events)
 
     # -- queries ---------------------------------------------------------
@@ -229,7 +239,10 @@ class Ledger:
         return sha256(self.contract.canonical_state()).digest()
 
     def events_digest(self) -> bytes:
-        return sha256(canonical_json(self.events)).digest()
+        """SHA-256 of the canonical JSON list of every event emitted so far."""
+        events_hash = self._events_hash.copy()
+        events_hash.update(b"]")
+        return events_hash.digest()
 
     # -- replay ------------------------------------------------------------
 

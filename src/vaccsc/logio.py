@@ -112,8 +112,8 @@ def write_log(
     body += len(records).to_bytes(8, "big")
     body += state_digest
     body += events_digest
-    body += sha256(bytes(body)).digest()
-    Path(path).write_bytes(bytes(body))
+    body += sha256(body).digest()
+    Path(path).write_bytes(body)
 
 
 def write_ledger_log(path: str | Path, ledger: Ledger) -> None:
@@ -177,6 +177,10 @@ def read_log(path: str | Path) -> LogFile:
         raise LogFormatError(f"invalid genesis: {exc}") from None
 
     records: list[JournalEntry] = []
+    # One object per distinct sender, public key and method: an actor's
+    # records all share them.
+    shared: dict[bytes, bytes] = {}
+    methods: dict[bytes, str] = {}
     while True:
         tag = cur.take(1, "record tag")
         if tag == b"F":
@@ -189,7 +193,9 @@ def read_log(path: str | Path) -> LogFile:
         code_len = cur.u16("code length")
         code_raw = cur.take(code_len, "code")
         sender = cur.take(ADDRESS_SIZE, "sender")
+        sender = shared.setdefault(sender, sender)
         public_key = cur.take(PUBLIC_KEY_SIZE, "public key")
+        public_key = shared.setdefault(public_key, public_key)
         sequence = cur.u64("sequence number")
         signature = cur.take(SIGNATURE_SIZE, "signature")
         method_len = cur.u16("method length")
@@ -198,7 +204,9 @@ def read_log(path: str | Path) -> LogFile:
         payload = cur.take(payload_len, "payload")
         try:
             code = code_raw.decode() or None
-            method = method_raw.decode()
+            if method_raw not in methods:
+                methods[method_raw] = method_raw.decode()
+            method = methods[method_raw]
         except UnicodeDecodeError as exc:
             raise LogFormatError(f"non-UTF-8 text field: {exc}") from None
         status = _BYTE_STATUS[status_byte]
@@ -230,7 +238,7 @@ def read_log(path: str | Path) -> LogFile:
         raise LogFormatError(
             f"trailer claims {record_count} records, file holds {len(records)}"
         )
-    if sha256(data[:digest_offset]).digest() != log_digest:
+    if sha256(memoryview(data)[:digest_offset]).digest() != log_digest:
         raise LogFormatError("log digest mismatch; file was modified")
     return LogFile(
         genesis=genesis,

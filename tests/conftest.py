@@ -16,7 +16,7 @@ from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.coinflip import RandomContribution, commit_contribution
 from vaccsc.contract import TrialConfig, make_genesis
 from vaccsc.keys import KeyPair
-from vaccsc.ledger import Ledger, Receipt, make_transaction
+from vaccsc.ledger import Event, Ledger, Receipt, make_transaction
 
 
 class World:
@@ -253,6 +253,18 @@ def vectors():
 @pytest.fixture
 def world_cls():
     return World
+
+
+def replayed_events(genesis: dict, journal) -> list[Event]:
+    """Every event a journal emits, in order, read from the receipts of a
+    replay: a ledger keeps only the running digest of its events."""
+    ledger = Ledger(genesis)
+    return [event for entry in journal for event in ledger.submit(entry.tx).events]
+
+
+@pytest.fixture
+def events_of():
+    return replayed_events
 
 
 @pytest.fixture

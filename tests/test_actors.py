@@ -129,6 +129,29 @@ def test_scenario_validation():
             _strategies({"role": "patient", "behavior": "omit_controls", "fraction": 0.5}),
             "scenario.strategies[]: patient cannot use behavior omit_controls",
         ),
+        (
+            _strategies(
+                {"role": "developer", "behavior": "omit_controls", "fraction": 0.5},
+                {"role": "developer", "behavior": "forge_controls", "count": 1},
+            ),
+            "scenario.strategies names the developer role twice",
+        ),
+        (
+            _set(
+                "grid",
+                [
+                    {
+                        "label": "two_clinics",
+                        "strategies": [
+                            {"role": "clinic", "behavior": "honest"},
+                            {"role": "patient", "behavior": "honest"},
+                            {"role": "clinic", "behavior": "collude_with_patient"},
+                        ],
+                    }
+                ],
+            ),
+            "scenario.grid[].strategies names the clinic role twice",
+        ),
     ]
     for mutate, message in cases:
         raw = bundled("honest_small")
@@ -198,7 +221,7 @@ def test_determinism_same_seed_same_ledger():
     assert c.ledger.state_digest() != a.ledger.state_digest()
 
 
-def test_binding_journal_is_two_records_per_patient_and_two_per_clinic_chunk():
+def test_binding_journal_is_two_records_per_patient_and_two_per_clinic_chunk(events_of):
     spec = small_spec(seeds=[2])
     report = run_scenario(spec, 2, keep_table=False)
     counts = Counter(entry.tx.method for entry in report.ledger.journal if entry.status == ACCEPTED)
@@ -209,9 +232,10 @@ def test_binding_journal_is_two_records_per_patient_and_two_per_clinic_chunk():
     assert (counts["patient_commit"], counts["patient_reveal"]) == (n, n)
     assert (counts["begin_binding"], counts["clinic_reveal"]) == (chunks, chunks)
     assert "confirm_binding" not in {entry.tx.method for entry in report.ledger.journal}
-    started = [e for e in report.ledger.events if e.name == "BindingStarted"]
+    events = events_of(report.ledger.genesis, report.ledger.journal)
+    started = [e for e in events if e.name == "BindingStarted"]
     assert [e.payload["session"] for e in started] == list(range(n))
-    assert sum(e.name == "BindingConfirmed" for e in report.ledger.events) == n
+    assert sum(e.name == "BindingConfirmed" for e in events) == n
 
 
 SESSION_STEPS = ("patient_commit", "clinic_reveal", "patient_reveal")

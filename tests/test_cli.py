@@ -157,6 +157,21 @@ def _rename_deadline(raw):
             ),
             "scenario.strategies[].probability is missing",
         ),
+        (
+            lambda raw: raw.update(
+                strategies=[
+                    {"role": "developer", "behavior": "omit_controls", "fraction": 0.5},
+                    {"role": "developer", "behavior": "forge_controls", "count": 1},
+                ]
+            ),
+            "scenario.strategies names the developer role twice",
+        ),
+        (
+            lambda raw: raw.update(
+                grid=[{"label": "twice", "strategies": [{"role": "patient", "behavior": "honest"}] * 2}]
+            ),
+            "scenario.grid[].strategies names the patient role twice",
+        ),
         # values the deployed TrialConfig would reject, caught at load
         (lambda raw: raw["config"].update(infected_threshold=0), "infected_threshold"),
         (lambda raw: raw["config"].update(infected_threshold=500), "infected_threshold"),
@@ -168,6 +183,8 @@ def _rename_deadline(raw):
         "float-seed",
         "bool-epochs",
         "probabilty",
+        "repeated-role",
+        "repeated-role-in-grid-cell",
         "threshold-0",
         "threshold-500",
         "efficiency-150",

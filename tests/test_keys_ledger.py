@@ -1,10 +1,18 @@
 """Keys, addresses, signed transactions, and the ledger's gatekeeping."""
 
 import json
+import re
+import tracemalloc
+from hashlib import sha256
+from importlib import resources
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vaccsc.actors import load_scenario, run_scenario
+from vaccsc.contract import CONTRACT_ID, TrialConfig, make_genesis
 from vaccsc.keys import (
     ADDRESS_SIZE,
     KeyPair,
@@ -12,7 +20,15 @@ from vaccsc.keys import (
     load_public_key,
     verify_signature,
 )
-from vaccsc.ledger import SignedTransaction, canonical_json, make_transaction, signing_bytes
+from vaccsc.ledger import (
+    MAX_JSON_DEPTH,
+    Ledger,
+    SignedTransaction,
+    canonical_json,
+    make_transaction,
+    signing_bytes,
+    too_deep,
+)
 
 
 def test_key_golden_vectors(vectors):
@@ -227,17 +243,19 @@ def test_sequences_are_per_sender_and_not_consumed_on_reject(world_cls):
     assert w.ledger.next_sequence(dev.address) == 1  # AlreadyAssigned, seq kept
 
 
-def test_event_ordinals_are_gapless(world_cls):
+def test_event_ordinals_are_gapless(world_cls, events_of):
     w = world_cls(num_shots=6, threshold=2)
     w.assign_all()
     w.bind_all()
     w.sicken_exact(1, 1)
     w.reveal_honest()
-    indices = [e.index for e in w.ledger.events]
+    events = events_of(w.genesis, w.ledger.journal)
+    assert len(events) == w.ledger.event_count
+    indices = [e.index for e in events]
     assert indices == list(range(len(indices)))
-    causes = [e.cause for e in w.ledger.events]
+    causes = [e.cause for e in events]
     assert causes == sorted(causes)
-    names = {e.name for e in w.ledger.events}
+    names = {e.name for e in events}
     assert names == {
         "ShotAssigned",
         "BindingStarted",
@@ -249,8 +267,6 @@ def test_event_ordinals_are_gapless(world_cls):
 
 
 def test_replay_reproduces_state(world_cls):
-    from vaccsc.ledger import Ledger
-
     w = world_cls(num_shots=6, threshold=2)
     w.assign_all()
     w.bind_all()
@@ -267,10 +283,157 @@ def test_replay_reproduces_state(world_cls):
 
 
 def test_replay_of_empty_journal_is_genesis(world_cls):
-    from vaccsc.ledger import Ledger
-
     w = world_cls()
     fresh, divergent = Ledger.replay(w.genesis, [])
     assert divergent == []
     assert fresh.state_digest() == w.ledger.state_digest()
     assert fresh.query("phase") == "deployed"
+
+
+# -- streamed digests ------------------------------------------------------------
+
+
+def one_shot_state(trial) -> bytes:
+    """The canonical state as one canonical_json call over the whole document."""
+    return canonical_json(
+        {
+            "contract": CONTRACT_ID,
+            "phase": trial.phase,
+            "config": trial.config,
+            "shots": {c.hex(): r for c, r in trial.shots.items()},
+            "sessions": trial.sessions,
+            "infected": trial.infected,
+            "outcome": trial.outcome,
+        }
+    )
+
+
+def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:
+    """A ledger whose one clinic holds every shot and has opened this many
+    sessions, driven through the contract directly."""
+    developer, clinic = b"\x01" * ADDRESS_SIZE, b"\x02" * ADDRESS_SIZE
+    shots = [sha256(b"shot %d" % i).digest() for i in range(num_shots)]
+    config = TrialConfig(
+        num_participants=num_shots,
+        infected_threshold=1,
+        target_efficiency=50.0,
+        clinics=(clinic,),
+        developer=developer,
+    )
+    ledger = Ledger(make_genesis(config, shots))
+    assign = {"clinic": clinic.hex(), "shots": [shot.hex() for shot in shots]}
+    ledger.contract.dispatch(developer, "assign_shot_to_clinic", assign, 0)
+    if num_sessions:
+        bindings = [
+            {
+                "patient": sha256(b"patient %d" % i).digest()[:ADDRESS_SIZE].hex(),
+                "commitment": sha256(b"flip %d" % i).hexdigest(),
+            }
+            for i in range(num_sessions)
+        ]
+        ledger.contract.dispatch(clinic, "begin_binding", {"bindings": bindings}, 1)
+    assert len(ledger.contract.sessions) == num_sessions
+    return ledger
+
+
+@pytest.mark.parametrize(
+    "num_shots, num_sessions",
+    [(2000, 0), (2000, 1), (2000, 256), (2000, 257), (2000, 2000), (1, 0), (256, 0), (257, 1)],
+)
+def test_sliced_state_is_the_one_shot_encoding(num_shots, num_sessions):
+    trial = opened_sessions(num_shots, num_sessions).contract
+    assert trial.canonical_state() == one_shot_state(trial)
+
+
+def test_sliced_state_of_a_finished_trial_is_the_one_shot_encoding(world_cls):
+    w = world_cls(num_shots=6, threshold=2)
+    w.assign_all()
+    w.bind_all()
+    w.sicken_exact(1, 1)
+    w.reveal_honest()
+    assert w.ledger.contract.canonical_state() == one_shot_state(w.ledger.contract)
+
+
+def bundled_spec(name: str):
+    return load_scenario(resources.files("vaccsc") / "data" / "scenarios" / f"{name}.json")
+
+
+@pytest.mark.parametrize("scenario, cell, seed", [("honest_small", None, 2), ("adversary_grid", "forge_1", 101)])
+def test_events_digest_is_the_one_shot_digest_of_the_replayed_events(events_of, scenario, cell, seed):
+    spec = bundled_spec(scenario)
+    strategies = None if cell is None else next(c.strategies for c in spec.grid if c.label == cell)
+    report = run_scenario(spec, seed, strategies=strategies, keep_table=False)
+    ledger = report.ledger
+    events = events_of(ledger.genesis, ledger.journal)
+    assert len(events) == ledger.event_count == report.ledger_summary["events"]
+    assert ledger.events_digest() == sha256(canonical_json(events)).digest()
+
+
+def allocated_peak(call) -> int:
+    """Peak bytes allocated while ``call()`` runs, above what was allocated before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_digests_take_bounded_memory():
+    ledger = opened_sessions(2000, 2000)
+    state = ledger.contract.canonical_state()
+    assert len(state) > 900_000
+    # The slices and their join; one whole-document encoding took 3x.
+    assert allocated_peak(ledger.state_digest) < 2.5 * len(state)
+    w_ledger = run_scenario(bundled_spec("honest_small"), 2, keep_table=False).ledger
+    assert w_ledger.event_count > 1000
+    assert allocated_peak(w_ledger.events_digest) < 1024
+
+
+def token_scan_too_deep(text: bytes) -> bool:
+    """The reference depth scan: every JSON string and bracket as a token."""
+    depth = 0
+    for match in re.finditer(rb'"[^"\\]*(?:\\.[^"\\]*)*"?|[\[\]{}]', text, re.DOTALL):
+        token = match.group()
+        if token in (b"[", b"{"):
+            depth += 1
+            if depth > MAX_JSON_DEPTH:
+                return True
+        elif token in (b"]", b"}"):
+            depth -= 1
+    return False
+
+
+# Brackets, quotes, escapes and filler, so that strings open, close, escape
+# their quotes and run unterminated to the end.
+DEPTH_TEXT = st.lists(
+    st.sampled_from(
+        [b"[", b"]", b"{", b"}", b'"', b"\\", b'\\"', b"\\\\", b"a", b",", b":", b"\n", b"\xff"]
+    ),
+    max_size=120,
+).map(b"".join)
+
+
+@given(head=DEPTH_TEXT, depth=st.integers(16, 40), tail=DEPTH_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_too_deep_matches_the_token_scan(head, depth, tail):
+    # The nested run makes the texts that pass the opening-bracket count.
+    text = head + b"[" * depth + tail + b"]" * depth
+    assert too_deep(text) == token_scan_too_deep(text)
+
+
+@pytest.mark.parametrize(
+    "text, deep",
+    [
+        (b"[" * 33, True),
+        (b"[" * 32 + b"]" * 32 + b"[" * 32, False),
+        (b'["' + b"[" * 40 + b'"]', False),
+        (b'["\\"' + b"[" * 40 + b'"]', False),
+        (b'["\\\\"' + b"[" * 40, True),
+        (b'"' + b"[" * 40, False),  # unterminated string runs to the end
+    ],
+)
+def test_too_deep_examples(text, deep):
+    assert too_deep(text) is deep
+    assert token_scan_too_deep(text) is deep
