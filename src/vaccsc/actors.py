@@ -255,10 +255,11 @@ class _Actor:
         self.ledger = ledger
 
     def call(self, method: str, params: dict) -> Receipt:
+        ledger = self.ledger
         tx = make_transaction(
-            self.keypair, method, params, self.ledger.next_sequence(self.keypair.address)
+            self.keypair, ledger.trial_id, method, params, ledger.next_sequence(self.keypair.address)
         )
-        return self.ledger.submit(tx)
+        return ledger.submit(tx)
 
     def must(self, method: str, params: dict) -> Receipt:
         """``call`` for a step the run cannot go on without: a rejection raises."""
@@ -404,7 +405,7 @@ class _Runner:
         """The completing reveal: the patient names the shot the flip
         selects from the clinic's public free list."""
         free = self.ledger.contract.free_shots[clinic]
-        shot = free[select_index(contrib1.value ^ contrib2.value, len(free))]
+        shot = free[select_index(contrib1, contrib2, len(free))]
         patient.actor.must(
             "patient_reveal",
             {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},

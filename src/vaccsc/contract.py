@@ -14,21 +14,15 @@ before the reveal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass
 from enum import Enum
 
-from .coinflip import (
-    CoinFlipSession,
-    Party,
-    RandomContribution,
-    SessionError,
-    U64_MAX,
-    select_index,
-)
+from . import coinflip  # commit_contribution is called through it, where bench/layers.py counts it
+from .coinflip import U64_MAX, RandomContribution, select_index
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-6"
+CONTRACT_ID = "vaccsc-7"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -178,12 +172,19 @@ def decide_outcome(ar0: int, ar1: int, target_efficiency: float) -> TrialOutcome
 
 @dataclass
 class BindingSession:
-    """A clinic/patient coin flip; ``shot`` is set when the flip selects one."""
+    """One clinic/patient coin flip. The clinic commits when it opens the
+    session, then the patient commits, the clinic reveals and the patient
+    reveals last. The session is settled once the patient has revealed,
+    which binds the shot the flip selects, or once it is aborted."""
 
     clinic: bytes
     patient: bytes
-    flip: CoinFlipSession
-    shot: bytes | None = None
+    deadline: int
+    clinic_commit: bytes
+    patient_commit: bytes | None = None
+    clinic_reveal: RandomContribution | None = None
+    patient_reveal: RandomContribution | None = None
+    aborted: bool = False
 
 
 class VaccineTrial:
@@ -295,10 +296,8 @@ class VaccineTrial:
         clinic_hex = sender.hex()
         events = []
         for patient, clinic_commit in batch:
-            flip = CoinFlipSession(deadline=deadline)
-            flip.add_commit(Party.A, clinic_commit)
             session_id = len(self.sessions)
-            self.sessions.append(BindingSession(clinic=sender, patient=patient, flip=flip))
+            self.sessions.append(BindingSession(sender, patient, deadline, clinic_commit))
             self.pending_by_patient[patient] = session_id
             events.append(
                 (
@@ -315,29 +314,36 @@ class VaccineTrial:
         session = self._active_session(args)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        _session_op(session.flip.add_commit, Party.B, args["commitment"])
-        session.flip.deadline = tick + self.config.binding_deadline
+        if session.patient_commit is not None:
+            raise ContractError("CommitPhaseOver", "the patient has already committed")
+        session.patient_commit = args["commitment"]
+        session.deadline = tick + self.config.binding_deadline
         return []
 
     def _clinic_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         """The clinic's reveals for a batch of its sessions. Once both
         commitments are on chain the clinic's reveal carries no choice, so
         one call can open many flips without moving who reveals last."""
-        # Validate the whole batch before mutating anything: each reveal is
-        # applied to a copy of its flip, and one bad entry rejects the call.
-        # A session listed twice meets its own revealed copy (DuplicateReveal).
-        revealed: dict[int, CoinFlipSession] = {}
+        # Validate the whole batch before mutating anything: one bad entry
+        # rejects the entire call, and a session listed twice is a DuplicateReveal.
+        revealed: dict[int, RandomContribution] = {}
         for entry in args["reveals"]:
             session = self._active_session(entry)  # WrongPhase is checked first
             if sender != session.clinic:
                 raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-            flip = revealed.get(entry["session"]) or replace(session.flip)
-            _session_op(flip.add_reveal, Party.A, RandomContribution(entry["value"], entry["nonce"]))
-            revealed[entry["session"]] = flip
+            if session.patient_commit is None:
+                raise ContractError("RevealBeforeCommits", "both commits must exist before any reveal")
+            if session.clinic_reveal is not None or entry["session"] in revealed:
+                raise ContractError("DuplicateReveal", "the clinic has already revealed")
+            contribution = RandomContribution(entry["value"], entry["nonce"])
+            if coinflip.commit_contribution(contribution) != session.clinic_commit:
+                raise ContractError("RevealMismatch", "reveal does not match the clinic's commitment")
+            revealed[entry["session"]] = contribution
         deadline = tick + self.config.binding_deadline
-        for session_id, flip in revealed.items():
-            flip.deadline = deadline
-            self.sessions[session_id].flip = flip
+        for session_id, contribution in revealed.items():
+            session = self.sessions[session_id]
+            session.clinic_reveal = contribution
+            session.deadline = deadline
         return []
 
     def _patient_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
@@ -346,22 +352,22 @@ class VaccineTrial:
         session = self._active_session(args)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        # Reveal on a copy of the flip, so that any later check can still
-        # reject the call with the session untouched.
-        flip = replace(session.flip)
-        _session_op(flip.add_reveal, Party.B, RandomContribution(args["value"], args["nonce"]))
-        if flip.result is None:
+        if session.patient_commit is None:
+            raise ContractError("RevealBeforeCommits", "both commits must exist before any reveal")
+        contribution = RandomContribution(args["value"], args["nonce"])
+        if coinflip.commit_contribution(contribution) != session.patient_commit:
+            raise ContractError("RevealMismatch", "reveal does not match the patient's commitment")
+        if session.clinic_reveal is None:
             raise ContractError("RevealOutOfOrder", "the clinic reveals before the patient")
         free = self.free_shots[session.clinic]
         if not free:
             raise ContractError("NoShotsAvailable", "clinic ran out of shots before completion")
-        index = select_index(flip.result, len(free))
+        index = select_index(session.clinic_reveal, contribution, len(free))
         shot = free[index]
         if shot != args["shot"]:
             raise ContractError("WrongShot", f"the flip selects {shot.hex()}")
         del free[index]
-        session.flip = flip
-        session.shot = shot
+        session.patient_reveal = contribution
         self.shots[shot].patient = sender
         self.patient_shot[sender] = shot
         del self.pending_by_patient[sender]
@@ -427,7 +433,9 @@ class VaccineTrial:
         session = self._active_session(args)
         if sender not in (session.clinic, session.patient):
             raise ContractError("NotSessionParty", "caller is not part of this session")
-        _session_op(session.flip.abort, tick)
+        if tick <= session.deadline:
+            raise ContractError("AbortBeforeDeadline", "deadline has not passed")
+        session.aborted = True
         del self.pending_by_patient[session.patient]
         return []
 
@@ -438,10 +446,8 @@ class VaccineTrial:
         if not 0 <= session_id < len(self.sessions):
             raise ContractError("UnknownSession", f"no session {session_id}")
         session = self.sessions[session_id]
-        if session.shot is not None or session.flip.result is not None:
-            raise ContractError("SessionSettled", "session already selected a shot")
-        if session.flip.phase.value == "aborted":
-            raise ContractError("SessionSettled", "session was aborted")
+        if session.patient_reveal is not None or session.aborted:
+            raise ContractError("SessionSettled", "session already bound a shot or was aborted")
         return session
 
     # -- views -------------------------------------------------------------
@@ -618,13 +624,6 @@ def _decode(value, schema, path: str):
             raise ValueError(f"{path} must be a JSON {schema.__name__}")
         return value
     return schema(value, path)
-
-
-def _session_op(op, *args) -> None:
-    try:
-        op(*args)
-    except SessionError as exc:
-        raise ContractError(exc.code, str(exc)) from None
 
 
 _HANDLERS = {

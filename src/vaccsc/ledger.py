@@ -62,13 +62,16 @@ def too_deep(text: bytes) -> bool:
     return False
 
 
-def signing_bytes(method: str, sequence_number: int, payload: bytes) -> bytes:
-    """The exact bytes a sender signs: method (length-prefixed), sequence, payload."""
+def signing_bytes(trial_id: bytes, method: str, sequence_number: int, payload: bytes) -> bytes:
+    """The exact bytes a sender signs: the trial id, method (length-prefixed),
+    sequence, payload. The trial id keeps a signature from verifying in
+    any other trial."""
     method_utf8 = method.encode()
     if len(method_utf8) > 0xFFFF:
         raise ValueError("method name too long")
     return (
-        len(method_utf8).to_bytes(2, "big")
+        trial_id
+        + len(method_utf8).to_bytes(2, "big")
         + method_utf8
         + sequence_number.to_bytes(8, "big")
         + payload
@@ -84,9 +87,6 @@ class SignedTransaction:
     sequence_number: int
     signature: bytes
 
-    def signing_bytes(self) -> bytes:
-        return signing_bytes(self.method, self.sequence_number, self.payload)
-
     def to_dict(self) -> dict:
         return {
             "sender": self.sender.hex(),
@@ -99,10 +99,10 @@ class SignedTransaction:
 
 
 def make_transaction(
-    keypair: KeyPair, method: str, params: dict, sequence_number: int
+    keypair: KeyPair, trial_id: bytes, method: str, params: dict, sequence_number: int
 ) -> SignedTransaction:
     payload = canonical_json(params)
-    signature = keypair.sign(signing_bytes(method, sequence_number, payload))
+    signature = keypair.sign(signing_bytes(trial_id, method, sequence_number, payload))
     return SignedTransaction(
         sender=keypair.address,
         public_key=keypair.public_key,
@@ -154,6 +154,9 @@ class Ledger:
     def __init__(self, genesis: dict):
         self.genesis = genesis
         self.contract = VaccineTrial.from_genesis(genesis)
+        # SHA-256 of the canonical genesis: it fixes the contract id, the
+        # config and every shot commitment, and every signature covers it.
+        self.trial_id = sha256(canonical_json(genesis)).digest()
         self.journal: list[JournalEntry] = []
         # The events are not kept: each is hashed into the canonical JSON
         # list of all events as it is emitted, and the list is closed with
@@ -188,7 +191,8 @@ class Ledger:
             except ValueError:
                 return "BadSignature", "invalid public key"
             self._pubkeys[tx.public_key] = pub
-        if not verify_signature(pub, tx.signing_bytes(), tx.signature):
+        message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
+        if not verify_signature(pub, message, tx.signature):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:
@@ -259,6 +263,8 @@ class Ledger:
         divergent: list[int] = []
         for position, entry in enumerate(entries):
             receipt = ledger.submit(entry.tx)
-            if receipt.status != entry.status or receipt.code != entry.code:
+            if receipt.status == entry.status and receipt.code == entry.code:
+                ledger.journal[-1] = entry  # the log's own entry: one per record, not two
+            else:
                 divergent.append(position)
         return ledger, divergent

@@ -13,7 +13,7 @@ import pytest
 
 from vaccsc.actors import Behavior, DiseaseModel, Role, ScenarioSpec, Strategy, run_scenario
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
-from vaccsc.coinflip import RandomContribution, commit_contribution
+from vaccsc.coinflip import RandomContribution, commit_contribution, select_index
 from vaccsc.contract import TrialConfig, make_genesis
 from vaccsc.keys import KeyPair
 from vaccsc.ledger import Event, Ledger, Receipt, make_transaction
@@ -68,7 +68,7 @@ class World:
 
     def call(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
         tx = make_transaction(
-            keypair, method, params, self.ledger.next_sequence(keypair.address)
+            keypair, self.ledger.trial_id, method, params, self.ledger.next_sequence(keypair.address)
         )
         return self.ledger.submit(tx)
 
@@ -142,7 +142,7 @@ class World:
     def selected_shot(self, clinic_index: int, c1: RandomContribution, c2: RandomContribution) -> bytes:
         """The shot the flip of ``c1`` and ``c2`` selects from the clinic's free list now."""
         free = self.ledger.contract.free_shots[self.config.clinics[clinic_index]]
-        return free[(c1.value ^ c2.value) % len(free)]
+        return free[select_index(c1, c2, len(free))]
 
     @staticmethod
     def reveal(session: int, c1: RandomContribution) -> dict:

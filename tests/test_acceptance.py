@@ -19,13 +19,7 @@ from vaccsc.actors import (
     run_scenario,
     scenario_from_dict,
 )
-from vaccsc.coinflip import (
-    CoinFlipSession,
-    Party,
-    RandomContribution,
-    commit_contribution,
-    select_index,
-)
+from vaccsc.coinflip import RandomContribution, commit_contribution, select_index
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce, verify_raw_opening
 from vaccsc.contract import _CONTENT, efficiency_percent, risk_ratio_percent
 from vaccsc.ledger import ACCEPTED
@@ -112,18 +106,12 @@ def test_criterion_03_coinflip_fairness(acceptance, timer):
     rng = Random(33)
 
     def flip_once(adversary_value) -> int:
-        session = CoinFlipSession()
         honest = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
-        honest_digest = commit_contribution(honest)
         # the adversary chooses its value with the honest commitment in hand
         adv = RandomContribution(
-            value=adversary_value(honest_digest), nonce=generate_nonce(rng)
+            value=adversary_value(commit_contribution(honest)), nonce=generate_nonce(rng)
         )
-        session.add_commit(Party.B, honest_digest)
-        session.add_commit(Party.A, commit_contribution(adv))
-        session.add_reveal(Party.A, adv)
-        session.add_reveal(Party.B, honest)
-        return select_index(session.result, shot_count)
+        return select_index(adv, honest, shot_count)
 
     adversaries = {
         "constant": lambda digest: 0x0123456789ABCDEF,

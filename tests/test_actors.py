@@ -250,7 +250,7 @@ def late_session_steps(ledger) -> list[int]:
         if entry.status == ACCEPTED and entry.tx.method in SESSION_STEPS:
             params = json.loads(entry.tx.payload)
             named = [r["session"] for r in params["reveals"]] if "reveals" in params else [params["session"]]
-            if any(position > replayed.contract.sessions[s].flip.deadline for s in named):
+            if any(position > replayed.contract.sessions[s].deadline for s in named):
                 late.append(position)
         replayed.submit(entry.tx)
     return late

@@ -1,18 +1,15 @@
-"""Two-party coin flip sessions: ordering, binding, XOR, abort, selection."""
+"""The coin flip: contributions, the slot two of them select, and the order
+of commits and reveals that the contract's binding session enforces."""
 
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vaccsc.coinflip import (
     U64_MAX,
-    CoinFlipSession,
-    Party,
     RandomContribution,
-    SessionError,
-    SessionPhase,
     commit_contribution,
     select_index,
 )
@@ -23,15 +20,21 @@ def make_contribution(value: int, seed: int = 0) -> RandomContribution:
     return RandomContribution(value=value, nonce=generate_nonce(Random(seed)))
 
 
-def run_session(r_a: int, r_b: int) -> CoinFlipSession:
-    s = CoinFlipSession(deadline=10)
-    ca = make_contribution(r_a, 1)
-    cb = make_contribution(r_b, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    s.add_commit(Party.B, commit_contribution(cb))
-    s.add_reveal(Party.A, ca)
-    s.add_reveal(Party.B, cb)
-    return s
+def wrong(contribution: RandomContribution) -> RandomContribution:
+    """A contribution that does not open ``contribution``'s commitment."""
+    return RandomContribution(value=contribution.value ^ 1, nonce=contribution.nonce)
+
+
+def session_world(world_cls, **kwargs):
+    """One clinic holding six shots, with patient 0's session open at it."""
+    w = world_cls(num_shots=6, num_clinics=1, **kwargs)
+    w.assign_all()
+    session, c1, c2 = w.begin(0)
+    return w, session, c1, c2
+
+
+def commit_params(session: int, contribution: RandomContribution) -> dict:
+    return {"session": session, "commitment": commit_contribution(contribution).hex()}
 
 
 def test_contribution_golden_vectors(vectors):
@@ -43,112 +46,107 @@ def test_contribution_golden_vectors(vectors):
 
 
 def test_xor_identities():
-    assert run_session(0x0, U64_MAX).result == U64_MAX
-    assert run_session(0xDEADBEEF, 0xDEADBEEF).result == 0
-    assert run_session(0b1010, 0b0110).result == 0b1100
+    def xor(a: int, b: int) -> int:  # over 2**64 slots the selection is the XOR itself
+        return select_index(make_contribution(a, 1), make_contribution(b, 2), 2**64)
+
+    assert xor(0x0, U64_MAX) == U64_MAX
+    assert xor(0xDEADBEEF, 0xDEADBEEF) == 0
+    assert xor(0b1010, 0b0110) == 0b1100
 
 
-def test_phase_transitions():
-    s = CoinFlipSession(deadline=10)
-    assert s.phase is SessionPhase.AWAITING_COMMITS
-    ca, cb = make_contribution(1, 1), make_contribution(2, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    assert s.phase is SessionPhase.AWAITING_COMMITS
-    s.add_commit(Party.B, commit_contribution(cb))
-    assert s.phase is SessionPhase.AWAITING_REVEALS
-    s.add_reveal(Party.A, ca)
-    assert s.phase is SessionPhase.AWAITING_REVEALS
-    assert s.result is None
-    s.add_reveal(Party.B, cb)
-    assert s.phase is SessionPhase.COMPLETE
-    assert s.result == 1 ^ 2
+def test_phase_transitions(world_cls):
+    """Each step stores its own input in the session and nothing derived."""
+    w, sid, c1, c2 = session_world(world_cls)
+    session = w.ledger.contract.sessions[sid]
+    clinic, patient = w.clinics[0], w.patients[0]
+    assert session.clinic_commit == commit_contribution(c1)
+    assert session.patient_commit is session.clinic_reveal is session.patient_reveal is None
+    w.ok(patient, "patient_commit", commit_params(sid, c2))
+    assert session.patient_commit == commit_contribution(c2)
+    assert session.clinic_reveal is None
+    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    assert session.clinic_reveal == c1 and session.patient_reveal is None
+    reveal = w.patient_reveal(sid, 0, c1, c2)
+    w.ok(patient, "patient_reveal", reveal)
+    assert session.patient_reveal == c2 and not session.aborted
+    assert w.ledger.contract.patient_shot[patient.address].hex() == reveal["shot"]
+    w.fail(patient, "patient_reveal", reveal, "SessionSettled")
 
 
-def test_duplicate_commit_rejected():
-    s = CoinFlipSession(deadline=10)
-    ca = make_contribution(1, 1)
-    s.add_commit(Party.A, commit_contribution(ca))
-    with pytest.raises(SessionError) as exc:
-        s.add_commit(Party.A, commit_contribution(ca))
-    assert exc.value.code == "DuplicateCommit"
+def test_duplicate_commit_rejected(world_cls):
+    """Each party commits once: the patient's second commitment is
+    CommitPhaseOver, and the clinic cannot open a second session for it."""
+    w, sid, c1, c2 = session_world(world_cls)
+    patient = w.patients[0]
+    w.ok(patient, "patient_commit", commit_params(sid, c2))
+    w.fail(patient, "patient_commit", commit_params(sid, wrong(c2)), "CommitPhaseOver")
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, wrong(c1))]}, "PatientAlreadyBound")
+    assert w.ledger.contract.sessions[sid].patient_commit == commit_contribution(c2)
 
 
-def test_no_reveal_before_both_commits():
-    s = CoinFlipSession(deadline=10)
-    ca = make_contribution(1, 1)
-    s.add_commit(Party.A, commit_contribution(ca))
-    with pytest.raises(SessionError) as exc:
-        s.add_reveal(Party.A, ca)
-    assert exc.value.code == "RevealBeforeCommits"
-    assert s.result is None
+def test_no_reveal_before_both_commits(world_cls):
+    w, sid, c1, c2 = session_world(world_cls)
+    w.fail(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "RevealBeforeCommits")
+    w.fail(w.patients[0], "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "RevealBeforeCommits")
 
 
-def test_commit_after_reveal_phase_rejected():
-    s = CoinFlipSession(deadline=10)
-    ca, cb = make_contribution(1, 1), make_contribution(2, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    s.add_commit(Party.B, commit_contribution(cb))
-    with pytest.raises(SessionError) as exc:
-        s.add_commit(Party.A, commit_contribution(ca))
-    assert exc.value.code == "CommitPhaseOver"
+def test_commit_after_reveal_phase_rejected(world_cls):
+    """Once the clinic has revealed, the patient knows which shot its reveal
+    selects; it can neither commit anew nor open another contribution."""
+    w, sid, c1, c2 = session_world(world_cls)
+    patient = w.patients[0]
+    w.ok(patient, "patient_commit", commit_params(sid, c2))
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    w.fail(patient, "patient_commit", commit_params(sid, wrong(c2)), "CommitPhaseOver")
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, wrong(c2)), "RevealMismatch")
+    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
 
 
-def test_mismatched_reveal_rejected_session_recoverable():
-    s = CoinFlipSession(deadline=10)
-    ca, cb = make_contribution(1, 1), make_contribution(2, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    s.add_commit(Party.B, commit_contribution(cb))
-    liar = make_contribution(999, 1)
-    with pytest.raises(SessionError) as exc:
-        s.add_reveal(Party.A, liar)
-    assert exc.value.code == "RevealMismatch"
-    # honest reveal still goes through afterwards
-    s.add_reveal(Party.A, ca)
-    s.add_reveal(Party.B, cb)
-    assert s.result == 1 ^ 2
+def test_mismatched_reveal_rejected_session_recoverable(world_cls):
+    w, sid, c1, c2 = session_world(world_cls)
+    clinic, patient = w.clinics[0], w.patients[0]
+    shots = sorted(w.shot_list())
+    w.ok(patient, "patient_commit", commit_params(sid, c2))
+    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, wrong(c1))]}, "RevealMismatch")
+    # the honest reveals still go through afterwards
+    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
+    assert w.ledger.contract.patient_shot[patient.address] == shots[select_index(c1, c2, len(shots))]
 
 
-def test_duplicate_reveal_rejected():
-    s = CoinFlipSession(deadline=10)
-    ca, cb = make_contribution(5, 1), make_contribution(6, 2)
-    s.add_commit(Party.A, commit_contribution(ca))
-    s.add_commit(Party.B, commit_contribution(cb))
-    s.add_reveal(Party.A, ca)
-    with pytest.raises(SessionError) as exc:
-        s.add_reveal(Party.A, ca)
-    assert exc.value.code == "DuplicateReveal"
-    # once the session completed, further reveals fail on phase, not slot
-    s.add_reveal(Party.B, cb)
-    with pytest.raises(SessionError) as exc:
-        s.add_reveal(Party.B, cb)
-    assert exc.value.code == "RevealBeforeCommits"
+def test_duplicate_reveal_rejected(world_cls):
+    w, sid, c1, c2 = session_world(world_cls)
+    clinic, patient = w.clinics[0], w.patients[0]
+    w.ok(patient, "patient_commit", commit_params(sid, c2))
+    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "DuplicateReveal")
+    # once the patient's reveal settles the session, every reveal fails on that
+    reveal = w.patient_reveal(sid, 0, c1, c2)
+    w.ok(patient, "patient_reveal", reveal)
+    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "SessionSettled")
+    w.fail(patient, "patient_reveal", reveal, "SessionSettled")
 
 
-def test_abort_rules():
-    s = CoinFlipSession(deadline=10)
-    ca = make_contribution(1, 1)
-    s.add_commit(Party.A, commit_contribution(ca))
-    with pytest.raises(SessionError) as exc:
-        s.abort(now=10)  # at the deadline is still too early
-    assert exc.value.code == "AbortBeforeDeadline"
-    s.abort(now=11)
-    assert s.phase is SessionPhase.ABORTED
-    assert s.result is None
-
-
-def test_abort_after_complete_rejected():
-    s = run_session(1, 2)
-    with pytest.raises(SessionError) as exc:
-        s.abort(now=99)
-    assert exc.value.code == "AbortAfterComplete"
-    assert s.result == 3
+def test_abort_rules(world_cls):
+    w, sid, c1, c2 = session_world(world_cls, binding_deadline=5)
+    session = w.ledger.contract.sessions[sid]
+    patient = w.patients[0]
+    # burn logical time with rejected submissions up to the deadline itself
+    while len(w.ledger.journal) < session.deadline:
+        w.call(w.outsider, "report_sick", {})
+    w.fail(patient, "abort_binding", {"session": sid}, "AbortBeforeDeadline")  # at the deadline is too early
+    w.ok(w.clinics[0], "abort_binding", {"session": sid})
+    assert session.aborted and session.patient_reveal is None
+    w.fail(patient, "patient_commit", commit_params(sid, c2), "SessionSettled")
+    w.fail(patient, "abort_binding", {"session": sid}, "SessionSettled")
+    assert patient.address not in w.ledger.contract.patient_shot
 
 
 def test_select_index_examples():
-    assert select_index(7, 1) == 0
-    assert select_index(10, 3) == 1
+    assert select_index(make_contribution(7), make_contribution(0), 1) == 0
+    assert select_index(make_contribution(12), make_contribution(6), 3) == 1
     with pytest.raises(ValueError):
-        select_index(5, 0)
+        select_index(make_contribution(5), make_contribution(0), 0)
 
 
 def _chi_square(counts: dict[int, int], total: int, cells: int) -> float:
@@ -173,12 +171,7 @@ def test_uniformity_desk_scale():
                 # adversary picks after seeing the honest commitment digest
                 adv_value = int.from_bytes(commit_contribution(honest)[:8], "big")
             adv = make_contribution(adv_value, rng.getrandbits(32))
-            s = CoinFlipSession(deadline=1)
-            s.add_commit(Party.A, commit_contribution(adv))
-            s.add_commit(Party.B, commit_contribution(honest))
-            s.add_reveal(Party.A, adv)
-            s.add_reveal(Party.B, honest)
-            index = select_index(s.result, 7)
+            index = select_index(adv, honest, 7)
             counts[index] = counts.get(index, 0) + 1
         stat = _chi_square(counts, draws, 7)
         assert stat < critical, f"{adversary}: chi2={stat:.2f} >= {critical:.2f}"
@@ -193,30 +186,45 @@ def test_contribution_validation():
         RandomContribution(value=0, nonce=bytes(8))
 
 
-@given(
-    ops=st.lists(
-        st.tuples(st.sampled_from(["commit", "reveal"]), st.sampled_from(list(Party))),
-        max_size=12,
-    )
+# "wait" is a rejected outsider call: it only moves logical time on, so
+# that an abort can come after the deadline.
+STEPS = ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding", "wait")
+
+
+@given(data=st.data())
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@settings(max_examples=200, deadline=None)
-def test_ordering_safety(ops):
-    """No interleaving yields a result before both parties committed."""
-    s = CoinFlipSession(deadline=10)
-    contributions = {
-        Party.A: make_contribution(11, 1),
-        Party.B: make_contribution(22, 2),
-    }
-    commits_seen = 0
-    for op, party in ops:
-        try:
-            if op == "commit":
-                s.add_commit(party, commit_contribution(contributions[party]))
-                commits_seen += 1
-            else:
-                s.add_reveal(party, contributions[party])
-        except SessionError:
+def test_ordering_safety(world_cls, data):
+    """Any interleaving of one session's steps, each sent by its own party
+    with a right or a wrong value: no shot is bound unless both commits and
+    the clinic's reveal came first, and a rejected step changes no state."""
+    w, sid, c1, c2 = session_world(world_cls, binding_deadline=6)
+    clinic, patient = w.clinics[0], w.patients[0]
+    steps = data.draw(st.lists(st.tuples(st.sampled_from(STEPS), st.booleans()), max_size=12))
+    accepted: list[str] = []
+    for step, right in steps:
+        if step == "wait":
+            w.call(w.outsider, "report_sick", {})
             continue
-        if s.result is not None:
-            assert commits_seen == 2
-    assert (s.result is not None) == (s.phase is SessionPhase.COMPLETE)
+        clinic_c, patient_c = (c1, c2) if right else (wrong(c1), wrong(c2))
+        if step == "patient_commit":
+            sender, params = patient, commit_params(sid, patient_c)
+        elif step == "clinic_reveal":
+            sender, params = clinic, {"reveals": [w.reveal(sid, clinic_c)]}
+        elif step == "patient_reveal":
+            sender, params = patient, w.patient_reveal(sid, 0, c1, patient_c)
+        else:  # either party may abort; the flag picks which
+            sender, params = (patient if right else clinic), {"session": sid}
+        before = w.ledger.state_digest()
+        receipt = w.call(sender, step, params)
+        if not receipt.accepted:
+            assert w.ledger.state_digest() == before, f"rejected {step} ({receipt.code}) changed state"
+            continue
+        if step == "patient_reveal":
+            assert {"patient_commit", "clinic_reveal"} <= set(accepted)
+            assert w.ledger.contract.patient_shot[patient.address].hex() == params["shot"]
+        accepted.append(step)
+    assert (patient.address in w.ledger.contract.patient_shot) == ("patient_reveal" in accepted)

@@ -14,6 +14,8 @@ from vaccsc.coinflip import commit_contribution
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
     _METHOD_SCHEMA,
+    CONTRACT_ID,
+    BindingSession,
     TrialConfig,
     VaccineTrial,
     decide_outcome,
@@ -395,9 +397,9 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
         session = contract.sessions[session_id]
         assert session.clinic == sender.address
         assert session.patient.hex() == entry["patient"]
-        assert session.flip.commit_a.hex() == entry["commitment"]
-        assert session.flip.commit_b is None and session.shot is None
-        assert session.flip.deadline == receipt.position + 7
+        assert session.clinic_commit.hex() == entry["commitment"]
+        assert session.patient_commit is session.clinic_reveal is session.patient_reveal is None
+        assert session.deadline == receipt.position + 7 and not session.aborted
         assert contract.pending_by_patient[session.patient] == session_id
     assert [(e.name, e.payload) for e in receipt.events] == [
         ("BindingStarted", {"session": i, "clinic": sender.address.hex(), "patient": e["patient"]})
@@ -511,7 +513,7 @@ def test_reveal_batch_is_all_or_nothing(world_cls, data):
             if expected:
                 break
             listed.add(session)
-    flips = [json_value(session.flip) for session in contract.sessions]
+    before = [json_value(session) for session in contract.sessions]
     digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
 
     receipt = w.call(sender, "clinic_reveal", params)
@@ -524,11 +526,11 @@ def test_reveal_batch_is_all_or_nothing(world_cls, data):
     assert receipt.events == ()
     for session_id, session in enumerate(contract.sessions):
         if session_id not in listed:
-            assert json_value(session.flip) == flips[session_id]
+            assert json_value(session) == before[session_id]
             continue
-        assert session.flip.reveal_a == drawn[session_id]
-        assert session.flip.phase.value == "awaiting_reveals" and session.flip.result is None
-        assert session.flip.deadline == receipt.position + 7
+        assert session.clinic_reveal == drawn[session_id]
+        assert session.patient_reveal is None
+        assert session.deadline == receipt.position + 7
 
 
 def test_clinic_out_of_shots(world_cls):
@@ -563,9 +565,9 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
         {"session": s2, "value": b2.value, "nonce": b2.nonce.hex(), "shot": shot.hex()},
         "NoShotsAvailable",
     )
-    session_view = json_value(w.ledger.contract.sessions[s2])
-    assert session_view["flip"]["reveal_b"] is None  # reveal was not half-applied
-    assert session_view["flip"]["phase"] == "awaiting_reveals"
+    session = w.ledger.contract.sessions[s2]
+    assert session.patient_reveal is None  # reveal was not half-applied
+    assert session.clinic_reveal == a2 and not session.aborted
 
 
 def test_session_party_checks(world_cls):
@@ -658,7 +660,7 @@ def test_patient_reveal_waits_for_the_clinic(world_cls):
     w.fail(patient, "patient_reveal", reveal, "RevealBeforeCommits")
     w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
     w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
-    assert w.ledger.contract.sessions[sid].flip.reveal_b is None
+    assert w.ledger.contract.sessions[sid].patient_reveal is None
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
     w.ok(patient, "patient_reveal", reveal)
 
@@ -678,32 +680,34 @@ def test_abort_binding(world_cls):
 
 
 def test_abort_after_completion_rejected(world_cls):
-    w = world_cls(num_shots=4)
+    w = world_cls(num_shots=4, binding_deadline=0)
     w.assign_all()
-    w.bind(0, clinic_index=0)
-    # session 0 completed and selected a shot
-    w.fail(w.patients[0], "abort_binding", {"session": 0}, "SessionSettled")
+    shot = w.bind(0, clinic_index=0)
+    # session 0 completed and bound a shot; its deadline has long passed
+    for party in (w.patients[0], w.clinics[0]):
+        w.fail(party, "abort_binding", {"session": 0}, "SessionSettled")
+    assert w.ledger.contract.patient_shot[w.patients[0].address] == shot
 
 
 def test_each_session_step_moves_the_deadline(world_cls):
     w = world_cls(num_shots=4, binding_deadline=5)
     w.assign_all()
     sid, c1, c2 = w.begin(0, clinic_index=0)
-    session = w.ledger.contract.sessions[sid]  # a reveal replaces its flip
+    session = w.ledger.contract.sessions[sid]
     steps = (
         (w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(c2).hex()}),
         (w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}),
     )
     for sender, method, params in steps:
-        deadline = session.flip.deadline
+        deadline = session.deadline
         # burn logical time with rejected submissions up to the deadline itself
         while len(w.ledger.journal) < deadline:
             w.call(w.outsider, "report_sick", {})
         receipt = w.ok(sender, method, params)
         assert receipt.position == deadline
-        assert session.flip.deadline == deadline + 5
+        assert session.deadline == deadline + 5
         w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
-    while len(w.ledger.journal) <= session.flip.deadline:
+    while len(w.ledger.journal) <= session.deadline:
         w.call(w.outsider, "report_sick", {})
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
 
@@ -1090,8 +1094,24 @@ def schema_keys(schema) -> set[str]:
     return set()
 
 
+FORMATS = Path(__file__).parents[1] / "docs" / "FORMATS.md"
+
+
 def test_formats_method_table_names_exactly_the_schema_keys():
-    text = (Path(__file__).parents[1] / "docs" / "FORMATS.md").read_text()
+    text = FORMATS.read_text()
     rows = re.findall(r"^\| `(\w+)` \|[^|\n]*\|[^|\n]*\|([^|\n]*)\|$", text, re.M)
     documented = {method: set(re.findall(r"`(\w+)`", params)) for method, params in rows}
     assert documented == {method: schema_keys(schema) for method, schema in _METHOD_SCHEMA.items()}
+
+
+def test_formats_shows_the_current_contract_id_and_session_layout():
+    """A contract bump cannot leave the genesis and state examples, or the
+    contract id rule, behind."""
+    text = FORMATS.read_text()
+    genesis, state = (
+        json.loads(re.search(rf"^## {title}.*?^```json\n(.*?)^```", text, re.M | re.S).group(1))
+        for title in ("Genesis document", "Canonical contract state")
+    )
+    assert genesis["contract"] == state["contract"] == CONTRACT_ID
+    assert re.findall(r"A `contract` other than `([^`]+)`", text) == [CONTRACT_ID]
+    assert state["sessions"][0].keys() == BindingSession.__dataclass_fields__.keys()

@@ -7,6 +7,7 @@ dict of the current code in source form, to paste over the one below.
 """
 
 import dataclasses
+import json
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -21,59 +22,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "d9723f4bcbe044bee260655a43bf9df47c78aa5458d9a9cccd0b2d8921b943a9",
+        "a93f6fb165426bbb899b77b7df88c40651a341c3fd000d453e44922473aba68d",
         "d33ad2de1b4a4e7d1951aaca7df165b1039db4e58b8e745253d271ef444e48ce",
-        "d939034713b101d170e24863a3ba7443722946dc7d75805c6e50220308c73616",
+        "09266cecfa005bbcd175e1cbb4b1b35cb601e7be87d59efc9d162182d14d2380",
     ),
     "honest_pfizer_like-s1": (
-        "443e4d89e760186df5c71adc392b5b3d6842d1a3274326523abee149e6fb617a",
+        "534fde5fea05310c92798a7fdf1dd19a576d766d46b09f7668cc29b136451d4f",
         "d668f95d5bcfb95ed6335b2960a39b607990f1edb3e4e29ec21381e539300185",
-        "35bb8a9738989e882da870fcf429873d810e76d30745e7e733560d3c06886cba",
+        "c78f2a25def7d64048e6bcc6acea290c2d45a89547ff258b4c40100c071f8cd6",
     ),
     "grid/honest": (
-        "7c4b8e1ae5ad8c0f2116c136f775af4c7c2262e4501eb9394f1193c7f180e769",
+        "13c055cfe6fcf586b999ab34f9a2c31e5652c152503b5af1de62a340f4d60809",
         "c3c44691c4964339deb7e634124ea9586eee26d182ea8cd28b0d9fc1f8550f34",
-        "8277b5fefb067e0078266ba20b929081df7f06ef3dfe4e5fad4a28bd851dd142",
+        "cd51b155adc77771862d4717ebfa372dffe4902726d86740f83829c4dcf8d5aa",
     ),
     "grid/omit_10": (
-        "a6151c75d6e7debaef2cd8bf6acf8c04ec2ea2743b9f07fc0619e998584d7743",
+        "bbf883c549c57609913672eb3c9eca73d9a5436498cdb5bb8ff1bb3e9629b2f8",
         "4b1d8ed2e0460bf069ee62dc28163632c430d12402778d4afa7af35dc084186b",
-        "086e8c8d88d093cf0d15817989aeb7ceba9753b3d33fe2a1c2147d81c2ceb0df",
+        "456e76b0fdcaff2baa010f32285ac24f39f87064ddeca015b94953da1ea5b5b3",
     ),
     "grid/omit_25": (
-        "5b9813e896c5115c3e59889ed9c388e17b8a375f77fd88b553ec23cfb204a6e6",
+        "3f20dbfb024dbad9f212797f830095007c0eada7e96c10a41b894f77ee5dd512",
         "3393977d5712695bb17c6f9ab0d02ee76ecb3e9d7da579abdc91e8d6b2b27fe7",
-        "7428de673b96362e1b17c84c55103a64ddb4046e5e60571f07bfd6add15fc391",
+        "cfc7c458bb0584d8a996fb0b6f472659a2e5500857a42c88e2b0c455332e1abd",
     ),
     "grid/omit_50": (
-        "568233f78bf171f8912832f8d624c328e45eed7a7f58cec21ab58f4c5ee0c806",
+        "124dddbedc144953932dfc6ca24032d3f444185ebb758c747a48f4dc7d784cb7",
         "27033b289b298b606bfd39ad6e697583c9eee2ad5fe3c433c3df7e05233db16e",
-        "46feae56e02f4e1c8c5e2bec297bc663d8db936f0b78184ebe62bc506ddffefb",
+        "2e0595132701e4894b8a2026ccec94b3971370bb61e480b7b3384827879528ba",
     ),
     "grid/forge_1": (
-        "320bf87055b874ed42bbea535545f1d2dcadf0d720f57c5a69c6e77f313e516b",
+        "e43d7e24653c1fbdddb8ec2b706c81c7f79a59dd6f06b9a02934a34a95c3edae",
         "1113751b07a064426d45a70be8164e549cb739d57bb44f9b0bc0c4399e1700b3",
-        "1213e1e384de76ec650af5c96a9a8b1792607f26f8903a707951bb8e2f1c514a",
+        "18ee37408ac28cd3cce1ff188f50909c48bd49d705c7c874f7a134ae6e5085df",
     ),
     "grid/biased_distribution": (
-        "c9d2047e0fe9a3b9a5a0bd1d4ee483c3abc5cca172a2f7fdff84a8e3fac67836",
+        "2ca1e34c3d3936f927e52f49175ee5dc490f158fa6fde0441c4ea0bf4facd583",
         "4f40db783772c15498d7d3bd7ea4d242833ad6cf05d3db38f35a31e98fb9f363",
-        "159884af7f4ce3fef5baf4603d32877e17f1139fe87c060538a43bab64c25839",
+        "c2332017701b7725412267c8e56a4d48a0cb3baf128ae22927bc587466ffa152",
     ),
     "grid/collude": (
-        "a688464e1b4820b21c4ae5ab3402f79e6b623988cea6a11e30c07662a8e3d9cb",
+        "a4fc0407b22300e8a94db8bacd07a7bf0d88548ea07b3aefc2e8a4cfbf2a23d0",
         "1868376a2ab0734f2b68115fc0c24204011849470e207a78b1ec3c3193620836",
-        "d0830b97cdee30ee0ff3bccc32386663d083c5ae91fb18a76d39fa00f76e2818",
+        "daf26ebc2a96980826c653c99093a518e5ddbb0eb7ce1213f8f8bf27b2ce3f68",
     ),
     "grid/false_sick_5": (
-        "373540af550fe2ff81eba336dd4e598c671f20118da9b5850126ea342447eb15",
+        "b885200288ea54880ecd37013e6024073b2c7e932dd6a2ebf0ccd3d894904240",
         "3d4fedc2b0ba16738bdca898f5bf951a9db33576fa890fb5afe8587d5eb0c47d",
-        "bdaa468ed4403bdca59bb25b37b85361a0f9cac6b74460d2e9a3efdd2b5b7e6d",
+        "6c827bbfd6ed4f676b80ed7aab880969928ecd7600804228a00f640a325fbd10",
     ),
     "grid/never_report_5": (
-        "96ebcb2fdf579e78868d817d7afb9cf6b9130c92c35e61a34d339efcffa21aa2",
+        "1ec433fd31f1f2bc9e1efe9c9df5d2c0c47d1b54d0327a834d2e43675218aeca",
         "15bcc99d1c731ef4032193c78b82e6f6106f5f5e8d2d3d787c49f53f895d2843",
-        "1f0aca243ab2a81c44890123a56b57abde4d7a817769dfd8dd5a4d3170b8b747",
+        "d7f82df0d0df9b95cade11a72d4a6e16026f33c0d68b6764956205f378bebe1d",
     ),
 }
 
@@ -113,12 +114,19 @@ def test_adversary_grid_goldens(tmp_path):
 
 
 def test_each_coin_flip_is_stored_once(world_cls):
+    """A session keeps the commitments and reveals of its flip and nothing
+    derived from them: not the XOR, not a phase, not the shot it bound."""
     w = world_cls(num_shots=6)
     w.assign_all()
     w.bind_all()
-    state = w.ledger.contract.canonical_state().decode()
-    for session in w.ledger.contract.sessions:
-        assert state.count(session.flip.reveal_b.nonce.hex()) == 1
+    contract = w.ledger.contract
+    state = contract.canonical_state().decode()
+    for session in contract.sessions:
+        assert state.count(session.patient_reveal.nonce.hex()) == 1
+    for shot in w.patient_shot.values():
+        assert state.count(shot.hex()) == 1
+    for session in json.loads(state)["sessions"]:
+        assert not {"result", "phase", "shot"} & session.keys()
 
 
 def print_goldens() -> None:

@@ -1,5 +1,6 @@
 """Keys, addresses, signed transactions, and the ledger's gatekeeping."""
 
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vaccsc.actors import load_scenario, run_scenario
+from vaccsc.actors import Behavior, Role, Strategy, load_scenario, run_scenario
 from vaccsc.contract import CONTRACT_ID, TrialConfig, make_genesis
 from vaccsc.keys import (
     ADDRESS_SIZE,
@@ -21,7 +22,9 @@ from vaccsc.keys import (
     verify_signature,
 )
 from vaccsc.ledger import (
+    ACCEPTED,
     MAX_JSON_DEPTH,
+    REJECTED,
     Ledger,
     SignedTransaction,
     canonical_json,
@@ -71,11 +74,19 @@ def test_keypair_generate():
 
 
 def test_signing_bytes_layout():
-    raw = signing_bytes("report_sick", 5, b"{}")
+    trial_id = sha256(b"genesis").digest()
+    raw = signing_bytes(trial_id, "report_sick", 5, b"{}")
+    assert raw[:32] == trial_id
+    raw = raw[32:]
     assert raw[:2] == (11).to_bytes(2, "big")
     assert raw[2:13] == b"report_sick"
     assert raw[13:21] == (5).to_bytes(8, "big")
     assert raw[21:] == b"{}"
+
+
+def test_trial_id_is_the_digest_of_the_canonical_genesis(world_cls):
+    w = world_cls()
+    assert w.ledger.trial_id == sha256(canonical_json(w.genesis)).digest()
 
 
 def test_canonical_json_is_sorted_and_tight():
@@ -88,6 +99,7 @@ def test_valid_tx_accepted_then_stale(world_cls):
     kp = w.developer
     tx = make_transaction(
         kp,
+        w.ledger.trial_id,
         "assign_shot_to_clinic",
         {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()},
         0,
@@ -103,6 +115,7 @@ def test_payload_tamper_breaks_signature(world_cls):
     shot = w.shot_list()[0]
     tx = make_transaction(
         w.developer,
+        w.ledger.trial_id,
         "assign_shot_to_clinic",
         {"shots": [shot.hex()], "clinic": w.config.clinics[0].hex()},
         0,
@@ -121,9 +134,53 @@ def test_payload_tamper_breaks_signature(world_cls):
     assert receipt.code == "BadSignature"
 
 
+def test_a_record_signed_for_another_trial_is_bad_signature(world_cls):
+    w = world_cls()
+    other = world_cls(threshold=5)  # the same keys and shots, another genesis
+    assert other.ledger.trial_id != w.ledger.trial_id
+    params = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
+    foreign = make_transaction(w.developer, other.ledger.trial_id, "assign_shot_to_clinic", params, 0)
+    assert other.ledger.submit(foreign).accepted
+    assert w.ledger.submit(foreign).code == "BadSignature"
+    own = make_transaction(w.developer, w.ledger.trial_id, "assign_shot_to_clinic", params, 0)
+    assert w.ledger.submit(own).accepted
+
+
+def test_reports_of_another_trial_do_not_count():
+    """Two trials whose runners draw the same keys: trial A's accepted sick
+    reports, sent to trial B once its patients are bound, carry the right
+    senders and sequence numbers, and none of them verifies there."""
+    scenarios = resources.files("vaccsc") / "data" / "scenarios"
+    spec_b = load_scenario(scenarios / "honest_small.json")
+    spec_a = dataclasses.replace(
+        spec_b,
+        infected_threshold=60,
+        vaccine_fraction=0.3,
+        strategies=(Strategy(Role.PATIENT, Behavior.FALSE_SICK, probability=0.05),),
+    )
+    trial_a = run_scenario(spec_a, 101, keep_table=False).ledger
+    trial_b = run_scenario(spec_b, 101, keep_table=False).ledger
+    reporters_b = {entry.tx.sender for entry in trial_b.journal if entry.tx.method == "report_sick"}
+    foreign = [
+        entry.tx
+        for entry in trial_a.journal
+        if entry.status == ACCEPTED and entry.tx.method == "report_sick" and entry.tx.sender not in reporters_b
+    ]
+    assert len(foreign) == 40
+    last_binding = max(i for i, entry in enumerate(trial_b.journal) if entry.tx.method == "patient_reveal")
+    ledger = Ledger(trial_b.genesis)
+    for entry in trial_b.journal[: last_binding + 1]:
+        ledger.submit(entry.tx)
+    for tx in foreign:
+        assert tx.sequence_number == ledger.next_sequence(tx.sender)
+        assert ledger.submit(tx).code == "BadSignature"
+    assert ledger.query("phase") == "active"
+    assert ledger.query("infected_count") == 0
+
+
 def test_sender_must_match_signer(world_cls):
     w = world_cls()
-    tx = make_transaction(w.outsider, "report_sick", {}, 0)
+    tx = make_transaction(w.outsider, w.ledger.trial_id, "report_sick", {}, 0)
     spoofed = SignedTransaction(
         sender=w.developer.address,  # claims to be the developer
         public_key=tx.public_key,
@@ -139,7 +196,7 @@ def test_sender_must_match_signer(world_cls):
 def test_signature_fuzz_never_authenticates(world_cls):
     w = world_cls()
     rng = Random(99)
-    tx = make_transaction(w.developer, "report_sick", {}, 0)
+    tx = make_transaction(w.developer, w.ledger.trial_id, "report_sick", {}, 0)
     for _ in range(300):
         forged = SignedTransaction(
             sender=tx.sender,
@@ -164,7 +221,7 @@ def test_unknown_method_and_malformed_payload(world_cls):
         method="report_sick",
         payload=payload,
         sequence_number=w.ledger.next_sequence(kp.address),
-        signature=kp.sign(signing_bytes("report_sick", w.ledger.next_sequence(kp.address), payload)),
+        signature=kp.sign(signing_bytes(w.ledger.trial_id, "report_sick", w.ledger.next_sequence(kp.address), payload)),
     )
     assert w.ledger.submit(tx).code == "MalformedPayload"
     garbage = b"\xff\xfe not json"
@@ -174,7 +231,7 @@ def test_unknown_method_and_malformed_payload(world_cls):
         method="report_sick",
         payload=garbage,
         sequence_number=w.ledger.next_sequence(kp.address),
-        signature=kp.sign(signing_bytes("report_sick", w.ledger.next_sequence(kp.address), garbage)),
+        signature=kp.sign(signing_bytes(w.ledger.trial_id, "report_sick", w.ledger.next_sequence(kp.address), garbage)),
     )
     assert w.ledger.submit(tx2).code == "MalformedPayload"
     huge = b'{"value":' + b"1" * 5000 + b"}"  # past Python's int-conversion limit
@@ -190,7 +247,7 @@ def hand_signed(kp, w, method: str, payload: bytes) -> SignedTransaction:
         method=method,
         payload=payload,
         sequence_number=sequence,
-        signature=kp.sign(signing_bytes(method, sequence, payload)),
+        signature=kp.sign(signing_bytes(w.ledger.trial_id, method, sequence, payload)),
     )
 
 
@@ -280,6 +337,18 @@ def test_replay_reproduces_state(world_cls):
     # deleting one record diverges
     replayed2, divergent2 = Ledger.replay(w.genesis, entries[:10] + entries[11:])
     assert divergent2 or replayed2.state_digest() != w.ledger.state_digest()
+
+
+def test_replay_keeps_the_recorded_entries_it_reproduces(world_cls):
+    w = world_cls(num_shots=4)
+    w.assign_all()
+    w.call(w.outsider, "report_sick", {})  # a rejection is journaled too
+    entries = list(w.ledger.journal)
+    misrecorded = dataclasses.replace(entries[0], status=REJECTED, code="WrongPhase")
+    replayed, divergent = Ledger.replay(w.genesis, [misrecorded] + entries[1:])
+    assert divergent == [0]
+    assert replayed.journal[0] == entries[0]  # the outcome the replay reached
+    assert all(kept is entry for kept, entry in zip(replayed.journal[1:], entries[1:], strict=True))
 
 
 def test_replay_of_empty_journal_is_genesis(world_cls):

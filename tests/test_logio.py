@@ -352,7 +352,7 @@ def test_deeply_nested_payload_is_malformed_live_and_in_replay(world_cls, tmp_pa
         method="assign_shot_to_clinic",
         payload=payload,
         sequence_number=0,
-        signature=kp.sign(signing_bytes("assign_shot_to_clinic", 0, payload)),
+        signature=kp.sign(signing_bytes(w.ledger.trial_id, "assign_shot_to_clinic", 0, payload)),
     )
     assert w.ledger.submit(tx).code == "MalformedPayload"
     w.assign_all()
