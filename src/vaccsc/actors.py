@@ -349,12 +349,13 @@ class _Runner:
         shots were dealt.
 
         Each clinic, in clinic order, binds its patients in chunks of at most
-        ``max(1, binding_deadline)`` sessions: one ``begin_binding``, each patient's
-        commit, one ``clinic_reveal`` of the chunk, then each patient's
-        reveal in patient order. A chunk that small keeps every step within
-        its session's deadline, and since a clinic's free list changes only
-        through its own patients' reveals, every patient gets the shot that
-        binding them one at a time in patient order would give.
+        ``max(1, binding_deadline)`` sessions: one ``begin_binding`` carrying
+        its own and each patient's commitment, one ``clinic_reveal`` of the
+        chunk, then each patient's reveal in patient order. A chunk that
+        small keeps every step within its session's deadline, and since a
+        clinic's free list changes only through its own patients' reveals,
+        every patient gets the shot that binding them one at a time in
+        patient order would give.
         """
         rng = self.rng
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
@@ -381,16 +382,15 @@ class _Runner:
             for start in range(0, len(mine), chunk_size):
                 chunk = mine[start : start + chunk_size]
                 bindings = [
-                    {"patient": patient.address_hex, "commitment": commit_contribution(contrib1).hex()}
-                    for patient, contrib1, _, _, _ in chunk
+                    {
+                        "patient": patient.address_hex,
+                        "clinic_commitment": commit_contribution(contrib1).hex(),
+                        "patient_commitment": commit_contribution(contrib2).hex(),
+                    }
+                    for patient, contrib1, contrib2, _, _ in chunk
                 ]
                 receipt = clinic.must("begin_binding", {"bindings": bindings})
                 sessions = [event.payload["session"] for event in receipt.events]
-                for session, (patient, _, contrib2, _, _) in zip(sessions, chunk):
-                    patient.actor.must(
-                        "patient_commit",
-                        {"session": session, "commitment": commit_contribution(contrib2).hex()},
-                    )
                 reveals = [
                     {"session": session, "value": contrib1.value, "nonce": contrib1.nonce.hex()}
                     for session, (_, contrib1, _, _, _) in zip(sessions, chunk)

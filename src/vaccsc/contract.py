@@ -22,7 +22,7 @@ from .coinflip import U64_MAX, RandomContribution, select_index
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-7"
+CONTRACT_ID = "vaccsc-8"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -172,16 +172,17 @@ def decide_outcome(ar0: int, ar1: int, target_efficiency: float) -> TrialOutcome
 
 @dataclass
 class BindingSession:
-    """One clinic/patient coin flip. The clinic commits when it opens the
-    session, then the patient commits, the clinic reveals and the patient
-    reveals last. The session is settled once the patient has revealed,
-    which binds the shot the flip selects, or once it is aborted."""
+    """One clinic/patient coin flip. The clinic opens the session holding
+    its own commitment and the one the patient handed it, then the clinic
+    reveals and the patient reveals last. The session is settled once the
+    patient has revealed, which binds the shot the flip selects, or once it
+    is aborted."""
 
     clinic: bytes
     patient: bytes
     deadline: int
     clinic_commit: bytes
-    patient_commit: bytes | None = None
+    patient_commit: bytes
     clinic_reveal: RandomContribution | None = None
     patient_reveal: RandomContribution | None = None
     aborted: bool = False
@@ -282,11 +283,12 @@ class VaccineTrial:
             raise ContractError("WrongPhase", "binding requires an active trial")
         if sender not in self.free_shots:
             raise ContractError("NotClinic", "only clinics start bindings")
-        batch = [(entry["patient"], entry["commitment"]) for entry in args["bindings"]]
+        # The clinic relays the patient's commitment, which only the patient can open.
+        batch = [(e["patient"], e["clinic_commitment"], e["patient_commitment"]) for e in args["bindings"]]
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call.
         seen: set[bytes] = set()
-        for patient, _ in batch:
+        for patient, _, _ in batch:
             if patient in self.patient_shot or patient in self.pending_by_patient or patient in seen:
                 raise ContractError("PatientAlreadyBound", f"{patient.hex()} already has a shot or session")
             seen.add(patient)
@@ -295,9 +297,9 @@ class VaccineTrial:
         deadline = tick + self.config.binding_deadline
         clinic_hex = sender.hex()
         events = []
-        for patient, clinic_commit in batch:
+        for patient, clinic_commit, patient_commit in batch:
             session_id = len(self.sessions)
-            self.sessions.append(BindingSession(sender, patient, deadline, clinic_commit))
+            self.sessions.append(BindingSession(sender, patient, deadline, clinic_commit, patient_commit))
             self.pending_by_patient[patient] = session_id
             events.append(
                 (
@@ -307,23 +309,14 @@ class VaccineTrial:
             )
         return events
 
-    # Each accepted step before the completing reveal (begin, patient commit,
-    # clinic reveal) sets the session's deadline ``binding_deadline`` after it.
-
-    def _patient_commit(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
-        session = self._active_session(args)
-        if sender != session.patient:
-            raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        if session.patient_commit is not None:
-            raise ContractError("CommitPhaseOver", "the patient has already committed")
-        session.patient_commit = args["commitment"]
-        session.deadline = tick + self.config.binding_deadline
-        return []
+    # Each accepted step before the completing reveal (begin, clinic reveal)
+    # sets the session's deadline ``binding_deadline`` after it.
 
     def _clinic_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
-        """The clinic's reveals for a batch of its sessions. Once both
-        commitments are on chain the clinic's reveal carries no choice, so
-        one call can open many flips without moving who reveals last."""
+        """The clinic's reveals for a batch of its sessions. Both commitments
+        are on chain from the session's start, so the clinic's reveal carries
+        no choice, and one call can open many flips without moving who
+        reveals last."""
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call, and a session listed twice is a DuplicateReveal.
         revealed: dict[int, RandomContribution] = {}
@@ -331,8 +324,6 @@ class VaccineTrial:
             session = self._active_session(entry)  # WrongPhase is checked first
             if sender != session.clinic:
                 raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-            if session.patient_commit is None:
-                raise ContractError("RevealBeforeCommits", "both commits must exist before any reveal")
             if session.clinic_reveal is not None or entry["session"] in revealed:
                 raise ContractError("DuplicateReveal", "the clinic has already revealed")
             contribution = RandomContribution(entry["value"], entry["nonce"])
@@ -352,8 +343,6 @@ class VaccineTrial:
         session = self._active_session(args)
         if sender != session.patient:
             raise ContractError("NotSessionPatient", "caller is not this session's patient")
-        if session.patient_commit is None:
-            raise ContractError("RevealBeforeCommits", "both commits must exist before any reveal")
         contribution = RandomContribution(args["value"], args["nonce"])
         if coinflip.commit_contribution(contribution) != session.patient_commit:
             raise ContractError("RevealMismatch", "reveal does not match the patient's commitment")
@@ -596,8 +585,9 @@ _GENESIS_SCHEMA = {
 # the contract's check (UnknownSession).
 _METHOD_SCHEMA = {
     "assign_shot_to_clinic": {"clinic": _ADDRESS, "shots": [_DIGEST, ...]},
-    "begin_binding": {"bindings": [{"patient": _ADDRESS, "commitment": _DIGEST}, ...]},
-    "patient_commit": {"session": int, "commitment": _DIGEST},
+    "begin_binding": {
+        "bindings": [{"patient": _ADDRESS, "clinic_commitment": _DIGEST, "patient_commitment": _DIGEST}, ...]
+    },
     "clinic_reveal": {"reveals": [{"session": int, "value": _u64, "nonce": _NONCE}, ...]},
     "patient_reveal": {"session": int, "value": _u64, "nonce": _NONCE, "shot": _DIGEST},
     "report_sick": {},
@@ -629,7 +619,6 @@ def _decode(value, schema, path: str):
 _HANDLERS = {
     "assign_shot_to_clinic": VaccineTrial._assign_shot,
     "begin_binding": VaccineTrial._begin_binding,
-    "patient_commit": VaccineTrial._patient_commit,
     "clinic_reveal": VaccineTrial._clinic_reveal,
     "patient_reveal": VaccineTrial._patient_reveal,
     "report_sick": VaccineTrial._report_sick,

@@ -151,12 +151,14 @@ class JournalEntry:
 class Ledger:
     """Owns the contract instance; all access flows through here."""
 
-    def __init__(self, genesis: dict):
+    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None):
+        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``."""
         self.genesis = genesis
-        self.contract = VaccineTrial.from_genesis(genesis)
-        # SHA-256 of the canonical genesis: it fixes the contract id, the
-        # config and every shot commitment, and every signature covers it.
-        self.trial_id = sha256(canonical_json(genesis)).digest()
+        # The trial id, the SHA-256 of the canonical genesis, fixes the contract
+        # id, the config and every shot commitment; every signature covers it.
+        self.contract, self.trial_id = deployed or (
+            VaccineTrial.from_genesis(genesis), sha256(canonical_json(genesis)).digest()
+        )
         self.journal: list[JournalEntry] = []
         # The events are not kept: each is hashed into the canonical JSON
         # list of all events as it is emitted, and the list is closed with
@@ -251,15 +253,15 @@ class Ledger:
     # -- replay ------------------------------------------------------------
 
     @classmethod
-    def replay(cls, genesis: dict, entries: Iterable[JournalEntry]) -> tuple["Ledger", list[int]]:
-        """Re-run a journal from genesis.
+    def replay(cls, genesis: dict, entries: Iterable[JournalEntry], deployed=None) -> tuple[Ledger, list[int]]:
+        """Re-run a journal from genesis (``deployed`` as for ``Ledger``).
 
         Returns the rebuilt ledger and the journal positions whose outcome
         (accepted/rejected + code) diverged from the recorded one. A clean
         replay returns an empty divergence list; final-state equality is
         then checked by digest comparison.
         """
-        ledger = cls(genesis)
+        ledger = cls(genesis, deployed)
         divergent: list[int] = []
         for position, entry in enumerate(entries):
             receipt = ledger.submit(entry.tx)

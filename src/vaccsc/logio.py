@@ -21,7 +21,7 @@ catches semantic tampering that a consistent re-hash would hide.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
 
@@ -57,11 +57,17 @@ class LogTrailer:
     log_digest: bytes
 
 
-@dataclass(frozen=True)
+@dataclass
 class LogFile:
     genesis: dict
     records: tuple[JournalEntry, ...]
     trailer: LogTrailer
+    # The contract read_log deployed from the genesis, and the trial id; the first audit replays onto them.
+    deployed: tuple[VaccineTrial, bytes] | None = field(default=None, repr=False, compare=False)
+
+    def to_dict(self) -> dict:
+        """The log as ``--export-json`` writes it; ``deployed`` is not in the file."""
+        return {"genesis": self.genesis, "records": self.records, "trailer": self.trailer}
 
 
 # -- writing -----------------------------------------------------------------
@@ -169,10 +175,10 @@ def read_log(path: str | Path) -> LogFile:
         raise LogFormatError("genesis must be a JSON object")
     if canonical_json(genesis) != genesis_bytes:
         raise LogFormatError("genesis is not canonical JSON")
-    # The auditor trusts nothing in the file: a hostile genesis must be
-    # rejected here, before any replay builds a contract from it.
+    # The auditor trusts nothing in the file: a hostile genesis is rejected
+    # here, and the contract that checks it is the one the audit replays onto.
     try:
-        VaccineTrial.from_genesis(genesis)
+        contract = VaccineTrial.from_genesis(genesis)
     except ValueError as exc:
         raise LogFormatError(f"invalid genesis: {exc}") from None
 
@@ -249,6 +255,7 @@ def read_log(path: str | Path) -> LogFile:
             events_digest=events_digest,
             log_digest=log_digest,
         ),
+        deployed=(contract, sha256(genesis_bytes).digest()),
     )
 
 
@@ -267,7 +274,8 @@ class AuditReport:
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:
     """Replay every journaled transaction and compare outcomes and digests."""
-    ledger, divergent = Ledger.replay(log.genesis, log.records)
+    deployed, log.deployed = log.deployed, None  # a replay changes the contract
+    ledger, divergent = Ledger.replay(log.genesis, log.records, deployed)
     state_match = ledger.state_digest() == log.trailer.state_digest
     events_match = ledger.events_digest() == log.trailer.events_digest
     ok = not divergent and state_match and events_match

@@ -115,11 +115,13 @@ class World:
         )
         return c1, c2
 
-    def binding(self, patient_index: int, c1: RandomContribution) -> dict:
-        """One ``begin_binding`` entry: the patient and the clinic's commitment."""
+    def binding(self, patient_index: int, c1: RandomContribution, c2: RandomContribution) -> dict:
+        """One ``begin_binding`` entry: the patient, the clinic's commitment
+        and the patient's commitment that the clinic relays."""
         return {
             "patient": self.patients[patient_index].address.hex(),
-            "commitment": commit_contribution(c1).hex(),
+            "clinic_commitment": commit_contribution(c1).hex(),
+            "patient_commitment": commit_contribution(c2).hex(),
         }
 
     def begin(
@@ -129,12 +131,12 @@ class World:
         r1: int | None = None,
         r2: int | None = None,
     ):
-        """Open a session with only the clinic committed; returns driving state."""
+        """Open a session holding both commitments; returns driving state."""
         c1, c2 = self.contributions(r1, r2)
         receipt = self.ok(
             self.clinics[clinic_index],
             "begin_binding",
-            {"bindings": [self.binding(patient_index, c1)]},
+            {"bindings": [self.binding(patient_index, c1, c2)]},
         )
         session = receipt.events[0].payload["session"]
         return session, c1, c2
@@ -155,14 +157,9 @@ class World:
         return {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()}
 
     def complete(self, session: int, patient_index: int, clinic_index: int, c1, c2) -> bytes:
-        """Patient commit, clinic reveal, then the patient reveal naming its shot."""
+        """The clinic's reveal, then the patient's reveal naming its shot."""
         clinic = self.clinics[clinic_index]
         patient = self.patients[patient_index]
-        self.ok(
-            patient,
-            "patient_commit",
-            {"session": session, "commitment": commit_contribution(c2).hex()},
-        )
         self.ok(clinic, "clinic_reveal", {"reveals": [self.reveal(session, c1)]})
         reveal = self.patient_reveal(session, clinic_index, c1, c2)
         self.ok(patient, "patient_reveal", reveal)
@@ -192,7 +189,7 @@ class World:
             receipt = self.ok(
                 self.clinics[c],
                 "begin_binding",
-                {"bindings": [self.binding(i, drawn[i][0]) for i in indexes]},
+                {"bindings": [self.binding(i, *drawn[i]) for i in indexes]},
             )
             for i, event in zip(indexes, receipt.events):
                 session_of[i] = event.payload["session"]

@@ -299,7 +299,6 @@ def test_criterion_06_audit_determinism(tmp_path, acceptance):
 PERMISSION_MATRIX = {
     "assign_shot_to_clinic": ({"developer"}, {"deployed", "distributing"}),
     "begin_binding": ({"clinic"}, {"active"}),
-    "patient_commit": ({"patient"}, {"active"}),
     "clinic_reveal": ({"clinic"}, {"active"}),
     "patient_reveal": ({"patient"}, {"active"}),
     "report_sick": ({"patient"}, {"active"}),
@@ -350,7 +349,7 @@ class _FuzzDriver:
                     "clinic",
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {"bindings": [w.binding(patient_idx, c1)]},
+                    {"bindings": [w.binding(patient_idx, c1, c2)]},
                     ("begun", patient_idx, clinic_idx, c1, c2),
                 )
             candidates = sorted(self.bound.keys() - self.sick)
@@ -377,14 +376,6 @@ class _FuzzDriver:
         w = self.w
         session, stage, patient_idx, clinic_idx, c1, c2 = self.inflight
         patient = w.patients[patient_idx]
-        if stage == "patient_commit":
-            return (
-                "patient",
-                patient,
-                "patient_commit",
-                {"session": session, "commitment": commit_contribution(c2).hex()},
-                ("staged", "clinic_reveal"),
-            )
         if stage == "clinic_reveal":
             return (
                 "clinic",
@@ -411,7 +402,7 @@ class _FuzzDriver:
             self.stock[note[2]] += 1
         elif kind == "begun":
             session = receipt.events[0].payload["session"]
-            self.inflight = (session, "patient_commit", note[1], note[2], note[3], note[4])
+            self.inflight = (session, "clinic_reveal", note[1], note[2], note[3], note[4])
         elif kind == "staged":
             self.inflight = self.inflight[:1] + (note[1],) + self.inflight[2:]
         elif kind == "completed":
@@ -450,16 +441,16 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
                 "bindings": [
                     {
                         "patient": rng.choice(bound_hexes + [w.outsider.address.hex()]),
-                        "commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
+                        "clinic_commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
+                        "patient_commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
                     }
                 ]
             }
-        elif method in ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding"):
+        elif method in ("clinic_reveal", "patient_reveal", "abort_binding"):
             session = rng.randint(500, 600)
             # each method gets exactly its own keys, so the probe reaches the session checks
             value = rng.getrandbits(64) if method != "abort_binding" else None
             params = {
-                "patient_commit": {"session": session, "commitment": "ab" * 32},
                 "clinic_reveal": {"reveals": [{"session": session, "value": value, "nonce": "cd" * 32}]},
                 "patient_reveal": {
                     "session": session, "value": value, "nonce": "cd" * 32, "shot": "dd" * 32
@@ -578,7 +569,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                 receipt = w.ok(
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {"bindings": [w.binding(patient_idx, c1)]},
+                    {"bindings": [w.binding(patient_idx, c1, c2)]},
                 )
                 sid = receipt.events[0].payload["session"]
                 stock[clinic_idx] -= 1  # reserve so completing reveals never race
@@ -602,12 +593,6 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                 clinic = w.clinics[entry["clinic"]]
                 stage = entry["stage"]
                 if stage == 0:
-                    w.ok(
-                        patient,
-                        "patient_commit",
-                        {"session": sid, "commitment": commit_contribution(entry["c2"]).hex()},
-                    )
-                elif stage == 1:
                     w.ok(
                         clinic,
                         "clinic_reveal",

@@ -6,8 +6,9 @@ from importlib import resources
 
 import pytest
 
-from vaccsc import cli
+from vaccsc import cli, ledger, logio
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
+from vaccsc.contract import VaccineTrial
 from vaccsc.logio import read_log, write_ledger_log, write_log
 
 
@@ -243,6 +244,33 @@ def test_audit_missing_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["audit", "status"])
+def test_a_replay_deploys_and_encodes_the_genesis_once(sim, capsys, monkeypatch, command):
+    """The reader's check of the genesis deploys the contract that the
+    replay then runs on, and hashes the bytes it read for the trial id."""
+    deployed, encoded = [], []
+    deploy = VaccineTrial.from_genesis.__func__
+
+    def counting_deploy(cls, genesis):
+        deployed.append(genesis)
+        return deploy(cls, genesis)
+
+    def counting(encode):
+        def canonical_json(obj):
+            if isinstance(obj, dict) and "deployer" in obj:
+                encoded.append(obj)
+            return encode(obj)
+
+        return canonical_json
+
+    monkeypatch.setattr(VaccineTrial, "from_genesis", classmethod(counting_deploy))
+    for module in (ledger, logio):
+        monkeypatch.setattr(module, "canonical_json", counting(module.canonical_json))
+    code, _, _ = run_cli(capsys, command, str(sim))
+    assert code == 0
+    assert (len(deployed), len(encoded)) == (1, 1)
+
+
 def test_audit_export_json(sim, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "audit", str(sim), "--export-json")
     assert code == 0
@@ -324,7 +352,7 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = w.ledger.journal
-    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5"):
+    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5", "vaccsc-6", "vaccsc-7"):
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
         code, _, err = run_cli(capsys, "audit", str(path))

@@ -1,5 +1,6 @@
 """The coin flip: contributions, the slot two of them select, and the order
-of commits and reveals that the contract's binding session enforces."""
+of reveals that the contract's binding session enforces. The clinic opens a
+session holding its own commitment and the one it relays for the patient."""
 
 from random import Random
 
@@ -33,10 +34,6 @@ def session_world(world_cls, **kwargs):
     return w, session, c1, c2
 
 
-def commit_params(session: int, contribution: RandomContribution) -> dict:
-    return {"session": session, "commitment": commit_contribution(contribution).hex()}
-
-
 def test_contribution_golden_vectors(vectors):
     for vec in vectors["contribution_vectors"]:
         contribution = RandomContribution(
@@ -60,10 +57,8 @@ def test_phase_transitions(world_cls):
     session = w.ledger.contract.sessions[sid]
     clinic, patient = w.clinics[0], w.patients[0]
     assert session.clinic_commit == commit_contribution(c1)
-    assert session.patient_commit is session.clinic_reveal is session.patient_reveal is None
-    w.ok(patient, "patient_commit", commit_params(sid, c2))
     assert session.patient_commit == commit_contribution(c2)
-    assert session.clinic_reveal is None
+    assert session.clinic_reveal is session.patient_reveal is None
     w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
     assert session.clinic_reveal == c1 and session.patient_reveal is None
     reveal = w.patient_reveal(sid, 0, c1, c2)
@@ -74,39 +69,70 @@ def test_phase_transitions(world_cls):
 
 
 def test_duplicate_commit_rejected(world_cls):
-    """Each party commits once: the patient's second commitment is
-    CommitPhaseOver, and the clinic cannot open a second session for it."""
+    """Each party commits once: a second begin_binding for a patient with an
+    open session is PatientAlreadyBound, and the session keeps both first
+    commitments."""
     w, sid, c1, c2 = session_world(world_cls)
-    patient = w.patients[0]
-    w.ok(patient, "patient_commit", commit_params(sid, c2))
-    w.fail(patient, "patient_commit", commit_params(sid, wrong(c2)), "CommitPhaseOver")
-    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, wrong(c1))]}, "PatientAlreadyBound")
-    assert w.ledger.contract.sessions[sid].patient_commit == commit_contribution(c2)
-
-
-def test_no_reveal_before_both_commits(world_cls):
-    w, sid, c1, c2 = session_world(world_cls)
-    w.fail(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "RevealBeforeCommits")
-    w.fail(w.patients[0], "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "RevealBeforeCommits")
+    w.fail(
+        w.clinics[0], "begin_binding", {"bindings": [w.binding(0, wrong(c1), wrong(c2))]}, "PatientAlreadyBound"
+    )
+    session = w.ledger.contract.sessions[sid]
+    assert (session.clinic_commit, session.patient_commit) == (commit_contribution(c1), commit_contribution(c2))
 
 
 def test_commit_after_reveal_phase_rejected(world_cls):
     """Once the clinic has revealed, the patient knows which shot its reveal
-    selects; it can neither commit anew nor open another contribution."""
+    selects; no new commitment can be opened for it, and it cannot open
+    another contribution."""
     w, sid, c1, c2 = session_world(world_cls)
     patient = w.patients[0]
-    w.ok(patient, "patient_commit", commit_params(sid, c2))
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.fail(patient, "patient_commit", commit_params(sid, wrong(c2)), "CommitPhaseOver")
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, c1, wrong(c2))]}, "PatientAlreadyBound")
     w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, wrong(c2)), "RevealMismatch")
     w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
+
+
+# -- the relayed commitment ------------------------------------------------------
+
+
+@pytest.mark.parametrize("aborter", ["patient", "clinic"])
+def test_a_wrongly_relayed_commitment_only_stalls_the_session(world_cls, aborter):
+    """A clinic that relays a commitment the patient cannot open stalls the
+    session and nothing more: the patient's reveal is RevealMismatch, either
+    party may abort after the deadline, and the patient can be bound anew."""
+    w = world_cls(num_shots=6, num_clinics=1, binding_deadline=5)
+    w.assign_all()
+    clinic, patient = w.clinics[0], w.patients[0]
+    c1, c2 = w.contributions()
+    receipt = w.ok(clinic, "begin_binding", {"bindings": [w.binding(0, c1, wrong(c2))]})
+    sid = receipt.events[0].payload["session"]
+    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "RevealMismatch")  # checks the state digest
+    assert patient.address not in w.ledger.contract.patient_shot
+    session = w.ledger.contract.sessions[sid]
+    while len(w.ledger.journal) <= session.deadline:
+        w.call(w.outsider, "report_sick", {})
+    w.ok(patient if aborter == "patient" else clinic, "abort_binding", {"session": sid})
+    assert session.aborted and patient.address not in w.ledger.contract.pending_by_patient
+    shot = w.bind(0)
+    assert w.ledger.contract.shots[shot].patient == patient.address
+
+
+def test_a_clinic_that_can_open_the_relayed_commitment_cannot_complete(world_cls):
+    """Only the session's patient completes it: the clinic, even holding the
+    opening of the commitment it relayed, gets NotSessionPatient."""
+    w, sid, c1, c2 = session_world(world_cls)
+    clinic = w.clinics[0]
+    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    w.fail(clinic, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "NotSessionPatient")
+    assert w.ledger.contract.sessions[sid].patient_reveal is None
+    w.ok(w.patients[0], "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
 
 
 def test_mismatched_reveal_rejected_session_recoverable(world_cls):
     w, sid, c1, c2 = session_world(world_cls)
     clinic, patient = w.clinics[0], w.patients[0]
     shots = sorted(w.shot_list())
-    w.ok(patient, "patient_commit", commit_params(sid, c2))
     w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, wrong(c1))]}, "RevealMismatch")
     # the honest reveals still go through afterwards
     w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
@@ -117,7 +143,6 @@ def test_mismatched_reveal_rejected_session_recoverable(world_cls):
 def test_duplicate_reveal_rejected(world_cls):
     w, sid, c1, c2 = session_world(world_cls)
     clinic, patient = w.clinics[0], w.patients[0]
-    w.ok(patient, "patient_commit", commit_params(sid, c2))
     w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
     w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "DuplicateReveal")
     # once the patient's reveal settles the session, every reveal fails on that
@@ -137,7 +162,7 @@ def test_abort_rules(world_cls):
     w.fail(patient, "abort_binding", {"session": sid}, "AbortBeforeDeadline")  # at the deadline is too early
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
     assert session.aborted and session.patient_reveal is None
-    w.fail(patient, "patient_commit", commit_params(sid, c2), "SessionSettled")
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "SessionSettled")
     w.fail(patient, "abort_binding", {"session": sid}, "SessionSettled")
     assert patient.address not in w.ledger.contract.patient_shot
 
@@ -188,7 +213,7 @@ def test_contribution_validation():
 
 # "wait" is a rejected outsider call: it only moves logical time on, so
 # that an abort can come after the deadline.
-STEPS = ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding", "wait")
+STEPS = ("clinic_reveal", "patient_reveal", "abort_binding", "wait")
 
 
 @given(data=st.data())
@@ -199,8 +224,8 @@ STEPS = ("patient_commit", "clinic_reveal", "patient_reveal", "abort_binding", "
 )
 def test_ordering_safety(world_cls, data):
     """Any interleaving of one session's steps, each sent by its own party
-    with a right or a wrong value: no shot is bound unless both commits and
-    the clinic's reveal came first, and a rejected step changes no state."""
+    with a right or a wrong value: no shot is bound unless the clinic's
+    reveal came first, and a rejected step changes no state."""
     w, sid, c1, c2 = session_world(world_cls, binding_deadline=6)
     clinic, patient = w.clinics[0], w.patients[0]
     steps = data.draw(st.lists(st.tuples(st.sampled_from(STEPS), st.booleans()), max_size=12))
@@ -210,9 +235,7 @@ def test_ordering_safety(world_cls, data):
             w.call(w.outsider, "report_sick", {})
             continue
         clinic_c, patient_c = (c1, c2) if right else (wrong(c1), wrong(c2))
-        if step == "patient_commit":
-            sender, params = patient, commit_params(sid, patient_c)
-        elif step == "clinic_reveal":
+        if step == "clinic_reveal":
             sender, params = clinic, {"reveals": [w.reveal(sid, clinic_c)]}
         elif step == "patient_reveal":
             sender, params = patient, w.patient_reveal(sid, 0, c1, patient_c)
@@ -224,7 +247,7 @@ def test_ordering_safety(world_cls, data):
             assert w.ledger.state_digest() == before, f"rejected {step} ({receipt.code}) changed state"
             continue
         if step == "patient_reveal":
-            assert {"patient_commit", "clinic_reveal"} <= set(accepted)
+            assert "clinic_reveal" in accepted
             assert w.ledger.contract.patient_shot[patient.address].hex() == params["shot"]
         accepted.append(step)
     assert (patient.address in w.ledger.contract.patient_shot) == ("patient_reveal" in accepted)

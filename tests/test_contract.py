@@ -10,7 +10,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vaccsc.coinflip import commit_contribution
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
     _METHOD_SCHEMA,
@@ -254,26 +253,27 @@ def test_binding_happy_path_sets_exactly_one_shot(world_cls):
 
 def test_binding_preconditions(world_cls):
     w = world_cls(num_shots=4, num_clinics=2)
-    shots = w.shot_list()
-    clinic0_hex = w.config.clinics[0].hex()
-    p0 = w.patients[0].address.hex()
-    w.fail(w.clinics[0], "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "WrongPhase")
+
+    def entry(i):
+        return {"bindings": [w.binding(i, *w.contributions())]}
+
+    w.fail(w.clinics[0], "begin_binding", entry(0), "WrongPhase")
     w.assign_all()
-    w.fail(w.outsider, "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "NotClinic")
+    w.fail(w.outsider, "begin_binding", entry(0), "NotClinic")
     w.bind(0, clinic_index=0)
-    w.fail(w.clinics[1], "begin_binding", {"bindings": [{"patient": p0, "commitment": "00" * 32}]}, "PatientAlreadyBound")
+    w.fail(w.clinics[1], "begin_binding", entry(0), "PatientAlreadyBound")
     # a patient with only a pending session counts as bound too
     w.begin(1, clinic_index=0)
-    w.fail(w.clinics[1], "begin_binding", {"bindings": [{"patient": w.patients[1].address.hex(), "commitment": "00" * 32}]}, "PatientAlreadyBound")
+    w.fail(w.clinics[1], "begin_binding", entry(1), "PatientAlreadyBound")
 
 
 @pytest.mark.parametrize("respell", [upper_case, spaced])
 def test_binding_hex_has_one_spelling(world_cls, respell):
     w = world_cls(num_shots=4, num_clinics=2)
     w.assign_all()
-    entry = {"patient": w.patients[0].address.hex(), "commitment": "ab" * 32}
+    entry = {"patient": w.patients[0].address.hex(), "clinic_commitment": "ab" * 32, "patient_commitment": "cd" * 32}
     sequence = w.ledger.next_sequence(w.clinics[0].address)
-    for key in ("patient", "commitment"):
+    for key in ("patient", "clinic_commitment", "patient_commitment"):
         params = {"bindings": [{**entry, key: respell(entry[key])}]}
         w.fail(w.clinics[0], "begin_binding", params, "MalformedParams")
         assert w.ledger.next_sequence(w.clinics[0].address) == sequence
@@ -283,9 +283,10 @@ def test_binding_hex_has_one_spelling(world_cls, respell):
 def test_binding_entry_has_exactly_patient_and_commitment(world_cls):
     w = world_cls(num_shots=4, num_clinics=2)
     w.assign_all()
-    entry = {"patient": w.patients[0].address.hex(), "commitment": "ab" * 32}
+    entry = {"patient": w.patients[0].address.hex(), "clinic_commitment": "ab" * 32, "patient_commitment": "cd" * 32}
     sequence = w.ledger.next_sequence(w.clinics[0].address)
-    for bad in ({**entry, "memo": "x"}, {"patient": entry["patient"]}):
+    missing = [{k: v for k, v in entry.items() if k != key} for key in entry]
+    for bad in [{**entry, "memo": "x"}, {**entry, "commitment": "ab" * 32}, *missing]:
         w.fail(w.clinics[0], "begin_binding", {"bindings": [entry, bad]}, "MalformedParams")
         assert w.ledger.next_sequence(w.clinics[0].address) == sequence
 
@@ -304,7 +305,7 @@ BEGIN_REJECTIONS = {
     "NotClinic": (lambda w: w.assign_all(), lambda w, ok: (w.developer, ok)),
     "MalformedParams": (
         lambda w: w.assign_all(),
-        lambda w, ok: (w.clinics[0], ok + [{**ok[0], "commitment": "zz" * 32}]),
+        lambda w, ok: (w.clinics[0], ok + [{**ok[0], "patient_commitment": "zz" * 32}]),
     ),
     "PatientAlreadyBound": (lambda w: w.assign_all(), lambda w, ok: (w.clinics[0], ok + ok[:1])),
     "NoShotsAvailable": (_drain_clinic0, lambda w, ok: (w.clinics[0], ok)),
@@ -316,7 +317,7 @@ def test_begin_batch_rejection_leaves_no_trace(world_cls, code):
     w = world_cls(num_shots=4, num_clinics=2)
     prepare, make = BEGIN_REJECTIONS[code]
     prepare(w)
-    ok = [{"patient": w.patients[i].address.hex(), "commitment": f"{i:02x}" * 32} for i in (2, 3)]
+    ok = [w.binding(i, *w.contributions()) for i in (2, 3)]
     sender, bindings = make(w, ok)
     sequence = w.ledger.next_sequence(sender.address)
     sessions = len(w.ledger.contract.sessions)
@@ -350,18 +351,21 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
     for i in pending:
         w.begin(i, clinic_index=1)
     addresses = [p.address.hex() for p in w.patients]
+    digest = st.binary(min_size=32, max_size=32).map(bytes.hex)
     good = st.builds(
-        lambda i, c: {"patient": addresses[i], "commitment": c},
+        lambda i, c1, c2: {"patient": addresses[i], "clinic_commitment": c1, "patient_commitment": c2},
         st.integers(0, len(addresses) - 1),
-        st.binary(min_size=32, max_size=32).map(bytes.hex),
+        digest,
+        digest,
     )
     bad = st.one_of(
         st.sampled_from(["aa" * 20, 7, None, [], True]),  # not an object
         good.map(lambda e: {**e, "patient": "AB" + e["patient"][2:]}),  # upper-case hex
-        good.map(lambda e: {**e, "commitment": e["commitment"][:2] + " " + e["commitment"][2:]}),
+        good.map(lambda e: {**e, "clinic_commitment": e["clinic_commitment"][:2] + " " + e["clinic_commitment"][2:]}),
+        good.map(lambda e: {**e, "patient_commitment": "AB" + e["patient_commitment"][2:]}),
         good.map(lambda e: {**e, "patient": e["patient"][:38]}),  # 19 bytes
         good.map(lambda e: {**e, "memo": "x"}),  # an extra key
-        good.map(lambda e: {"commitment": e["commitment"]}),  # a missing key
+        good.map(lambda e: {k: v for k, v in e.items() if k != "patient_commitment"}),  # a missing key
     )
     tagged = st.one_of(good.map(lambda e: (e, True)), bad.map(lambda e: (e, False)))
     drawn = data.draw(st.lists(tagged, max_size=4) | st.sampled_from([None, "x", {}]))
@@ -397,8 +401,9 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
         session = contract.sessions[session_id]
         assert session.clinic == sender.address
         assert session.patient.hex() == entry["patient"]
-        assert session.clinic_commit.hex() == entry["commitment"]
-        assert session.patient_commit is session.clinic_reveal is session.patient_reveal is None
+        assert session.clinic_commit.hex() == entry["clinic_commitment"]
+        assert session.patient_commit.hex() == entry["patient_commitment"]
+        assert session.clinic_reveal is session.patient_reveal is None
         assert session.deadline == receipt.position + 7 and not session.aborted
         assert contract.pending_by_patient[session.patient] == session_id
     assert [(e.name, e.payload) for e in receipt.events] == [
@@ -409,9 +414,9 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
 
 def reveal_world(world_cls, **kwargs):
     """Six shots over two clinics and these sessions, with the clinic's
-    contribution to each: 0, bound at clinic 0 (settled); 1 and 2, committed
-    at clinic 0; 3, committed at clinic 0 and already revealed; 4, open at
-    clinic 0 with no patient commitment; 5, committed at clinic 1."""
+    contribution to each: 0, bound at clinic 0 (settled); 1, 2 and 4, open
+    at clinic 0; 3, open at clinic 0 and already revealed; 5, open at
+    clinic 1."""
     w = world_cls(num_shots=6, num_clinics=2, extra_patients=4, threshold=1, **kwargs)
     w.assign_all()
     session, c1, c2 = w.begin(0, clinic_index=0)
@@ -422,13 +427,11 @@ def reveal_world(world_cls, **kwargs):
         receipt = w.ok(
             w.clinics[clinic_index],
             "begin_binding",
-            {"bindings": [w.binding(i, c) for i, (c, _) in zip(patients, contributions)]},
+            {"bindings": [w.binding(i, *c) for i, c in zip(patients, contributions)]},
         )
-        for i, event, (c1, c2) in zip(patients, receipt.events, contributions):
+        for i, event, (c1, _) in zip(patients, receipt.events, contributions):
             assert event.payload["session"] == i
             drawn[i] = c1
-            if i != 4:
-                w.ok(w.patients[i], "patient_commit", {"session": i, "commitment": commit_contribution(c2).hex()})
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(3, drawn[3])]})
     return w, drawn
 
@@ -443,7 +446,6 @@ REVEAL_REJECTIONS = {
     "SessionSettled": (None, lambda w, d: w.reveal(0, d[0])),
     "NotSessionClinic": (None, lambda w, d: w.reveal(5, d[5])),
     "DuplicateReveal": (None, lambda w, d: w.reveal(1, d[1])),  # listed twice
-    "RevealBeforeCommits": (None, lambda w, d: w.reveal(4, d[4])),
     "RevealMismatch": (None, lambda w, d: {**w.reveal(2, d[2]), "value": d[2].value ^ 1}),
 }
 
@@ -506,8 +508,6 @@ def test_reveal_batch_is_all_or_nothing(world_cls, data):
                 expected = "NotSessionClinic"
             elif session == 3 or session in listed:
                 expected = "DuplicateReveal"
-            elif session == 4:
-                expected = "RevealBeforeCommits"
             elif entry["value"] != drawn[session].value:
                 expected = "RevealMismatch"
             if expected:
@@ -537,24 +537,15 @@ def test_clinic_out_of_shots(world_cls):
     w = world_cls(num_shots=2, num_clinics=2, threshold=1)  # one shot per clinic
     w.assign_all()
     w.bind(0, clinic_index=0)
-    w.fail(
-        w.clinics[0],
-        "begin_binding",
-        {"bindings": [{"patient": w.patients[1].address.hex(), "commitment": "00" * 32}]},
-        "NoShotsAvailable",
-    )
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(1, *w.contributions())]}, "NoShotsAvailable")
 
 
 def test_completing_reveal_checks_stock_before_mutating(world_cls):
-    from vaccsc.coinflip import RandomContribution, commit_contribution
-
     w = world_cls(num_shots=2, num_clinics=2, threshold=1)
     w.assign_all()
     # two sessions race for clinic 0's single free shot
     s1, a1, b1 = w.begin(0, clinic_index=0)
     s2, a2, b2 = w.begin(1, clinic_index=0)
-    for sid, cb, patient in ((s1, b1, w.patients[0]), (s2, b2, w.patients[1])):
-        w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(cb).hex()})
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(s1, a1), w.reveal(s2, a2)]})
     shot = w.selected_shot(0, a1, b1)
     w.ok(w.patients[0], "patient_reveal", {"session": s1, "value": b1.value, "nonce": b1.nonce.hex(), "shot": shot.hex()})
@@ -571,18 +562,12 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
 
 
 def test_session_party_checks(world_cls):
-    from vaccsc.coinflip import RandomContribution, commit_contribution
+    from vaccsc.coinflip import RandomContribution
 
     w = world_cls(num_shots=4)
     w.assign_all()
     sid, a1, b1 = w.begin(0, clinic_index=0)
-    w.fail(
-        w.patients[1],
-        "patient_commit",
-        {"session": sid, "commitment": "00" * 32},
-        "NotSessionPatient",
-    )
-    w.ok(w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(b1).hex()})
+    w.fail(w.patients[1], "patient_reveal", w.patient_reveal(sid, 0, a1, b1), "NotSessionPatient")
     w.fail(w.patients[0], "clinic_reveal", {"reveals": [w.reveal(sid, a1)]}, "NotSessionClinic")
     w.fail(
         w.clinics[0],
@@ -598,18 +583,16 @@ def test_session_party_checks(world_cls):
     )
     # a JSON bool is not an integer, even though Python's bool is an int:
     # true must not stand for session 1, nor for a committed value of 1
-    sid1, _, _ = w.begin(1, clinic_index=0)
-    assert sid1 == 1
+    a2, _ = w.contributions()
     one = RandomContribution(value=1, nonce=bytes(32))
-    commitment = commit_contribution(one).hex()
-    w.fail(w.patients[1], "patient_commit", {"session": True, "commitment": commitment}, "MalformedParams")
-    w.ok(w.patients[1], "patient_commit", {"session": sid1, "commitment": commitment})
-    w.fail(
-        w.patients[1],
-        "patient_reveal",
-        {"session": sid1, "value": True, "nonce": one.nonce.hex()},
-        "MalformedParams",
-    )
+    receipt = w.ok(w.clinics[0], "begin_binding", {"bindings": [w.binding(1, a2, one)]})
+    sid1 = receipt.events[0].payload["session"]
+    assert sid1 == 1
+    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid1, a2)]})
+    reveal = w.patient_reveal(sid1, 0, a2, one)
+    w.fail(w.patients[1], "patient_reveal", {**reveal, "session": True}, "MalformedParams")
+    w.fail(w.patients[1], "patient_reveal", {**reveal, "value": True}, "MalformedParams")
+    w.ok(w.patients[1], "patient_reveal", reveal)
 
 
 def test_binding_selection_follows_xor_over_sorted_digests(world_cls):
@@ -623,13 +606,10 @@ def test_binding_selection_follows_xor_over_sorted_digests(world_cls):
 
 
 def test_patient_reveal_must_name_the_selected_shot(world_cls):
-    from vaccsc.coinflip import commit_contribution
-
     w = world_cls(num_shots=6, num_clinics=1)
     w.assign_all()
     sid, a, b = w.begin(0)
     patient = w.patients[0]
-    w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
     right = w.selected_shot(0, a, b)
     other = next(s for s in w.ledger.contract.free_shots[w.config.clinics[0]] if s != right)
@@ -650,15 +630,11 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
 
 
 def test_patient_reveal_waits_for_the_clinic(world_cls):
-    from vaccsc.coinflip import commit_contribution
-
     w = world_cls(num_shots=4, num_clinics=1)
     w.assign_all()
     sid, a, b = w.begin(0)
     patient = w.patients[0]
     reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex(), "shot": w.selected_shot(0, a, b).hex()}
-    w.fail(patient, "patient_reveal", reveal, "RevealBeforeCommits")
-    w.ok(patient, "patient_commit", {"session": sid, "commitment": commit_contribution(b).hex()})
     w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
     assert w.ledger.contract.sessions[sid].patient_reveal is None
     w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
@@ -692,21 +668,17 @@ def test_abort_after_completion_rejected(world_cls):
 def test_each_session_step_moves_the_deadline(world_cls):
     w = world_cls(num_shots=4, binding_deadline=5)
     w.assign_all()
-    sid, c1, c2 = w.begin(0, clinic_index=0)
+    sid, c1, _ = w.begin(0, clinic_index=0)
     session = w.ledger.contract.sessions[sid]
-    steps = (
-        (w.patients[0], "patient_commit", {"session": sid, "commitment": commit_contribution(c2).hex()}),
-        (w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}),
-    )
-    for sender, method, params in steps:
-        deadline = session.deadline
-        # burn logical time with rejected submissions up to the deadline itself
-        while len(w.ledger.journal) < deadline:
-            w.call(w.outsider, "report_sick", {})
-        receipt = w.ok(sender, method, params)
-        assert receipt.position == deadline
-        assert session.deadline == deadline + 5
-        w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
+    deadline = session.deadline
+    assert deadline == len(w.ledger.journal) - 1 + 5  # the begin's position + 5
+    # burn logical time with rejected submissions up to the deadline itself
+    while len(w.ledger.journal) < deadline:
+        w.call(w.outsider, "report_sick", {})
+    receipt = w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
+    assert receipt.position == deadline
+    assert session.deadline == deadline + 5
+    w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
     while len(w.ledger.journal) <= session.deadline:
         w.call(w.outsider, "report_sick", {})
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
@@ -955,10 +927,7 @@ def honest_calls(w):
     clinic = w.clinics[0]
     shots = [shot.hex() for shot in w.shot_list()]
     yield w.developer, "assign_shot_to_clinic", {"clinic": clinic.address.hex(), "shots": shots}
-    yield clinic, "begin_binding", {"bindings": [w.binding(i, c) for i, (c, _) in enumerate(drawn)]}
-    commits = [{"session": i, "commitment": commit_contribution(c2).hex()} for i, (_, c2) in enumerate(drawn)]
-    yield w.patients[0], "patient_commit", commits[0]
-    w.ok(w.patients[1], "patient_commit", commits[1])
+    yield clinic, "begin_binding", {"bindings": [w.binding(i, *c) for i, c in enumerate(drawn)]}
     yield clinic, "clinic_reveal", {"reveals": [w.reveal(i, c1) for i, (c1, _) in enumerate(drawn[:2])]}
     reveal = w.patient_reveal(0, 0, *drawn[0])
     yield w.patients[0], "patient_reveal", reveal
@@ -1075,7 +1044,7 @@ RESPELLINGS = {
     "an upper-case label": ("reveal_controls", first_opening({"content": "PLACEBO"})),
     "an int as a float": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "value": float(e["value"])})),
     "a session id as a float": ("abort_binding", lambda p: {"session": float(p["session"])}),
-    "an int as a bool": ("patient_commit", lambda p: {**p, "session": False}),
+    "an int as a bool": ("patient_reveal", lambda p: {**p, "session": False}),
 }
 
 

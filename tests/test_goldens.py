@@ -22,59 +22,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "a93f6fb165426bbb899b77b7df88c40651a341c3fd000d453e44922473aba68d",
-        "d33ad2de1b4a4e7d1951aaca7df165b1039db4e58b8e745253d271ef444e48ce",
-        "09266cecfa005bbcd175e1cbb4b1b35cb601e7be87d59efc9d162182d14d2380",
+        "cb3b1ac4385d0e2b6606298edf8312577bdd1a5e3b883deeaf708cb434ebe04e",
+        "4903b916db9da7592e12460f1943e4d5f4c388289e0273fb02f47de45d71114b",
+        "2fddc0963eee2a3570ecf1b53f728ee5a5cf0ac49c4993f0d6ed5f0fc39dfd55",
     ),
     "honest_pfizer_like-s1": (
-        "534fde5fea05310c92798a7fdf1dd19a576d766d46b09f7668cc29b136451d4f",
-        "d668f95d5bcfb95ed6335b2960a39b607990f1edb3e4e29ec21381e539300185",
-        "c78f2a25def7d64048e6bcc6acea290c2d45a89547ff258b4c40100c071f8cd6",
+        "3243db76c22d54929a671ea4f1c09b5bc8f5c0c10258066ea92deb477cd99e50",
+        "7dd8ab9267c90f4d9fd37ab15e211b824034204d73834064c6eed6f2e2a5b4bf",
+        "bbe5c3faea55aa5e65a38c70f0be34e048caf189ea274a46ac5a2151f2453348",
     ),
     "grid/honest": (
-        "13c055cfe6fcf586b999ab34f9a2c31e5652c152503b5af1de62a340f4d60809",
-        "c3c44691c4964339deb7e634124ea9586eee26d182ea8cd28b0d9fc1f8550f34",
-        "cd51b155adc77771862d4717ebfa372dffe4902726d86740f83829c4dcf8d5aa",
+        "ec9835ea09bc44abd9290d88d7e321d9c764a37310fb65ca48d3b249efca3c71",
+        "21b760e0d8ffcd0c7ed0fc6873f704d2347533ec9cda2bad84a66b28cb1f7cbb",
+        "4e561e95217e1469d9dcbce9ca80d9b9a146b42daa66dbc517d2619903fb6d66",
     ),
     "grid/omit_10": (
-        "bbf883c549c57609913672eb3c9eca73d9a5436498cdb5bb8ff1bb3e9629b2f8",
-        "4b1d8ed2e0460bf069ee62dc28163632c430d12402778d4afa7af35dc084186b",
-        "456e76b0fdcaff2baa010f32285ac24f39f87064ddeca015b94953da1ea5b5b3",
+        "653c6acd90eb74a203c45cca2280bc72bf46560d1c7b624fd24d2076bb0b2c2c",
+        "8daf5d2e5b8c1d86183f530552a1b21fafe20aaf196c296634725989e9e4a227",
+        "5fd87eba5063422fb6e2653281c3f481979ae6129231425c7a79d189bb9b0d15",
     ),
     "grid/omit_25": (
-        "3f20dbfb024dbad9f212797f830095007c0eada7e96c10a41b894f77ee5dd512",
-        "3393977d5712695bb17c6f9ab0d02ee76ecb3e9d7da579abdc91e8d6b2b27fe7",
-        "cfc7c458bb0584d8a996fb0b6f472659a2e5500857a42c88e2b0c455332e1abd",
+        "04acf05e4250a43a6eb3e2ecd7f95be6d07c6b4a2345710ed85695eea3d690ce",
+        "fe8613670ae0f0d21fb8550d6998fcba3559c5af618253358d014ff955350f90",
+        "9658be82d9801795d7e612dec26c5fc8c3ee574487ace4ab1963ef4bfd8255ae",
     ),
     "grid/omit_50": (
-        "124dddbedc144953932dfc6ca24032d3f444185ebb758c747a48f4dc7d784cb7",
-        "27033b289b298b606bfd39ad6e697583c9eee2ad5fe3c433c3df7e05233db16e",
-        "2e0595132701e4894b8a2026ccec94b3971370bb61e480b7b3384827879528ba",
+        "a0ee0245e8d805da85ddf473027f9f576c5d5dda9f8bff02d0f0e153ecf8aa45",
+        "8501e209e7e0a2484ac0c927b4a727e0843d0bc5dbabd980d4090b4e953691bf",
+        "18dc5d24f98db299f948cead2cc1d8f3c4b8e25f71a8083a651d015f4087a88e",
     ),
     "grid/forge_1": (
-        "e43d7e24653c1fbdddb8ec2b706c81c7f79a59dd6f06b9a02934a34a95c3edae",
-        "1113751b07a064426d45a70be8164e549cb739d57bb44f9b0bc0c4399e1700b3",
-        "18ee37408ac28cd3cce1ff188f50909c48bd49d705c7c874f7a134ae6e5085df",
+        "7807d1ebf0300465511a85659807817764783da9642bffbff260fcc4bdb84312",
+        "b67fc9ad904a3328df7317c816728dfa831dd77e814b7f29ac6ca50194d27845",
+        "2c545469f353e799c28ae8994c45ef1132baa3aae6510be49c63fe353c88506d",
     ),
     "grid/biased_distribution": (
-        "2ca1e34c3d3936f927e52f49175ee5dc490f158fa6fde0441c4ea0bf4facd583",
-        "4f40db783772c15498d7d3bd7ea4d242833ad6cf05d3db38f35a31e98fb9f363",
-        "c2332017701b7725412267c8e56a4d48a0cb3baf128ae22927bc587466ffa152",
+        "9b3024a03cc625eaaf40a73543563cbd47790506d84bb820b432a4357b1956eb",
+        "70aa95c5cbdf9d0e3dd5f9fdcedac5048f86e1bf516198c82b85ff56beaace99",
+        "e5200ed6d37bdffc093f35d44e1c9d9e0a0d4038dc7f3811053308ae93cad768",
     ),
     "grid/collude": (
-        "a4fc0407b22300e8a94db8bacd07a7bf0d88548ea07b3aefc2e8a4cfbf2a23d0",
-        "1868376a2ab0734f2b68115fc0c24204011849470e207a78b1ec3c3193620836",
-        "daf26ebc2a96980826c653c99093a518e5ddbb0eb7ce1213f8f8bf27b2ce3f68",
+        "092769ec885fc7907c8f6cc82012e0e5166cabffdcd2a7ca83b0331919cfe1b4",
+        "39e33efa85b2e7551467b766cbe82f31b8858b4c76b2ad0001f2333927c020ed",
+        "f3653707e89bd8b46fa43e60da0d7e90e38a0b9d9cd92eabf11e8ef8c3048591",
     ),
     "grid/false_sick_5": (
-        "b885200288ea54880ecd37013e6024073b2c7e932dd6a2ebf0ccd3d894904240",
-        "3d4fedc2b0ba16738bdca898f5bf951a9db33576fa890fb5afe8587d5eb0c47d",
-        "6c827bbfd6ed4f676b80ed7aab880969928ecd7600804228a00f640a325fbd10",
+        "1e9bee2ce3174afc3412c5c0db2d246d29dcd493b6d2b2ba7c8697f9cd9116f5",
+        "4983f05d389496b4afe9cdf62e4b3f0e2138a6344c777d938f8911c255e124e1",
+        "4d8f5e31c8827b5637cbe2a70c81b299c885cf2a4d04e6ffe18cbc909eefdc63",
     ),
     "grid/never_report_5": (
-        "1ec433fd31f1f2bc9e1efe9c9df5d2c0c47d1b54d0327a834d2e43675218aeca",
-        "15bcc99d1c731ef4032193c78b82e6f6106f5f5e8d2d3d787c49f53f895d2843",
-        "d7f82df0d0df9b95cade11a72d4a6e16026f33c0d68b6764956205f378bebe1d",
+        "64f3d298bd224e294d216257b161fc0f3d810be51249264ba02faf6b3c483fe6",
+        "c371e71b045ea0b58cfa403d1af69c162d62b3a8e9944fead524013c178e5b67",
+        "12a69460b45c3a844da1544973e46bd7fdd4e7be5ad5b0aaa778e231891eed10",
     ),
 }
 

@@ -281,7 +281,7 @@ def test_rejection_leaves_state_untouched(world_cls):
     w = world_cls()
     w.assign_all()
     before = w.ledger.state_digest()
-    w.call(w.outsider, "begin_binding", {"bindings": [{"patient": w.patients[0].address.hex(), "commitment": "00" * 32}]})
+    w.call(w.outsider, "begin_binding", {"bindings": [w.binding(0, *w.contributions())]})
     w.call(w.developer, "assign_shot_to_clinic", {"shots": ["11" * 32], "clinic": w.config.clinics[0].hex()})
     assert w.ledger.state_digest() == before
     # and the rejections are journaled, not dropped
@@ -396,7 +396,8 @@ def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:
         bindings = [
             {
                 "patient": sha256(b"patient %d" % i).digest()[:ADDRESS_SIZE].hex(),
-                "commitment": sha256(b"flip %d" % i).hexdigest(),
+                "clinic_commitment": sha256(b"flip %d" % i).hexdigest(),
+                "patient_commitment": sha256(b"flop %d" % i).hexdigest(),
             }
             for i in range(num_sessions)
         ]

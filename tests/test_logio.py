@@ -202,10 +202,20 @@ def test_fresh_log_audits_clean(logged):
     assert replayed.query("phase") == "finalized"
 
 
+def test_a_log_read_once_audits_clean_twice(logged):
+    """The first audit replays onto the contract read_log deployed; a second
+    audit of the same read deploys its own."""
+    _, path = logged
+    log = read_log(path)
+    first, _ = audit_log(log)
+    second, _ = audit_log(log)
+    assert first.ok and second.ok
+
+
 def test_deleted_record_with_consistent_digests(logged, tmp_path):
     w, _ = logged
     records = w.ledger.journal
-    drop = next(i for i, r in enumerate(records) if r.tx.method == "patient_commit")
+    drop = next(i for i, r in enumerate(records) if r.tx.method == "patient_reveal")
     path = tmp_path / "edited.vscl"
     write_log(
         path,
