@@ -350,12 +350,11 @@ class _Runner:
 
         Each clinic, in clinic order, binds its patients in chunks of at most
         ``max(1, binding_deadline)`` sessions: one ``begin_binding`` carrying
-        its own and each patient's commitment, one ``clinic_reveal`` of the
-        chunk, then each patient's reveal in patient order. A chunk that
-        small keeps every step within its session's deadline, and since a
-        clinic's free list changes only through its own patients' reveals,
-        every patient gets the shot that binding them one at a time in
-        patient order would give.
+        each patient's commitment and the clinic's value in the clear, then
+        each patient's reveal in patient order. A chunk that small keeps every
+        reveal within its session's deadline, and since a clinic's free list
+        changes only through its own patients' reveals, every patient gets
+        the shot that binding them one at a time in patient order would give.
         """
         rng = self.rng
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
@@ -365,7 +364,7 @@ class _Runner:
             clinic_address = self.config.clinics[patient.index % num_clinics]
             r1 = rng.getrandbits(64)
             if colluding and patient.index == 0:
-                # both parties pick values before committing; XOR lands on the
+                # both parties pick their values in advance; XOR lands on the
                 # agreed index of the contract's public, digest-sorted free list
                 free_sorted = list(self.ledger.contract.free_shots[clinic_address])
                 target_index = rng.randrange(len(free_sorted))
@@ -373,9 +372,9 @@ class _Runner:
             else:
                 free_sorted = target_index = None
                 r2 = rng.getrandbits(64)
-            contrib1 = RandomContribution(value=r1, nonce=generate_nonce(rng))
+            generate_nonce(rng)  # the clinic's nonce before vaccsc-9: drawn so each seed keeps its trial
             contrib2 = RandomContribution(value=r2, nonce=generate_nonce(rng))
-            plans.append((patient, contrib1, contrib2, free_sorted, target_index))
+            plans.append((patient, r1, contrib2, free_sorted, target_index))
         chunk_size = max(1, self.config.binding_deadline)
         for i, clinic in enumerate(self.clinics[: len(plans)]):
             mine = plans[i::num_clinics]
@@ -384,28 +383,22 @@ class _Runner:
                 bindings = [
                     {
                         "patient": patient.address_hex,
-                        "clinic_commitment": commit_contribution(contrib1).hex(),
+                        "clinic_value": r1,
                         "patient_commitment": commit_contribution(contrib2).hex(),
                     }
-                    for patient, contrib1, contrib2, _, _ in chunk
+                    for patient, r1, contrib2, _, _ in chunk
                 ]
                 receipt = clinic.must("begin_binding", {"bindings": bindings})
-                sessions = [event.payload["session"] for event in receipt.events]
-                reveals = [
-                    {"session": session, "value": contrib1.value, "nonce": contrib1.nonce.hex()}
-                    for session, (_, contrib1, _, _, _) in zip(sessions, chunk)
-                ]
-                clinic.must("clinic_reveal", {"reveals": reveals})
-                for session, plan in zip(sessions, chunk):
-                    self._patient_reveal(clinic.keypair.address, session, *plan)
+                for event, plan in zip(receipt.events, chunk):
+                    self._patient_reveal(clinic.keypair.address, event.payload["session"], *plan)
 
     def _patient_reveal(
-        self, clinic: bytes, session: int, patient, contrib1, contrib2, free_sorted, target_index
+        self, clinic: bytes, session: int, patient, r1, contrib2, free_sorted, target_index
     ) -> None:
         """The completing reveal: the patient names the shot the flip
         selects from the clinic's public free list."""
         free = self.ledger.contract.free_shots[clinic]
-        shot = free[select_index(contrib1, contrib2, len(free))]
+        shot = free[select_index(r1, contrib2.value, len(free))]
         patient.actor.must(
             "patient_reveal",
             {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},

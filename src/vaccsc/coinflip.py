@@ -1,10 +1,11 @@
-"""Committed coin-flip contributions and the slot two of them select.
+"""Blum's coin flip by telephone: a committed contribution and the slot
+two values select.
 
-Each party of a flip commits to a private 64-bit contribution, then
-opens it. The shared value is the XOR of the two, so a single honest
-party with a uniform contribution makes the selection uniform no matter
-what the other party plays. The contract's ``BindingSession`` keeps the
-commitments and reveals of one flip and enforces their order.
+The patient commits to a private 64-bit contribution, the clinic answers
+with a value in the clear, and the patient opens its commitment last. The
+shared value is the XOR of the two, so one honest party with a uniform
+value makes the selection uniform whatever the other plays. The contract's
+``BindingSession`` keeps the commitment, the clinic's value and the reveal.
 """
 
 from __future__ import annotations
@@ -41,14 +42,12 @@ def commit_contribution(contribution: RandomContribution) -> bytes:
     return sha256(contribution.serialize()).digest()
 
 
-def select_index(
-    first: RandomContribution, second: RandomContribution, available_count: int
-) -> int:
-    """The one of ``available_count`` slots two opened contributions select:
-    their values XORed, modulo the count.
+def select_index(first: int, second: int, available_count: int) -> int:
+    """The one of ``available_count`` slots two values select: their XOR,
+    modulo the count.
 
     Plain modulo; the bias for counts far below 2**64 is negligible.
     """
     if available_count < 1:
         raise ValueError("no slots available to select from")
-    return (first.value ^ second.value) % available_count
+    return (first ^ second) % available_count

@@ -22,7 +22,7 @@ from .coinflip import U64_MAX, RandomContribution, select_index
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-8"
+CONTRACT_ID = "vaccsc-9"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -172,18 +172,17 @@ def decide_outcome(ar0: int, ar1: int, target_efficiency: float) -> TrialOutcome
 
 @dataclass
 class BindingSession:
-    """One clinic/patient coin flip. The clinic opens the session holding
-    its own commitment and the one the patient handed it, then the clinic
-    reveals and the patient reveals last. The session is settled once the
-    patient has revealed, which binds the shot the flip selects, or once it
-    is aborted."""
+    """One clinic/patient coin flip, Blum's flip by telephone. The clinic
+    opens the session with the commitment the patient handed it and its
+    own value in the clear, and the patient reveals last. The session is
+    settled once the patient has revealed, which binds the shot the flip
+    selects, or once it is aborted."""
 
     clinic: bytes
     patient: bytes
-    deadline: int
-    clinic_commit: bytes
+    deadline: int  # set once, by begin_binding
+    clinic_value: int
     patient_commit: bytes
-    clinic_reveal: RandomContribution | None = None
     patient_reveal: RandomContribution | None = None
     aborted: bool = False
 
@@ -283,8 +282,9 @@ class VaccineTrial:
             raise ContractError("WrongPhase", "binding requires an active trial")
         if sender not in self.free_shots:
             raise ContractError("NotClinic", "only clinics start bindings")
-        # The clinic relays the patient's commitment, which only the patient can open.
-        batch = [(e["patient"], e["clinic_commitment"], e["patient_commitment"]) for e in args["bindings"]]
+        # The clinic relays the patient's commitment, which only the patient
+        # can open, and plays its own value in the clear in the same call.
+        batch = [(e["patient"], e["clinic_value"], e["patient_commitment"]) for e in args["bindings"]]
         # Validate the whole batch before mutating anything: one bad entry
         # rejects the entire call.
         seen: set[bytes] = set()
@@ -297,9 +297,9 @@ class VaccineTrial:
         deadline = tick + self.config.binding_deadline
         clinic_hex = sender.hex()
         events = []
-        for patient, clinic_commit, patient_commit in batch:
+        for patient, clinic_value, patient_commit in batch:
             session_id = len(self.sessions)
-            self.sessions.append(BindingSession(sender, patient, deadline, clinic_commit, patient_commit))
+            self.sessions.append(BindingSession(sender, patient, deadline, clinic_value, patient_commit))
             self.pending_by_patient[patient] = session_id
             events.append(
                 (
@@ -308,34 +308,6 @@ class VaccineTrial:
                 )
             )
         return events
-
-    # Each accepted step before the completing reveal (begin, clinic reveal)
-    # sets the session's deadline ``binding_deadline`` after it.
-
-    def _clinic_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
-        """The clinic's reveals for a batch of its sessions. Both commitments
-        are on chain from the session's start, so the clinic's reveal carries
-        no choice, and one call can open many flips without moving who
-        reveals last."""
-        # Validate the whole batch before mutating anything: one bad entry
-        # rejects the entire call, and a session listed twice is a DuplicateReveal.
-        revealed: dict[int, RandomContribution] = {}
-        for entry in args["reveals"]:
-            session = self._active_session(entry)  # WrongPhase is checked first
-            if sender != session.clinic:
-                raise ContractError("NotSessionClinic", "caller is not this session's clinic")
-            if session.clinic_reveal is not None or entry["session"] in revealed:
-                raise ContractError("DuplicateReveal", "the clinic has already revealed")
-            contribution = RandomContribution(entry["value"], entry["nonce"])
-            if coinflip.commit_contribution(contribution) != session.clinic_commit:
-                raise ContractError("RevealMismatch", "reveal does not match the clinic's commitment")
-            revealed[entry["session"]] = contribution
-        deadline = tick + self.config.binding_deadline
-        for session_id, contribution in revealed.items():
-            session = self.sessions[session_id]
-            session.clinic_reveal = contribution
-            session.deadline = deadline
-        return []
 
     def _patient_reveal(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         """The completing reveal: it selects the shot, which the patient has
@@ -346,12 +318,10 @@ class VaccineTrial:
         contribution = RandomContribution(args["value"], args["nonce"])
         if coinflip.commit_contribution(contribution) != session.patient_commit:
             raise ContractError("RevealMismatch", "reveal does not match the patient's commitment")
-        if session.clinic_reveal is None:
-            raise ContractError("RevealOutOfOrder", "the clinic reveals before the patient")
         free = self.free_shots[session.clinic]
         if not free:
             raise ContractError("NoShotsAvailable", "clinic ran out of shots before completion")
-        index = select_index(session.clinic_reveal, contribution, len(free))
+        index = select_index(session.clinic_value, contribution.value, len(free))
         shot = free[index]
         if shot != args["shot"]:
             raise ContractError("WrongShot", f"the flip selects {shot.hex()}")
@@ -586,9 +556,8 @@ _GENESIS_SCHEMA = {
 _METHOD_SCHEMA = {
     "assign_shot_to_clinic": {"clinic": _ADDRESS, "shots": [_DIGEST, ...]},
     "begin_binding": {
-        "bindings": [{"patient": _ADDRESS, "clinic_commitment": _DIGEST, "patient_commitment": _DIGEST}, ...]
+        "bindings": [{"patient": _ADDRESS, "clinic_value": _u64, "patient_commitment": _DIGEST}, ...]
     },
-    "clinic_reveal": {"reveals": [{"session": int, "value": _u64, "nonce": _NONCE}, ...]},
     "patient_reveal": {"session": int, "value": _u64, "nonce": _NONCE, "shot": _DIGEST},
     "report_sick": {},
     "reveal_controls": {"openings": [{"commitment": _DIGEST, "nonce": _NONCE, "content": _CONTENT}]},
@@ -619,7 +588,6 @@ def _decode(value, schema, path: str):
 _HANDLERS = {
     "assign_shot_to_clinic": VaccineTrial._assign_shot,
     "begin_binding": VaccineTrial._begin_binding,
-    "clinic_reveal": VaccineTrial._clinic_reveal,
     "patient_reveal": VaccineTrial._patient_reveal,
     "report_sick": VaccineTrial._report_sick,
     "reveal_controls": VaccineTrial._reveal_controls,

@@ -57,5 +57,5 @@ def verify_signature(public_key: Ed25519PublicKey, message: bytes, signature: by
 
 
 def load_public_key(public_key: bytes) -> Ed25519PublicKey:
-    """Parse a raw public key once so repeat verifications skip the decode."""
+    """Parse a raw public key for ``verify_signature``; raises ValueError on bytes it cannot parse."""
     return Ed25519PublicKey.from_public_bytes(public_key)

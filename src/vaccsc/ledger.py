@@ -88,11 +88,13 @@ class SignedTransaction:
     signature: bytes
 
     def to_dict(self) -> dict:
+        """The transaction as ``--export-json`` writes it; bytes of the payload that are not
+        UTF-8 become lone surrogates, which ``encode("utf-8", "surrogateescape")`` undoes."""
         return {
             "sender": self.sender.hex(),
             "public_key": self.public_key.hex(),
             "method": self.method,
-            "payload": self.payload.decode(),
+            "payload": self.payload.decode("utf-8", "surrogateescape"),
             "sequence_number": self.sequence_number,
             "signature": self.signature.hex(),
         }
@@ -166,7 +168,6 @@ class Ledger:
         self.event_count = 0
         self._events_hash = sha256(b"[")
         self.sequences: dict[bytes, int] = {}
-        self._pubkeys: dict[bytes, object] = {}
 
     # -- submission ----------------------------------------------------
 
@@ -186,13 +187,10 @@ class Ledger:
             return "BadSignature", "malformed key or signature"
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
-        pub = self._pubkeys.get(tx.public_key)
-        if pub is None:
-            try:
-                pub = load_public_key(tx.public_key)
-            except ValueError:
-                return "BadSignature", "invalid public key"
-            self._pubkeys[tx.public_key] = pub
+        try:
+            pub = load_public_key(tx.public_key)
+        except ValueError:
+            return "BadSignature", "invalid public key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
         if not verify_signature(pub, message, tx.signature):
             return "BadSignature", "signature does not verify"

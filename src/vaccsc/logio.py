@@ -105,7 +105,8 @@ def write_log(
     records: list[JournalEntry],
     state_digest: bytes,
     events_digest: bytes,
-) -> None:
+) -> LogFile:
+    """Write the log file; returns it as ``read_log`` reads it back, less the deployed contract."""
     body = bytearray()
     body += MAGIC
     body.append(VERSION)
@@ -118,12 +119,16 @@ def write_log(
     body += len(records).to_bytes(8, "big")
     body += state_digest
     body += events_digest
-    body += sha256(body).digest()
+    log_digest = sha256(body).digest()
+    body += log_digest
     Path(path).write_bytes(body)
+    trailer = LogTrailer(len(records), state_digest, events_digest, log_digest)
+    # The genesis parsed back from its canonical bytes has its keys sorted, as read_log gives it.
+    return LogFile(json.loads(genesis_bytes), tuple(records), trailer)
 
 
-def write_ledger_log(path: str | Path, ledger: Ledger) -> None:
-    write_log(path, ledger.genesis, ledger.journal, ledger.state_digest(), ledger.events_digest())
+def write_ledger_log(path: str | Path, ledger: Ledger) -> LogFile:
+    return write_log(path, ledger.genesis, ledger.journal, ledger.state_digest(), ledger.events_digest())
 
 
 # -- reading -----------------------------------------------------------------
@@ -183,9 +188,7 @@ def read_log(path: str | Path) -> LogFile:
         raise LogFormatError(f"invalid genesis: {exc}") from None
 
     records: list[JournalEntry] = []
-    # One object per distinct sender, public key and method: an actor's
-    # records all share them.
-    shared: dict[bytes, bytes] = {}
+    # One object per distinct method name: every record of a method shares it.
     methods: dict[bytes, str] = {}
     while True:
         tag = cur.take(1, "record tag")
@@ -199,9 +202,7 @@ def read_log(path: str | Path) -> LogFile:
         code_len = cur.u16("code length")
         code_raw = cur.take(code_len, "code")
         sender = cur.take(ADDRESS_SIZE, "sender")
-        sender = shared.setdefault(sender, sender)
         public_key = cur.take(PUBLIC_KEY_SIZE, "public key")
-        public_key = shared.setdefault(public_key, public_key)
         sequence = cur.u64("sequence number")
         signature = cur.take(SIGNATURE_SIZE, "signature")
         method_len = cur.u16("method length")

@@ -105,22 +105,20 @@ class World:
             )
 
     def contributions(self, r1: int | None = None, r2: int | None = None):
-        """The clinic's and the patient's coin-flip contributions, in draw order."""
+        """The clinic's value and the patient's coin-flip contribution, in draw order."""
         rng = self.rng
-        c1 = RandomContribution(
-            value=rng.getrandbits(64) if r1 is None else r1, nonce=generate_nonce(rng)
-        )
+        r1 = rng.getrandbits(64) if r1 is None else r1
         c2 = RandomContribution(
             value=rng.getrandbits(64) if r2 is None else r2, nonce=generate_nonce(rng)
         )
-        return c1, c2
+        return r1, c2
 
-    def binding(self, patient_index: int, c1: RandomContribution, c2: RandomContribution) -> dict:
-        """One ``begin_binding`` entry: the patient, the clinic's commitment
-        and the patient's commitment that the clinic relays."""
+    def binding(self, patient_index: int, r1: int, c2: RandomContribution) -> dict:
+        """One ``begin_binding`` entry: the patient, the clinic's value in the
+        clear and the patient's commitment that the clinic relays."""
         return {
             "patient": self.patients[patient_index].address.hex(),
-            "clinic_commitment": commit_contribution(c1).hex(),
+            "clinic_value": r1,
             "patient_commitment": commit_contribution(c2).hex(),
         }
 
@@ -131,37 +129,31 @@ class World:
         r1: int | None = None,
         r2: int | None = None,
     ):
-        """Open a session holding both commitments; returns driving state."""
-        c1, c2 = self.contributions(r1, r2)
+        """Open a session holding the clinic's value and the patient's
+        commitment; returns driving state."""
+        r1, c2 = self.contributions(r1, r2)
         receipt = self.ok(
             self.clinics[clinic_index],
             "begin_binding",
-            {"bindings": [self.binding(patient_index, c1, c2)]},
+            {"bindings": [self.binding(patient_index, r1, c2)]},
         )
         session = receipt.events[0].payload["session"]
-        return session, c1, c2
+        return session, r1, c2
 
-    def selected_shot(self, clinic_index: int, c1: RandomContribution, c2: RandomContribution) -> bytes:
-        """The shot the flip of ``c1`` and ``c2`` selects from the clinic's free list now."""
+    def selected_shot(self, clinic_index: int, r1: int, c2: RandomContribution) -> bytes:
+        """The shot the flip of ``r1`` and ``c2`` selects from the clinic's free list now."""
         free = self.ledger.contract.free_shots[self.config.clinics[clinic_index]]
-        return free[select_index(c1, c2, len(free))]
+        return free[select_index(r1, c2.value, len(free))]
 
-    @staticmethod
-    def reveal(session: int, c1: RandomContribution) -> dict:
-        """One ``clinic_reveal`` entry: the session and the clinic's contribution."""
-        return {"session": session, "value": c1.value, "nonce": c1.nonce.hex()}
-
-    def patient_reveal(self, session: int, clinic_index: int, c1, c2) -> dict:
+    def patient_reveal(self, session: int, clinic_index: int, r1, c2) -> dict:
         """The completing reveal's params, naming the shot the flip selects now."""
-        shot = self.selected_shot(clinic_index, c1, c2)
+        shot = self.selected_shot(clinic_index, r1, c2)
         return {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()}
 
-    def complete(self, session: int, patient_index: int, clinic_index: int, c1, c2) -> bytes:
-        """The clinic's reveal, then the patient's reveal naming its shot."""
-        clinic = self.clinics[clinic_index]
+    def complete(self, session: int, patient_index: int, clinic_index: int, r1, c2) -> bytes:
+        """The patient's reveal naming its shot."""
         patient = self.patients[patient_index]
-        self.ok(clinic, "clinic_reveal", {"reveals": [self.reveal(session, c1)]})
-        reveal = self.patient_reveal(session, clinic_index, c1, c2)
+        reveal = self.patient_reveal(session, clinic_index, r1, c2)
         self.ok(patient, "patient_reveal", reveal)
         shot = bytes.fromhex(reveal["shot"])
         assert self.ledger.contract.patient_shot[patient.address] == shot
@@ -175,8 +167,8 @@ class World:
         r1: int | None = None,
         r2: int | None = None,
     ) -> bytes:
-        session, c1, c2 = self.begin(patient_index, clinic_index, r1, r2)
-        return self.complete(session, patient_index, clinic_index, c1, c2)
+        session, r1, c2 = self.begin(patient_index, clinic_index, r1, r2)
+        return self.complete(session, patient_index, clinic_index, r1, c2)
 
     def bind_all(self) -> None:
         """Bind patient i at clinic i % C: one begin_binding per clinic, then
@@ -193,8 +185,8 @@ class World:
             )
             for i, event in zip(indexes, receipt.events):
                 session_of[i] = event.payload["session"]
-        for i, (c1, c2) in enumerate(drawn):
-            self.complete(session_of[i], i, i % num_clinics, c1, c2)
+        for i, (r1, c2) in enumerate(drawn):
+            self.complete(session_of[i], i, i % num_clinics, r1, c2)
 
     def arm(self, patient_index: int) -> ShotContent:
         return self.openings[self.patient_shot[patient_index]].content

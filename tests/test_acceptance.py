@@ -107,11 +107,9 @@ def test_criterion_03_coinflip_fairness(acceptance, timer):
 
     def flip_once(adversary_value) -> int:
         honest = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
-        # the adversary chooses its value with the honest commitment in hand
-        adv = RandomContribution(
-            value=adversary_value(commit_contribution(honest)), nonce=generate_nonce(rng)
-        )
-        return select_index(adv, honest, shot_count)
+        # the adversarial clinic plays its value in the clear with the honest commitment in hand
+        adv_value = adversary_value(commit_contribution(honest))
+        return select_index(adv_value, honest.value, shot_count)
 
     adversaries = {
         "constant": lambda digest: 0x0123456789ABCDEF,
@@ -299,7 +297,6 @@ def test_criterion_06_audit_determinism(tmp_path, acceptance):
 PERMISSION_MATRIX = {
     "assign_shot_to_clinic": ({"developer"}, {"deployed", "distributing"}),
     "begin_binding": ({"clinic"}, {"active"}),
-    "clinic_reveal": ({"clinic"}, {"active"}),
     "patient_reveal": ({"patient"}, {"active"}),
     "report_sick": ({"patient"}, {"active"}),
     "reveal_controls": ({"developer"}, {"reveal_pending"}),
@@ -316,7 +313,7 @@ class _FuzzDriver:
         self.unassigned = world.shot_list()
         rng.shuffle(self.unassigned)
         self.stock = [0] * len(world.clinics)
-        self.inflight = None  # (session, stage, patient_idx, clinic_idx, c1, c2)
+        self.inflight = None  # (session, patient_idx, clinic_idx, r1, c2)
         self.bound: dict[int, bytes] = {}
         self.sick: set[int] = set()
 
@@ -343,14 +340,14 @@ class _FuzzDriver:
             if unbound and any(self.stock):
                 patient_idx = rng.choice(unbound)
                 clinic_idx = rng.choice([i for i, s in enumerate(self.stock) if s > 0])
-                c1 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
+                r1 = rng.getrandbits(64)
                 c2 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
                 return (
                     "clinic",
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {"bindings": [w.binding(patient_idx, c1, c2)]},
-                    ("begun", patient_idx, clinic_idx, c1, c2),
+                    {"bindings": [w.binding(patient_idx, r1, c2)]},
+                    ("begun", patient_idx, clinic_idx, r1, c2),
                 )
             candidates = sorted(self.bound.keys() - self.sick)
             if candidates and len(self.sick) < w.config.infected_threshold:
@@ -374,20 +371,11 @@ class _FuzzDriver:
 
     def _advance(self):
         w = self.w
-        session, stage, patient_idx, clinic_idx, c1, c2 = self.inflight
-        patient = w.patients[patient_idx]
-        if stage == "clinic_reveal":
-            return (
-                "clinic",
-                w.clinics[clinic_idx],
-                "clinic_reveal",
-                {"reveals": [w.reveal(session, c1)]},
-                ("staged", "patient_reveal"),
-            )
-        shot = w.selected_shot(clinic_idx, c1, c2)
+        session, patient_idx, clinic_idx, r1, c2 = self.inflight
+        shot = w.selected_shot(clinic_idx, r1, c2)
         return (
             "patient",
-            patient,
+            w.patients[patient_idx],
             "patient_reveal",
             {"session": session, "value": c2.value, "nonce": c2.nonce.hex(), "shot": shot.hex()},
             ("completed", patient_idx, clinic_idx, shot),
@@ -401,10 +389,7 @@ class _FuzzDriver:
             self.unassigned.pop()
             self.stock[note[2]] += 1
         elif kind == "begun":
-            session = receipt.events[0].payload["session"]
-            self.inflight = (session, "clinic_reveal", note[1], note[2], note[3], note[4])
-        elif kind == "staged":
-            self.inflight = self.inflight[:1] + (note[1],) + self.inflight[2:]
+            self.inflight = (receipt.events[0].payload["session"], *note[1:])
         elif kind == "completed":
             patient_idx, clinic_idx, shot = note[1], note[2], note[3]
             self.bound[patient_idx] = shot
@@ -441,22 +426,18 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
                 "bindings": [
                     {
                         "patient": rng.choice(bound_hexes + [w.outsider.address.hex()]),
-                        "clinic_commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
+                        "clinic_value": rng.getrandbits(64),
                         "patient_commitment": rng.getrandbits(256).to_bytes(32, "big").hex(),
                     }
                 ]
             }
-        elif method in ("clinic_reveal", "patient_reveal", "abort_binding"):
-            session = rng.randint(500, 600)
-            # each method gets exactly its own keys, so the probe reaches the session checks
-            value = rng.getrandbits(64) if method != "abort_binding" else None
+        elif method == "patient_reveal":
+            # exactly the method's own keys, so the probe reaches the session checks
             params = {
-                "clinic_reveal": {"reveals": [{"session": session, "value": value, "nonce": "cd" * 32}]},
-                "patient_reveal": {
-                    "session": session, "value": value, "nonce": "cd" * 32, "shot": "dd" * 32
-                },
-                "abort_binding": {"session": session},
-            }[method]
+                "session": rng.randint(500, 600), "value": rng.getrandbits(64), "nonce": "cd" * 32, "shot": "dd" * 32
+            }
+        elif method == "abort_binding":
+            params = {"session": rng.randint(500, 600)}
         elif method == "reveal_controls":
             params = {
                 "openings": rng.choice(
@@ -564,22 +545,16 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
             if choice == "start":
                 patient_idx = rng.choice(unbound)
                 clinic_idx = rng.choice(startable)
-                c1 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
+                r1 = rng.getrandbits(64)
                 c2 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
                 receipt = w.ok(
                     w.clinics[clinic_idx],
                     "begin_binding",
-                    {"bindings": [w.binding(patient_idx, c1, c2)]},
+                    {"bindings": [w.binding(patient_idx, r1, c2)]},
                 )
                 sid = receipt.events[0].payload["session"]
                 stock[clinic_idx] -= 1  # reserve so completing reveals never race
-                inflight[sid] = {
-                    "stage": 0,
-                    "patient": patient_idx,
-                    "clinic": clinic_idx,
-                    "c1": c1,
-                    "c2": c2,
-                }
+                inflight[sid] = {"patient": patient_idx, "clinic": clinic_idx, "r1": r1, "c2": c2}
             elif choice == "sicken":
                 patient_idx = rng.choice(i_can_sicken)
                 receipt = w.ok(w.patients[patient_idx], "report_sick", {})
@@ -590,34 +565,13 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                 sid = choice[1]
                 entry = inflight[sid]
                 patient = w.patients[entry["patient"]]
-                clinic = w.clinics[entry["clinic"]]
-                stage = entry["stage"]
-                if stage == 0:
-                    w.ok(
-                        clinic,
-                        "clinic_reveal",
-                        {"reveals": [w.reveal(sid, entry["c1"])]},
-                    )
-                else:
-                    named = w.selected_shot(entry["clinic"], entry["c1"], entry["c2"])
-                    w.ok(
-                        patient,
-                        "patient_reveal",
-                        {
-                            "session": sid,
-                            "value": entry["c2"].value,
-                            "nonce": entry["c2"].nonce.hex(),
-                            "shot": named.hex(),
-                        },
-                    )
-                    shot = w.ledger.contract.patient_shot[patient.address]
-                    if shot in owner:
-                        write_once_ok = False
-                    owner[shot] = entry["patient"]
-                    bound[entry["patient"]] = shot
-                    del inflight[sid]
-                    continue
-                entry["stage"] += 1
+                w.ok(patient, "patient_reveal", w.patient_reveal(sid, entry["clinic"], entry["r1"], entry["c2"]))
+                shot = w.ledger.contract.patient_shot[patient.address]
+                if shot in owner:
+                    write_once_ok = False
+                owner[shot] = entry["patient"]
+                bound[entry["patient"]] = shot
+                del inflight[sid]
 
         openings = [
             w.opening_entry(bound[i])

@@ -9,6 +9,7 @@ import pytest
 from vaccsc import cli, ledger, logio
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import VaccineTrial
+from vaccsc.ledger import SignedTransaction, signing_bytes
 from vaccsc.logio import read_log, write_ledger_log, write_log
 
 
@@ -279,6 +280,45 @@ def test_audit_export_json(sim, tmp_path, capsys):
     json.loads(export.read_text())
 
 
+def test_audit_export_json_keeps_a_payload_that_is_not_utf8(tmp_path, capsys, world_cls):
+    """A journaled payload that is not UTF-8 is exported with its other bytes
+    as lone surrogates, so the export gives the signed bytes back."""
+    w = world_cls(num_shots=4)
+    payload, sequence = b'{"clinic":"\xff"}', w.ledger.next_sequence(w.developer.address)
+    signature = w.developer.sign(signing_bytes(w.ledger.trial_id, "assign_shot_to_clinic", sequence, payload))
+    tx = SignedTransaction(
+        w.developer.address, w.developer.public_key, "assign_shot_to_clinic", payload, sequence, signature
+    )
+    assert w.ledger.submit(tx).code == "MalformedPayload"
+    path = tmp_path / "bytes.vscl"
+    write_ledger_log(path, w.ledger)
+    code, _, _ = run_cli(capsys, "audit", str(path), "--export-json")
+    assert code == 0
+    (record,) = json.loads(path.with_suffix(".vscl.json").read_text())["records"]
+    assert record["tx"]["payload"].encode("utf-8", "surrogateescape") == payload
+
+
+def test_simulate_exports_the_log_it_wrote_without_reading_it_back(tmp_path, capsys, monkeypatch):
+    """``simulate --export-json`` deploys one contract, and its export is the
+    one ``audit --export-json`` writes for the same log, byte for byte."""
+    deployed = []
+    deploy = VaccineTrial.from_genesis.__func__
+
+    def counting_deploy(cls, genesis):
+        deployed.append(genesis)
+        return deploy(cls, genesis)
+
+    monkeypatch.setattr(VaccineTrial, "from_genesis", classmethod(counting_deploy))
+    argv = ("simulate", "--scenario", "honest_small", "--seed", "2", "--out", str(tmp_path), "--export-json")
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(deployed) == 1
+    log = tmp_path / "honest_small-s2.vscl"
+    code, _, _ = run_cli(capsys, "audit", str(log), "--export-json")
+    assert code == 0
+    assert (tmp_path / "honest_small-s2.log.json").read_bytes() == log.with_suffix(".vscl.json").read_bytes()
+
+
 # -- status ---------------------------------------------------------------------
 
 
@@ -352,7 +392,7 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = w.ledger.journal
-    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5", "vaccsc-6", "vaccsc-7"):
+    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5", "vaccsc-6", "vaccsc-7", "vaccsc-8"):
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
         code, _, err = run_cli(capsys, "audit", str(path))

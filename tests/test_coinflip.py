@@ -1,6 +1,7 @@
-"""The coin flip: contributions, the slot two of them select, and the order
-of reveals that the contract's binding session enforces. The clinic opens a
-session holding its own commitment and the one it relays for the patient."""
+"""The coin flip: the patient's committed contribution, the slot two values
+select, and the binding session the contract runs. The clinic opens a
+session with the commitment it relays for the patient and its own value in
+the clear, and the patient reveals last."""
 
 from random import Random
 
@@ -30,8 +31,8 @@ def session_world(world_cls, **kwargs):
     """One clinic holding six shots, with patient 0's session open at it."""
     w = world_cls(num_shots=6, num_clinics=1, **kwargs)
     w.assign_all()
-    session, c1, c2 = w.begin(0)
-    return w, session, c1, c2
+    session, r1, c2 = w.begin(0)
+    return w, session, r1, c2
 
 
 def test_contribution_golden_vectors(vectors):
@@ -44,7 +45,7 @@ def test_contribution_golden_vectors(vectors):
 
 def test_xor_identities():
     def xor(a: int, b: int) -> int:  # over 2**64 slots the selection is the XOR itself
-        return select_index(make_contribution(a, 1), make_contribution(b, 2), 2**64)
+        return select_index(a, b, 2**64)
 
     assert xor(0x0, U64_MAX) == U64_MAX
     assert xor(0xDEADBEEF, 0xDEADBEEF) == 0
@@ -53,15 +54,13 @@ def test_xor_identities():
 
 def test_phase_transitions(world_cls):
     """Each step stores its own input in the session and nothing derived."""
-    w, sid, c1, c2 = session_world(world_cls)
+    w, sid, r1, c2 = session_world(world_cls)
     session = w.ledger.contract.sessions[sid]
-    clinic, patient = w.clinics[0], w.patients[0]
-    assert session.clinic_commit == commit_contribution(c1)
+    patient = w.patients[0]
+    assert session.clinic_value == r1
     assert session.patient_commit == commit_contribution(c2)
-    assert session.clinic_reveal is session.patient_reveal is None
-    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    assert session.clinic_reveal == c1 and session.patient_reveal is None
-    reveal = w.patient_reveal(sid, 0, c1, c2)
+    assert session.patient_reveal is None
+    reveal = w.patient_reveal(sid, 0, r1, c2)
     w.ok(patient, "patient_reveal", reveal)
     assert session.patient_reveal == c2 and not session.aborted
     assert w.ledger.contract.patient_shot[patient.address].hex() == reveal["shot"]
@@ -69,27 +68,26 @@ def test_phase_transitions(world_cls):
 
 
 def test_duplicate_commit_rejected(world_cls):
-    """Each party commits once: a second begin_binding for a patient with an
-    open session is PatientAlreadyBound, and the session keeps both first
-    commitments."""
-    w, sid, c1, c2 = session_world(world_cls)
+    """Each party plays once: a second begin_binding for a patient with an
+    open session is PatientAlreadyBound, and the session keeps the first
+    value and commitment."""
+    w, sid, r1, c2 = session_world(world_cls)
     w.fail(
-        w.clinics[0], "begin_binding", {"bindings": [w.binding(0, wrong(c1), wrong(c2))]}, "PatientAlreadyBound"
+        w.clinics[0], "begin_binding", {"bindings": [w.binding(0, r1 ^ 1, wrong(c2))]}, "PatientAlreadyBound"
     )
     session = w.ledger.contract.sessions[sid]
-    assert (session.clinic_commit, session.patient_commit) == (commit_contribution(c1), commit_contribution(c2))
+    assert (session.clinic_value, session.patient_commit) == (r1, commit_contribution(c2))
 
 
 def test_commit_after_reveal_phase_rejected(world_cls):
-    """Once the clinic has revealed, the patient knows which shot its reveal
-    selects; no new commitment can be opened for it, and it cannot open
-    another contribution."""
-    w, sid, c1, c2 = session_world(world_cls)
+    """The clinic's value is public from the session's start, so the patient
+    knows which shot its reveal selects; no new commitment can be opened
+    for it, and it cannot open another contribution."""
+    w, sid, r1, c2 = session_world(world_cls)
     patient = w.patients[0]
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, c1, wrong(c2))]}, "PatientAlreadyBound")
-    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, wrong(c2)), "RevealMismatch")
-    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, r1, wrong(c2))]}, "PatientAlreadyBound")
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, wrong(c2)), "RevealMismatch")
+    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, c2))
 
 
 # -- the relayed commitment ------------------------------------------------------
@@ -103,11 +101,10 @@ def test_a_wrongly_relayed_commitment_only_stalls_the_session(world_cls, aborter
     w = world_cls(num_shots=6, num_clinics=1, binding_deadline=5)
     w.assign_all()
     clinic, patient = w.clinics[0], w.patients[0]
-    c1, c2 = w.contributions()
-    receipt = w.ok(clinic, "begin_binding", {"bindings": [w.binding(0, c1, wrong(c2))]})
+    r1, c2 = w.contributions()
+    receipt = w.ok(clinic, "begin_binding", {"bindings": [w.binding(0, r1, wrong(c2))]})
     sid = receipt.events[0].payload["session"]
-    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "RevealMismatch")  # checks the state digest
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, c2), "RevealMismatch")  # checks the state digest
     assert patient.address not in w.ledger.contract.patient_shot
     session = w.ledger.contract.sessions[sid]
     while len(w.ledger.journal) <= session.deadline:
@@ -121,39 +118,25 @@ def test_a_wrongly_relayed_commitment_only_stalls_the_session(world_cls, aborter
 def test_a_clinic_that_can_open_the_relayed_commitment_cannot_complete(world_cls):
     """Only the session's patient completes it: the clinic, even holding the
     opening of the commitment it relayed, gets NotSessionPatient."""
-    w, sid, c1, c2 = session_world(world_cls)
+    w, sid, r1, c2 = session_world(world_cls)
     clinic = w.clinics[0]
-    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.fail(clinic, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "NotSessionPatient")
+    w.fail(clinic, "patient_reveal", w.patient_reveal(sid, 0, r1, c2), "NotSessionPatient")
     assert w.ledger.contract.sessions[sid].patient_reveal is None
-    w.ok(w.patients[0], "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
+    w.ok(w.patients[0], "patient_reveal", w.patient_reveal(sid, 0, r1, c2))
 
 
 def test_mismatched_reveal_rejected_session_recoverable(world_cls):
-    w, sid, c1, c2 = session_world(world_cls)
-    clinic, patient = w.clinics[0], w.patients[0]
+    w, sid, r1, c2 = session_world(world_cls)
+    patient = w.patients[0]
     shots = sorted(w.shot_list())
-    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, wrong(c1))]}, "RevealMismatch")
-    # the honest reveals still go through afterwards
-    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2))
-    assert w.ledger.contract.patient_shot[patient.address] == shots[select_index(c1, c2, len(shots))]
-
-
-def test_duplicate_reveal_rejected(world_cls):
-    w, sid, c1, c2 = session_world(world_cls)
-    clinic, patient = w.clinics[0], w.patients[0]
-    w.ok(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "DuplicateReveal")
-    # once the patient's reveal settles the session, every reveal fails on that
-    reveal = w.patient_reveal(sid, 0, c1, c2)
-    w.ok(patient, "patient_reveal", reveal)
-    w.fail(clinic, "clinic_reveal", {"reveals": [w.reveal(sid, c1)]}, "SessionSettled")
-    w.fail(patient, "patient_reveal", reveal, "SessionSettled")
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, wrong(c2)), "RevealMismatch")
+    # the honest reveal still goes through afterwards
+    w.ok(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, c2))
+    assert w.ledger.contract.patient_shot[patient.address] == shots[select_index(r1, c2.value, len(shots))]
 
 
 def test_abort_rules(world_cls):
-    w, sid, c1, c2 = session_world(world_cls, binding_deadline=5)
+    w, sid, r1, c2 = session_world(world_cls, binding_deadline=5)
     session = w.ledger.contract.sessions[sid]
     patient = w.patients[0]
     # burn logical time with rejected submissions up to the deadline itself
@@ -162,16 +145,16 @@ def test_abort_rules(world_cls):
     w.fail(patient, "abort_binding", {"session": sid}, "AbortBeforeDeadline")  # at the deadline is too early
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
     assert session.aborted and session.patient_reveal is None
-    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, c1, c2), "SessionSettled")
+    w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, c2), "SessionSettled")
     w.fail(patient, "abort_binding", {"session": sid}, "SessionSettled")
     assert patient.address not in w.ledger.contract.patient_shot
 
 
 def test_select_index_examples():
-    assert select_index(make_contribution(7), make_contribution(0), 1) == 0
-    assert select_index(make_contribution(12), make_contribution(6), 3) == 1
+    assert select_index(7, 0, 1) == 0
+    assert select_index(12, 6, 3) == 1
     with pytest.raises(ValueError):
-        select_index(make_contribution(5), make_contribution(0), 0)
+        select_index(5, 0, 0)
 
 
 def _chi_square(counts: dict[int, int], total: int, cells: int) -> float:
@@ -180,7 +163,7 @@ def _chi_square(counts: dict[int, int], total: int, cells: int) -> float:
 
 
 def test_uniformity_desk_scale():
-    """Constant and commit-adaptive adversaries cannot bias the index."""
+    """Constant and commit-adaptive adversaries, playing in the clear, cannot bias the index."""
     from scipy.stats import chi2
 
     critical = chi2.ppf(0.99, 6)
@@ -195,8 +178,7 @@ def test_uniformity_desk_scale():
             else:
                 # adversary picks after seeing the honest commitment digest
                 adv_value = int.from_bytes(commit_contribution(honest)[:8], "big")
-            adv = make_contribution(adv_value, rng.getrandbits(32))
-            index = select_index(adv, honest, 7)
+            index = select_index(adv_value, honest.value, 7)
             counts[index] = counts.get(index, 0) + 1
         stat = _chi_square(counts, draws, 7)
         assert stat < critical, f"{adversary}: chi2={stat:.2f} >= {critical:.2f}"
@@ -213,7 +195,7 @@ def test_contribution_validation():
 
 # "wait" is a rejected outsider call: it only moves logical time on, so
 # that an abort can come after the deadline.
-STEPS = ("clinic_reveal", "patient_reveal", "abort_binding", "wait")
+STEPS = ("patient_reveal", "abort_binding", "wait")
 
 
 @given(data=st.data())
@@ -224,9 +206,9 @@ STEPS = ("clinic_reveal", "patient_reveal", "abort_binding", "wait")
 )
 def test_ordering_safety(world_cls, data):
     """Any interleaving of one session's steps, each sent by its own party
-    with a right or a wrong value: no shot is bound unless the clinic's
-    reveal came first, and a rejected step changes no state."""
-    w, sid, c1, c2 = session_world(world_cls, binding_deadline=6)
+    with a right or a wrong value: only the patient's right reveal binds a
+    shot, and a rejected step changes no state."""
+    w, sid, r1, c2 = session_world(world_cls, binding_deadline=6)
     clinic, patient = w.clinics[0], w.patients[0]
     steps = data.draw(st.lists(st.tuples(st.sampled_from(STEPS), st.booleans()), max_size=12))
     accepted: list[str] = []
@@ -234,11 +216,8 @@ def test_ordering_safety(world_cls, data):
         if step == "wait":
             w.call(w.outsider, "report_sick", {})
             continue
-        clinic_c, patient_c = (c1, c2) if right else (wrong(c1), wrong(c2))
-        if step == "clinic_reveal":
-            sender, params = clinic, {"reveals": [w.reveal(sid, clinic_c)]}
-        elif step == "patient_reveal":
-            sender, params = patient, w.patient_reveal(sid, 0, c1, patient_c)
+        if step == "patient_reveal":
+            sender, params = patient, w.patient_reveal(sid, 0, r1, c2 if right else wrong(c2))
         else:  # either party may abort; the flag picks which
             sender, params = (patient if right else clinic), {"session": sid}
         before = w.ledger.state_digest()
@@ -247,7 +226,7 @@ def test_ordering_safety(world_cls, data):
             assert w.ledger.state_digest() == before, f"rejected {step} ({receipt.code}) changed state"
             continue
         if step == "patient_reveal":
-            assert "clinic_reveal" in accepted
+            assert right
             assert w.ledger.contract.patient_shot[patient.address].hex() == params["shot"]
         accepted.append(step)
     assert (patient.address in w.ledger.contract.patient_shot) == ("patient_reveal" in accepted)

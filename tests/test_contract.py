@@ -271,9 +271,9 @@ def test_binding_preconditions(world_cls):
 def test_binding_hex_has_one_spelling(world_cls, respell):
     w = world_cls(num_shots=4, num_clinics=2)
     w.assign_all()
-    entry = {"patient": w.patients[0].address.hex(), "clinic_commitment": "ab" * 32, "patient_commitment": "cd" * 32}
+    entry = {"patient": w.patients[0].address.hex(), "clinic_value": 7, "patient_commitment": "cd" * 32}
     sequence = w.ledger.next_sequence(w.clinics[0].address)
-    for key in ("patient", "clinic_commitment", "patient_commitment"):
+    for key in ("patient", "patient_commitment"):
         params = {"bindings": [{**entry, key: respell(entry[key])}]}
         w.fail(w.clinics[0], "begin_binding", params, "MalformedParams")
         assert w.ledger.next_sequence(w.clinics[0].address) == sequence
@@ -283,12 +283,44 @@ def test_binding_hex_has_one_spelling(world_cls, respell):
 def test_binding_entry_has_exactly_patient_and_commitment(world_cls):
     w = world_cls(num_shots=4, num_clinics=2)
     w.assign_all()
-    entry = {"patient": w.patients[0].address.hex(), "clinic_commitment": "ab" * 32, "patient_commitment": "cd" * 32}
+    entry = {"patient": w.patients[0].address.hex(), "clinic_value": 7, "patient_commitment": "cd" * 32}
     sequence = w.ledger.next_sequence(w.clinics[0].address)
     missing = [{k: v for k, v in entry.items() if k != key} for key in entry]
     for bad in [{**entry, "memo": "x"}, {**entry, "commitment": "ab" * 32}, *missing]:
         w.fail(w.clinics[0], "begin_binding", {"bindings": [entry, bad]}, "MalformedParams")
         assert w.ledger.next_sequence(w.clinics[0].address) == sequence
+
+
+@pytest.mark.parametrize("bad", [True, 7.0, "7", -1, 2**64], ids=["bool", "float", "string", "-1", "2**64"])
+def test_clinic_value_is_an_unsigned_64_bit_int(world_cls, bad):
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    entry = w.binding(0, *w.contributions())
+    w.fail(w.clinics[0], "begin_binding", {"bindings": [{**entry, "clinic_value": bad}]}, "MalformedParams")
+    w.ok(w.clinics[0], "begin_binding", {"bindings": [{**entry, "clinic_value": 2**64 - 1}]})
+    assert w.ledger.contract.sessions[0].clinic_value == 2**64 - 1
+
+
+def test_a_binding_entry_with_the_clinic_commitment_is_malformed(world_cls):
+    """The clinic plays its value in the clear: an entry still carrying a
+    ``clinic_commitment``, beside ``clinic_value`` or in its place, or one
+    missing ``clinic_value`` is MalformedParams."""
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    entry = w.binding(0, *w.contributions())
+    without_value = {k: v for k, v in entry.items() if k != "clinic_value"}
+    commitment = {"clinic_commitment": "ab" * 32}
+    for bad in (without_value, {**without_value, **commitment}, {**entry, **commitment}):
+        w.fail(w.clinics[0], "begin_binding", {"bindings": [bad]}, "MalformedParams")  # checks the digest
+    w.ok(w.clinics[0], "begin_binding", {"bindings": [entry]})
+
+
+def test_clinic_reveal_is_an_unknown_method(world_cls):
+    w = world_cls(num_shots=4, num_clinics=2)
+    w.assign_all()
+    sid, r1, _ = w.begin(0)
+    params = {"reveals": [{"session": sid, "value": r1, "nonce": "00" * 32}]}
+    w.fail(w.clinics[0], "clinic_reveal", params, "UnknownMethod")
 
 
 def _drain_clinic0(w):
@@ -353,16 +385,20 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
     addresses = [p.address.hex() for p in w.patients]
     digest = st.binary(min_size=32, max_size=32).map(bytes.hex)
     good = st.builds(
-        lambda i, c1, c2: {"patient": addresses[i], "clinic_commitment": c1, "patient_commitment": c2},
+        lambda i, r1, c2: {"patient": addresses[i], "clinic_value": r1, "patient_commitment": c2},
         st.integers(0, len(addresses) - 1),
-        digest,
+        st.integers(0, 2**64 - 1),
         digest,
     )
     bad = st.one_of(
         st.sampled_from(["aa" * 20, 7, None, [], True]),  # not an object
         good.map(lambda e: {**e, "patient": "AB" + e["patient"][2:]}),  # upper-case hex
-        good.map(lambda e: {**e, "clinic_commitment": e["clinic_commitment"][:2] + " " + e["clinic_commitment"][2:]}),
+        good.map(lambda e: {**e, "patient_commitment": spaced(e["patient_commitment"])}),
         good.map(lambda e: {**e, "patient_commitment": "AB" + e["patient_commitment"][2:]}),
+        good.map(lambda e: {**e, "clinic_value": float(e["clinic_value"])}),  # an int as a float
+        st.sampled_from([True, -1, 2**64, "7"]).flatmap(  # not a u64
+            lambda v: good.map(lambda e: {**e, "clinic_value": v})
+        ),
         good.map(lambda e: {**e, "patient": e["patient"][:38]}),  # 19 bytes
         good.map(lambda e: {**e, "memo": "x"}),  # an extra key
         good.map(lambda e: {k: v for k, v in e.items() if k != "patient_commitment"}),  # a missing key
@@ -401,136 +437,15 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
         session = contract.sessions[session_id]
         assert session.clinic == sender.address
         assert session.patient.hex() == entry["patient"]
-        assert session.clinic_commit.hex() == entry["clinic_commitment"]
+        assert session.clinic_value == entry["clinic_value"]
         assert session.patient_commit.hex() == entry["patient_commitment"]
-        assert session.clinic_reveal is session.patient_reveal is None
+        assert session.patient_reveal is None
         assert session.deadline == receipt.position + 7 and not session.aborted
         assert contract.pending_by_patient[session.patient] == session_id
     assert [(e.name, e.payload) for e in receipt.events] == [
         ("BindingStarted", {"session": i, "clinic": sender.address.hex(), "patient": e["patient"]})
         for i, e in zip(ids, entries)
     ]
-
-
-def reveal_world(world_cls, **kwargs):
-    """Six shots over two clinics and these sessions, with the clinic's
-    contribution to each: 0, bound at clinic 0 (settled); 1, 2 and 4, open
-    at clinic 0; 3, open at clinic 0 and already revealed; 5, open at
-    clinic 1."""
-    w = world_cls(num_shots=6, num_clinics=2, extra_patients=4, threshold=1, **kwargs)
-    w.assign_all()
-    session, c1, c2 = w.begin(0, clinic_index=0)
-    w.complete(session, 0, 0, c1, c2)
-    drawn = {0: c1}
-    for clinic_index, patients in ((0, (1, 2, 3, 4)), (1, (5,))):
-        contributions = [w.contributions() for _ in patients]
-        receipt = w.ok(
-            w.clinics[clinic_index],
-            "begin_binding",
-            {"bindings": [w.binding(i, *c) for i, c in zip(patients, contributions)]},
-        )
-        for i, event, (c1, _) in zip(patients, receipt.events, contributions):
-            assert event.payload["session"] == i
-            drawn[i] = c1
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(3, drawn[3])]})
-    return w, drawn
-
-
-# Each case gives (prepare, fault): clinic 0 sends a batch that reveals
-# session 1, then the faulty entry, then session 2; ``prepare`` readies the
-# world first.
-REVEAL_REJECTIONS = {
-    "MalformedParams": (None, lambda w, d: {**w.reveal(2, d[2]), "nonce": "zz" * 32}),
-    "WrongPhase": (lambda w: w.sicken(0), lambda w, d: w.reveal(2, d[2])),  # threshold reached
-    "UnknownSession": (None, lambda w, d: {**w.reveal(2, d[2]), "session": 6}),
-    "SessionSettled": (None, lambda w, d: w.reveal(0, d[0])),
-    "NotSessionClinic": (None, lambda w, d: w.reveal(5, d[5])),
-    "DuplicateReveal": (None, lambda w, d: w.reveal(1, d[1])),  # listed twice
-    "RevealMismatch": (None, lambda w, d: {**w.reveal(2, d[2]), "value": d[2].value ^ 1}),
-}
-
-
-@pytest.mark.parametrize("code", sorted(REVEAL_REJECTIONS))
-def test_reveal_batch_rejection_leaves_no_trace(world_cls, code):
-    w, drawn = reveal_world(world_cls)
-    prepare, fault = REVEAL_REJECTIONS[code]
-    if prepare:
-        prepare(w)
-    clinic = w.clinics[0]
-    sequence = w.ledger.next_sequence(clinic.address)
-    reveals = [w.reveal(1, drawn[1]), fault(w, drawn), w.reveal(2, drawn[2])]
-    w.fail(clinic, "clinic_reveal", {"reveals": reveals}, code)  # checks the state digest
-    assert w.ledger.next_sequence(clinic.address) == sequence
-
-
-@given(data=st.data())
-@settings(
-    max_examples=200,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_reveal_batch_is_all_or_nothing(world_cls, data):
-    w, drawn = reveal_world(world_cls, binding_deadline=7)
-    contract = w.ledger.contract
-
-    def well_formed(session, right):
-        c1 = drawn.get(session, drawn[1])  # any contribution for an unknown id
-        return {**w.reveal(session, c1), "value": c1.value if right else c1.value ^ 1}
-
-    # the sessions of reveal_world, then unknown ids; a right or a wrong value
-    good = st.builds(well_formed, st.sampled_from([0, 1, 2, 3, 4, 5, 6, 999, -1]), st.booleans())
-    bad = st.one_of(
-        st.sampled_from([7, None, "x", [], True]),  # not an object
-        good.map(lambda e: {**e, "memo": "x"}),  # an extra key
-        good.map(lambda e: {k: v for k, v in e.items() if k != "value"}),  # a missing key
-        good.map(lambda e: {**e, "value": float(e["value"])}),  # an int as a float
-        good.map(lambda e: {**e, "session": bool(e["session"])}),  # an int as a bool
-        good.map(lambda e: {**e, "nonce": e["nonce"].upper()}),  # upper-case hex
-    )
-    tagged = st.one_of(good.map(lambda e: (e, True)), bad.map(lambda e: (e, False)))
-    drawn_entries = data.draw(st.lists(tagged, max_size=4) | st.sampled_from([None, "x", {}]))
-    entries = [e for e, _ in drawn_entries] if isinstance(drawn_entries, list) else drawn_entries
-    sender = data.draw(st.sampled_from([w.clinics[0], w.clinics[1], w.developer, w.patients[1]]))
-    params = {} if entries is None else {"reveals": entries}
-
-    expected = None
-    if not isinstance(entries, list) or not entries or not all(ok for _, ok in drawn_entries):
-        expected = "MalformedParams"
-    else:
-        listed: set[int] = set()
-        for entry in entries:
-            session = entry["session"]
-            if not 0 <= session < len(contract.sessions):
-                expected = "UnknownSession"
-            elif session == 0:
-                expected = "SessionSettled"
-            elif contract.sessions[session].clinic != sender.address:
-                expected = "NotSessionClinic"
-            elif session == 3 or session in listed:
-                expected = "DuplicateReveal"
-            elif entry["value"] != drawn[session].value:
-                expected = "RevealMismatch"
-            if expected:
-                break
-            listed.add(session)
-    before = [json_value(session) for session in contract.sessions]
-    digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
-
-    receipt = w.call(sender, "clinic_reveal", params)
-
-    assert receipt.code == expected, receipt.detail
-    if not receipt.accepted:
-        assert w.ledger.state_digest() == digest
-        assert w.ledger.next_sequence(sender.address) == sequence
-        return
-    assert receipt.events == ()
-    for session_id, session in enumerate(contract.sessions):
-        if session_id not in listed:
-            assert json_value(session) == before[session_id]
-            continue
-        assert session.clinic_reveal == drawn[session_id]
-        assert session.patient_reveal is None
-        assert session.deadline == receipt.position + 7
 
 
 def test_clinic_out_of_shots(world_cls):
@@ -546,7 +461,6 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
     # two sessions race for clinic 0's single free shot
     s1, a1, b1 = w.begin(0, clinic_index=0)
     s2, a2, b2 = w.begin(1, clinic_index=0)
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(s1, a1), w.reveal(s2, a2)]})
     shot = w.selected_shot(0, a1, b1)
     w.ok(w.patients[0], "patient_reveal", {"session": s1, "value": b1.value, "nonce": b1.nonce.hex(), "shot": shot.hex()})
     # session 2's completing reveal must reject atomically: no shot left
@@ -558,7 +472,7 @@ def test_completing_reveal_checks_stock_before_mutating(world_cls):
     )
     session = w.ledger.contract.sessions[s2]
     assert session.patient_reveal is None  # reveal was not half-applied
-    assert session.clinic_reveal == a2 and not session.aborted
+    assert session.clinic_value == a2 and not session.aborted
 
 
 def test_session_party_checks(world_cls):
@@ -567,20 +481,10 @@ def test_session_party_checks(world_cls):
     w = world_cls(num_shots=4)
     w.assign_all()
     sid, a1, b1 = w.begin(0, clinic_index=0)
-    w.fail(w.patients[1], "patient_reveal", w.patient_reveal(sid, 0, a1, b1), "NotSessionPatient")
-    w.fail(w.patients[0], "clinic_reveal", {"reveals": [w.reveal(sid, a1)]}, "NotSessionClinic")
-    w.fail(
-        w.clinics[0],
-        "clinic_reveal",
-        {"reveals": [{**w.reveal(sid, a1), "value": a1.value ^ 1}]},
-        "RevealMismatch",
-    )
-    w.fail(
-        w.clinics[0],
-        "clinic_reveal",
-        {"reveals": [{"session": 999, "value": 1, "nonce": "00" * 32}]},
-        "UnknownSession",
-    )
+    reveal = w.patient_reveal(sid, 0, a1, b1)
+    w.fail(w.patients[1], "patient_reveal", reveal, "NotSessionPatient")
+    w.fail(w.patients[0], "patient_reveal", {**reveal, "value": b1.value ^ 1}, "RevealMismatch")
+    w.fail(w.patients[0], "patient_reveal", {**reveal, "session": 999}, "UnknownSession")
     # a JSON bool is not an integer, even though Python's bool is an int:
     # true must not stand for session 1, nor for a committed value of 1
     a2, _ = w.contributions()
@@ -588,7 +492,6 @@ def test_session_party_checks(world_cls):
     receipt = w.ok(w.clinics[0], "begin_binding", {"bindings": [w.binding(1, a2, one)]})
     sid1 = receipt.events[0].payload["session"]
     assert sid1 == 1
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid1, a2)]})
     reveal = w.patient_reveal(sid1, 0, a2, one)
     w.fail(w.patients[1], "patient_reveal", {**reveal, "session": True}, "MalformedParams")
     w.fail(w.patients[1], "patient_reveal", {**reveal, "value": True}, "MalformedParams")
@@ -610,7 +513,6 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
     w.assign_all()
     sid, a, b = w.begin(0)
     patient = w.patients[0]
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
     right = w.selected_shot(0, a, b)
     other = next(s for s in w.ledger.contract.free_shots[w.config.clinics[0]] if s != right)
     reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex()}
@@ -630,14 +532,15 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
 
 
 def test_patient_reveal_waits_for_the_clinic(world_cls):
+    """The clinic's value and the session arrive together in begin_binding:
+    before it, the patient's reveal names no session."""
     w = world_cls(num_shots=4, num_clinics=1)
     w.assign_all()
-    sid, a, b = w.begin(0)
+    a, b = w.contributions()
     patient = w.patients[0]
-    reveal = {"session": sid, "value": b.value, "nonce": b.nonce.hex(), "shot": w.selected_shot(0, a, b).hex()}
-    w.fail(patient, "patient_reveal", reveal, "RevealOutOfOrder")
-    assert w.ledger.contract.sessions[sid].patient_reveal is None
-    w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, a)]})
+    reveal = {"session": 0, "value": b.value, "nonce": b.nonce.hex(), "shot": w.selected_shot(0, a, b).hex()}
+    w.fail(patient, "patient_reveal", reveal, "UnknownSession")
+    w.ok(w.clinics[0], "begin_binding", {"bindings": [w.binding(0, a, b)]})
     w.ok(patient, "patient_reveal", reveal)
 
 
@@ -665,22 +568,22 @@ def test_abort_after_completion_rejected(world_cls):
     assert w.ledger.contract.patient_shot[w.patients[0].address] == shot
 
 
-def test_each_session_step_moves_the_deadline(world_cls):
+def test_begin_binding_sets_the_deadline_once(world_cls):
+    """The deadline is ``binding_deadline`` after the begin, and nothing in
+    the session moves it."""
     w = world_cls(num_shots=4, binding_deadline=5)
     w.assign_all()
-    sid, c1, _ = w.begin(0, clinic_index=0)
+    sid, r1, c2 = w.begin(0, clinic_index=0)
     session = w.ledger.contract.sessions[sid]
     deadline = session.deadline
     assert deadline == len(w.ledger.journal) - 1 + 5  # the begin's position + 5
+    wrong = {**w.patient_reveal(sid, 0, r1, c2), "value": c2.value ^ 1}
+    w.fail(w.patients[0], "patient_reveal", wrong, "RevealMismatch")
     # burn logical time with rejected submissions up to the deadline itself
     while len(w.ledger.journal) < deadline:
         w.call(w.outsider, "report_sick", {})
-    receipt = w.ok(w.clinics[0], "clinic_reveal", {"reveals": [w.reveal(sid, c1)]})
-    assert receipt.position == deadline
-    assert session.deadline == deadline + 5
     w.fail(w.patients[0], "abort_binding", {"session": sid}, "AbortBeforeDeadline")
-    while len(w.ledger.journal) <= session.deadline:
-        w.call(w.outsider, "report_sick", {})
+    assert session.deadline == deadline
     w.ok(w.clinics[0], "abort_binding", {"session": sid})
 
 
@@ -928,7 +831,6 @@ def honest_calls(w):
     shots = [shot.hex() for shot in w.shot_list()]
     yield w.developer, "assign_shot_to_clinic", {"clinic": clinic.address.hex(), "shots": shots}
     yield clinic, "begin_binding", {"bindings": [w.binding(i, *c) for i, c in enumerate(drawn)]}
-    yield clinic, "clinic_reveal", {"reveals": [w.reveal(i, c1) for i, (c1, _) in enumerate(drawn[:2])]}
     reveal = w.patient_reveal(0, 0, *drawn[0])
     yield w.patients[0], "patient_reveal", reveal
     w.patient_shot[0] = bytes.fromhex(reveal["shot"])
@@ -1026,15 +928,15 @@ def first_opening(change):
 # One fixed respelling of each kind: (method, respell the honest params).
 RESPELLINGS = {
     "upper-case hex": ("patient_reveal", lambda p: {**p, "shot": upper_case(p["shot"])}),
-    "spaced hex": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "nonce": spaced(e["nonce"])})),
+    "spaced hex": (
+        "begin_binding",
+        first_entry("bindings", lambda e: {**e, "patient_commitment": spaced(e["patient_commitment"])}),
+    ),
     "an extra top-level key": ("assign_shot_to_clinic", lambda p: {**p, "memo": "x"}),
     "an extra key on an empty payload": ("report_sick", lambda p: {"memo": "x"}),
     "an extra entry key": ("reveal_controls", first_opening({"memo": "x"})),
-    "an extra reveal key": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "memo": "x"})),
-    "a missing reveal key": (
-        "clinic_reveal",
-        first_entry("reveals", lambda e: {k: v for k, v in e.items() if k != "nonce"}),
-    ),
+    "an extra reveal key": ("patient_reveal", lambda p: {**p, "memo": "x"}),
+    "a missing reveal key": ("patient_reveal", lambda p: {k: v for k, v in p.items() if k != "nonce"}),
     "a missing key": ("patient_reveal", lambda p: {k: v for k, v in p.items() if k != "shot"}),
     "a missing entry key": (
         "begin_binding",
@@ -1042,7 +944,10 @@ RESPELLINGS = {
     ),
     "a padded upper-case label": ("reveal_controls", first_opening({"content": "  PLACEBO "})),
     "an upper-case label": ("reveal_controls", first_opening({"content": "PLACEBO"})),
-    "an int as a float": ("clinic_reveal", first_entry("reveals", lambda e: {**e, "value": float(e["value"])})),
+    "an int as a float": (
+        "begin_binding",
+        first_entry("bindings", lambda e: {**e, "clinic_value": float(e["clinic_value"])}),
+    ),
     "a session id as a float": ("abort_binding", lambda p: {"session": float(p["session"])}),
     "an int as a bool": ("patient_reveal", lambda p: {**p, "session": False}),
 }

@@ -22,59 +22,59 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "cb3b1ac4385d0e2b6606298edf8312577bdd1a5e3b883deeaf708cb434ebe04e",
-        "4903b916db9da7592e12460f1943e4d5f4c388289e0273fb02f47de45d71114b",
-        "2fddc0963eee2a3570ecf1b53f728ee5a5cf0ac49c4993f0d6ed5f0fc39dfd55",
+        "f7d117f3fc2b14251cfc1df7871ae74fc16a5d7cf0ac58786a866ce4d588290f",
+        "fa121d4f39e2675613cf7d1e9a3c95e030abf0070b78f2abe049491a7a2e8e99",
+        "d702a1862ad7d9faa127e2fb17c4cb918a94eb55081d43d65b9be46aa5763e35",
     ),
     "honest_pfizer_like-s1": (
-        "3243db76c22d54929a671ea4f1c09b5bc8f5c0c10258066ea92deb477cd99e50",
-        "7dd8ab9267c90f4d9fd37ab15e211b824034204d73834064c6eed6f2e2a5b4bf",
-        "bbe5c3faea55aa5e65a38c70f0be34e048caf189ea274a46ac5a2151f2453348",
+        "5dde136229b82650ca3f1539f3ecc21ce442d219dc433e92a6b1f7821b2587b0",
+        "12fafced09d147af5c422cdf62fb0cdcf497d386b506973895aa8205e4edb27a",
+        "b1213980d6b982ad138c47a36e5a8a9d83bf77fe58c93b3b4e3a58a41ec8a957",
     ),
     "grid/honest": (
-        "ec9835ea09bc44abd9290d88d7e321d9c764a37310fb65ca48d3b249efca3c71",
-        "21b760e0d8ffcd0c7ed0fc6873f704d2347533ec9cda2bad84a66b28cb1f7cbb",
-        "4e561e95217e1469d9dcbce9ca80d9b9a146b42daa66dbc517d2619903fb6d66",
+        "9c883d541536357c2a7ffccc0f0093d18634ace959987df33519e042ea9998c2",
+        "81e532a1ac136539353d4bcffe4dda88f76d4f4d9b6de784b2726d3cd6aa31c2",
+        "ec17fa40d4f26f9930c0b2a53bbf2f17f0fa19463c05d0a0aa3630f92cae4298",
     ),
     "grid/omit_10": (
-        "653c6acd90eb74a203c45cca2280bc72bf46560d1c7b624fd24d2076bb0b2c2c",
-        "8daf5d2e5b8c1d86183f530552a1b21fafe20aaf196c296634725989e9e4a227",
-        "5fd87eba5063422fb6e2653281c3f481979ae6129231425c7a79d189bb9b0d15",
+        "2886d2baf43a9ce269aab45cdf1556cae5041cc800c3adfd0eead0bc29130da3",
+        "1ae7e93a0a67362662094ba4336021ea5d8fe1510ac0435552d0fc0714858977",
+        "0410d78c8ffe8077bef667ce275098a81417b3737d27c66f45adddb9bf5629cd",
     ),
     "grid/omit_25": (
-        "04acf05e4250a43a6eb3e2ecd7f95be6d07c6b4a2345710ed85695eea3d690ce",
-        "fe8613670ae0f0d21fb8550d6998fcba3559c5af618253358d014ff955350f90",
-        "9658be82d9801795d7e612dec26c5fc8c3ee574487ace4ab1963ef4bfd8255ae",
+        "193b8db68f89f7c60db22dc35ec4085c5da81b63f77ddc24c8bbff62eee48d32",
+        "996c785aae889058196316635f5599564bed427778684608b3c5b66bc8b9a17e",
+        "a756c32917c703268b16ec947b0e94bb2300a0284b6ea74f5ba40cf049f7cd87",
     ),
     "grid/omit_50": (
-        "a0ee0245e8d805da85ddf473027f9f576c5d5dda9f8bff02d0f0e153ecf8aa45",
-        "8501e209e7e0a2484ac0c927b4a727e0843d0bc5dbabd980d4090b4e953691bf",
-        "18dc5d24f98db299f948cead2cc1d8f3c4b8e25f71a8083a651d015f4087a88e",
+        "c2f9697ed8c7edd61269f41dad4ad0681cdd3cb57adc51079a323e7b22507267",
+        "acd0be9fbcdb867358e29bab8eb5ad730bc8fe0d5832c7a5e51d06b223e596fd",
+        "24c68493701adc0691bd19daa3e9f898a1514a0c5770b26032bafcab236c8b9c",
     ),
     "grid/forge_1": (
-        "7807d1ebf0300465511a85659807817764783da9642bffbff260fcc4bdb84312",
-        "b67fc9ad904a3328df7317c816728dfa831dd77e814b7f29ac6ca50194d27845",
-        "2c545469f353e799c28ae8994c45ef1132baa3aae6510be49c63fe353c88506d",
+        "2a2a1b718a6f7bb6a7453c9b613cbf6850ccbc47009bd2b0aefbf9b8abdec469",
+        "305ddab15bff10c88d86ac31ac012ec871a458591ff202500dec510fd230b608",
+        "105bc8cd399941d76db103ab5df566d7510938df702b1d9eae56bcde3d9406a1",
     ),
     "grid/biased_distribution": (
-        "9b3024a03cc625eaaf40a73543563cbd47790506d84bb820b432a4357b1956eb",
-        "70aa95c5cbdf9d0e3dd5f9fdcedac5048f86e1bf516198c82b85ff56beaace99",
-        "e5200ed6d37bdffc093f35d44e1c9d9e0a0d4038dc7f3811053308ae93cad768",
+        "8f26795d2cb10aa4807031d2d887f78aeffdf2d615ad31ef2da5a3968f80aaab",
+        "5a4257476a95c223c1080fc78e984512af843515045efb00c08a0eaca1040e4d",
+        "7ebbac1a1fcdb38136ccfebfae026b878f15d5b2c7f8a8e3d302047b7683f237",
     ),
     "grid/collude": (
-        "092769ec885fc7907c8f6cc82012e0e5166cabffdcd2a7ca83b0331919cfe1b4",
-        "39e33efa85b2e7551467b766cbe82f31b8858b4c76b2ad0001f2333927c020ed",
-        "f3653707e89bd8b46fa43e60da0d7e90e38a0b9d9cd92eabf11e8ef8c3048591",
+        "249e0e45f04014b147eed0f83d4fbdc86f442eb0f290073d656459618588b0fa",
+        "d453e89e5e3bc2f921cb3e1ad7c9f666da3e71aafce84c7e20c56b08ec049294",
+        "633a6fd7b3c1848b9ad7c79aa5438931b3897858a0b01d615a90430fd86da331",
     ),
     "grid/false_sick_5": (
-        "1e9bee2ce3174afc3412c5c0db2d246d29dcd493b6d2b2ba7c8697f9cd9116f5",
-        "4983f05d389496b4afe9cdf62e4b3f0e2138a6344c777d938f8911c255e124e1",
-        "4d8f5e31c8827b5637cbe2a70c81b299c885cf2a4d04e6ffe18cbc909eefdc63",
+        "17f4f93cdf41d43930a30095d7e7dbc1f6ac9580f082a55e840089d4d00f1d71",
+        "6fee336c18af438b04b11a71ec980f189059f85e60032286d0131371606a00d0",
+        "12f410cf0748c24350382ee788404358d6e60e39647340d7a6868a9e523a09af",
     ),
     "grid/never_report_5": (
-        "64f3d298bd224e294d216257b161fc0f3d810be51249264ba02faf6b3c483fe6",
-        "c371e71b045ea0b58cfa403d1af69c162d62b3a8e9944fead524013c178e5b67",
-        "12a69460b45c3a844da1544973e46bd7fdd4e7be5ad5b0aaa778e231891eed10",
+        "b3bb59d72e95883ef74d170f1797b9270b5cdec819bf1650d52f85f1189973cf",
+        "24eb3fb37f308d623485900c031bb9024270cb837c5ec62d05c745987da9a548",
+        "d73ae12d50eee559c5989d25a80db2a0399266d9eaa38b5564e5093e89bf9db6",
     ),
 }
 
@@ -114,8 +114,9 @@ def test_adversary_grid_goldens(tmp_path):
 
 
 def test_each_coin_flip_is_stored_once(world_cls):
-    """A session keeps the commitments and reveals of its flip and nothing
-    derived from them: not the XOR, not a phase, not the shot it bound."""
+    """A session keeps the clinic's value, the patient's commitment and its
+    reveal, and nothing derived from them: not the XOR, not a phase, not
+    the shot it bound."""
     w = world_cls(num_shots=6)
     w.assign_all()
     w.bind_all()

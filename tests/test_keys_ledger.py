@@ -396,7 +396,7 @@ def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:
         bindings = [
             {
                 "patient": sha256(b"patient %d" % i).digest()[:ADDRESS_SIZE].hex(),
-                "clinic_commitment": sha256(b"flip %d" % i).hexdigest(),
+                "clinic_value": int.from_bytes(sha256(b"flip %d" % i).digest()[:8], "big"),
                 "patient_commitment": sha256(b"flop %d" % i).hexdigest(),
             }
             for i in range(num_sessions)
