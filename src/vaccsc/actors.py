@@ -10,8 +10,10 @@ ledger never sees anything but commitments until the reveal.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from random import Random
 
@@ -40,52 +42,50 @@ class Behavior(Enum):
     NEVER_REPORT = "never_report"
 
 
-# Each behavior's role (None: any role) and its knob with the knob's JSON
-# type. A strategy is spelled with exactly its behavior's knob, in a scenario
-# file and in a report.
+# Each behavior's role (None: any role) and its knob: the knob's name, its
+# JSON type (matched exactly, so a bool is not a count) and its range, as
+# text and as a check; None for a behavior that takes no knob. A strategy is
+# spelled with exactly its behavior's knob, in a scenario file and in a report.
+_PROBABILITY = ("probability", float, "in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 _BEHAVIORS = {
-    Behavior.HONEST: (None, {}),
-    Behavior.OMIT_CONTROLS: (Role.DEVELOPER, {"fraction": float}),
-    Behavior.FORGE_CONTROLS: (Role.DEVELOPER, {"count": int}),
-    Behavior.BIASED_DISTRIBUTION: (Role.DEVELOPER, {}),
-    Behavior.COLLUDE_WITH_PATIENT: (Role.CLINIC, {}),
-    Behavior.FALSE_SICK: (Role.PATIENT, {"probability": float}),
-    Behavior.NEVER_REPORT: (Role.PATIENT, {"probability": float}),
+    Behavior.HONEST: (None, None),
+    Behavior.OMIT_CONTROLS: (Role.DEVELOPER, ("fraction", float, "in (0, 1]", lambda v: 0.0 < v <= 1.0)),
+    Behavior.FORGE_CONTROLS: (Role.DEVELOPER, ("count", int, ">= 1", lambda v: v >= 1)),
+    Behavior.BIASED_DISTRIBUTION: (Role.DEVELOPER, None),
+    Behavior.COLLUDE_WITH_PATIENT: (Role.CLINIC, None),
+    Behavior.FALSE_SICK: (Role.PATIENT, _PROBABILITY),
+    Behavior.NEVER_REPORT: (Role.PATIENT, _PROBABILITY),
 }
 
 
 @dataclass(frozen=True)
 class Strategy:
-    """One role's behavior for a run, with its tuning knob when it has one.
+    """One role's behavior for a run, with that behavior's knob if it has one.
 
-    fraction: share of true sick controls a cheating developer withholds.
-    count: forged entries per forged reveal attempt.
-    probability: per-epoch false-report chance, or per-patient silence chance.
+    omit_controls: fraction of the sick controls a developer withholds.
+    forge_controls: count of forged openings per forged reveal attempt.
+    false_sick, never_report: per-epoch false-report or per-patient silence chance.
     """
 
     role: Role
     behavior: Behavior = Behavior.HONEST
-    fraction: float = 0.0
-    count: int = 0
-    probability: float = 0.0
+    knob: float | int | None = None
 
     def __post_init__(self) -> None:
-        if _BEHAVIORS[self.behavior][0] not in (None, self.role):
+        role, knob = _BEHAVIORS[self.behavior]
+        if role not in (None, self.role):
             raise ValueError(f"{self.role.value} cannot use behavior {self.behavior.value}")
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must be in [0, 1]")
-        if self.count < 0:
-            raise ValueError("count must be non-negative")
-        if self.behavior is Behavior.OMIT_CONTROLS and self.fraction == 0.0:
-            raise ValueError("omit_controls needs a positive fraction")
-        if self.behavior is Behavior.FORGE_CONTROLS and self.count == 0:
-            raise ValueError("forge_controls needs a positive count")
+        if knob is None and self.knob is not None:
+            raise ValueError(f"{self.behavior.value} takes no knob")
+        if knob:
+            name, kind, bounds, within = knob
+            if type(self.knob) is not kind or not within(self.knob):
+                raise ValueError(f"{self.behavior.value} needs a {name} of type {kind.__name__} {bounds}")
 
     def to_dict(self) -> dict:
-        knob = {key: getattr(self, key) for key in _BEHAVIORS[self.behavior][1]}
-        return {"role": self.role.value, "behavior": self.behavior.value, **knob}
+        knob = _BEHAVIORS[self.behavior][1]
+        spelled = {"role": self.role.value, "behavior": self.behavior.value}
+        return {**spelled, knob[0]: self.knob} if knob else spelled
 
 
 @dataclass(frozen=True)
@@ -157,21 +157,28 @@ def _into(cls, schema: dict):
 
 def _strategy(value, path: str) -> Strategy:
     """A strategy object: its role, its behavior and exactly that behavior's knob."""
-    knob = {}
+    knob = None
     if type(value) is dict and "behavior" in value:
         knob = _BEHAVIORS[_BEHAVIOR(value["behavior"], f"{path}.behavior")][1]
-    return _into(Strategy, {"role": _ROLE, "behavior": _BEHAVIOR, **knob})(value, path)
+    schema = {"role": _ROLE, "behavior": _BEHAVIOR} | ({knob[0]: knob[1]} if knob else {})
+    return _into(lambda role, behavior, **given: Strategy(role, behavior, *given.values()), schema)(value, path)
 
 
-def _strategies(value, path: str) -> tuple[Strategy, ...]:
-    """A list of strategies that names each role at most once."""
-    strategies = _decode(value, [_strategy], path)
-    roles: set[Role] = set()
-    for strategy in strategies:
-        if strategy.role in roles:
-            raise ValueError(f"{path} names the {strategy.role.value} role twice")
-        roles.add(strategy.role)
-    return strategies
+def _distinct(item, key: str, name: str):
+    """A leaf that decodes a list of ``item`` in which no two items share the
+    ``key`` attribute; ``name`` spells a shared value in the error."""
+
+    def decode(value, path: str):
+        items = _decode(value, [item], path)
+        for shared, count in Counter(map(attrgetter(key), items)).items():
+            if count > 1:
+                raise ValueError(f"{path} names {name.format(shared)} twice")
+        return items
+
+    return decode
+
+
+_STRATEGIES = _distinct(_strategy, "role.value", "the {} role")
 
 
 # A scenario document, in the grammar of the contract's ``_decode``. Every
@@ -187,8 +194,8 @@ _SCENARIO_SCHEMA = {
     },
     "disease": _into(DiseaseModel, {"p_control": float, "p_vaccine": float, "epochs": int}),
     "vaccine_fraction": float,
-    "strategies": _strategies,
-    "grid": [_into(GridCell, {"label": str, "strategies": _strategies})],
+    "strategies": _STRATEGIES,
+    "grid": _distinct(_into(GridCell, {"label": str, "strategies": _STRATEGIES}), "label", "the label {}"),
     "seeds": [int],
 }
 
@@ -227,21 +234,11 @@ class TrialReport:
     ledger: Ledger = field(repr=False, compare=False)
 
     def to_json(self) -> dict:
+        """Every field but the ledger, in order; ``ledger_summary`` is spelled ``ledger``."""
         return {
-            "seed": self.seed,
-            "label": self.label,
-            "complete": self.complete,
-            "phase": self.phase,
-            "epochs_run": self.epochs_run,
-            "config": self.config,
-            "disease": self.disease,
-            "strategies": self.strategies,
-            "ledger": self.ledger_summary,
-            "truth": self.truth,
-            "divergence": self.divergence,
-            "evidence": self.evidence,
-            "incomplete_reason": self.incomplete_reason,
-            "assignment_table": self.assignment_table,
+            "ledger" if f.name == "ledger_summary" else f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "ledger"
         }
 
 
@@ -271,13 +268,10 @@ class _Actor:
 
 @dataclass
 class _PatientState:
-    index: int
     actor: _Actor
-    address_hex: str
     shot: bytes | None = None
     silent: bool = False
     truly_infected: bool = False
-    reported: bool = False
     false_report: bool = False
 
 
@@ -322,14 +316,11 @@ class _Runner:
         self.ledger = Ledger(make_genesis(self.config, self.manifest))
         self.developer = _Actor(dev_kp, self.ledger)
         self.clinics = [_Actor(kp, self.ledger) for kp in clinic_kps]
-        self.patients = [
-            _PatientState(index=i, actor=_Actor(kp, self.ledger), address_hex=kp.address.hex())
-            for i, kp in enumerate(patient_kps)
-        ]
+        self.patients = [_PatientState(_Actor(kp, self.ledger)) for kp in patient_kps]
         patient_strategy = self.strategies[Role.PATIENT]
         if patient_strategy.behavior is Behavior.NEVER_REPORT:
             for p in self.patients:
-                p.silent = rng.random() < patient_strategy.probability
+                p.silent = rng.random() < patient_strategy.knob
 
     def _distribute(self) -> None:
         shots = list(self.manifest)
@@ -360,10 +351,10 @@ class _Runner:
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
         num_clinics = len(self.clinics)
         plans = []
-        for patient in self.patients:
-            clinic_address = self.config.clinics[patient.index % num_clinics]
+        for index, patient in enumerate(self.patients):
+            clinic_address = self.config.clinics[index % num_clinics]
             r1 = rng.getrandbits(64)
-            if colluding and patient.index == 0:
+            if colluding and index == 0:
                 # both parties pick their values in advance; XOR lands on the
                 # agreed index of the contract's public, digest-sorted free list
                 free_sorted = list(self.ledger.contract.free_shots[clinic_address])
@@ -382,7 +373,7 @@ class _Runner:
                 chunk = mine[start : start + chunk_size]
                 bindings = [
                     {
-                        "patient": patient.address_hex,
+                        "patient": patient.actor.keypair.address.hex(),
                         "clinic_value": r1,
                         "patient_commitment": commit_contribution(contrib2).hex(),
                     }
@@ -424,12 +415,13 @@ class _Runner:
     def _run_epidemic(self) -> bool:
         spec = self.spec
         false_sick = self.strategies[Role.PATIENT]
-        p_false = false_sick.probability if false_sick.behavior is Behavior.FALSE_SICK else 0.0
+        p_false = false_sick.knob if false_sick.behavior is Behavior.FALSE_SICK else 0.0
         rng = self.rng
+        shots = self.ledger.contract.shots
         for epoch in range(spec.disease.epochs):
             reporters: list[_PatientState] = []
             for patient in self.patients:
-                if patient.reported:
+                if shots[patient.shot].got_sick:
                     continue
                 if not patient.truly_infected:
                     content = self.manifest[patient.shot].content
@@ -447,10 +439,7 @@ class _Runner:
                     patient.false_report = True
                     reporters.append(patient)
             for patient in reporters:
-                receipt = patient.actor.call("report_sick", {})
-                if receipt.accepted:
-                    patient.reported = True
-                else:
+                if not patient.actor.call("report_sick", {}).accepted:
                     patient.false_report = False
             self.epochs_run = epoch + 1
             if self.ledger.query("phase") == "reveal_pending":
@@ -465,28 +454,21 @@ class _Runner:
 
     def _sick_shots_by_arm(self) -> tuple[list[bytes], list[bytes]]:
         controls, vaccines = [], []
-        for patient in self.patients:
-            if patient.reported:
-                shot = patient.shot
-                if self.manifest[shot].content is ShotContent.PLACEBO:
-                    controls.append(shot)
-                else:
-                    vaccines.append(shot)
+        for shot, record in self.ledger.contract.shots.items():
+            if record.got_sick:
+                arm = controls if self.manifest[shot].content is ShotContent.PLACEBO else vaccines
+                arm.append(shot)
         return sorted(controls), sorted(vaccines)
 
-    def _opening_entry(self, shot: bytes, content_label: str, nonce: bytes | None = None) -> dict:
-        return {
-            "commitment": shot.hex(),
-            "nonce": (nonce if nonce is not None else self.manifest[shot].nonce).hex(),
-            "content": content_label,
-        }
+    def _opening_entry(self, shot: bytes, content_label: str) -> dict:
+        return {"commitment": shot.hex(), "nonce": self.manifest[shot].nonce.hex(), "content": content_label}
 
     def _reveal(self) -> None:
         developer = self.strategies[Role.DEVELOPER]
         controls, vaccines = self._sick_shots_by_arm()
         reveal_set = list(controls)
         if developer.behavior is Behavior.OMIT_CONTROLS and controls:
-            k = max(1, round(developer.fraction * len(controls)))
+            k = max(1, round(developer.knob * len(controls)))
             k = min(k, len(controls))
             omitted = set(self.rng.sample(controls, k))
             reveal_set = [c for c in controls if c not in omitted]
@@ -505,7 +487,7 @@ class _Runner:
         minus the ones the developer tried to swap out.
         """
         developer = self.strategies[Role.DEVELOPER]
-        k = min(developer.count, len(vaccines), max(len(controls) - 1, 0))
+        k = min(developer.knob, len(vaccines), max(len(controls) - 1, 0))
         if k == 0:
             return controls
         kept = controls[:-k]
@@ -551,13 +533,7 @@ class _Runner:
             if isinstance(ledger_eff, float) and isinstance(truth_eff, float)
             else None
         )
-        rejections: dict[str, int] = {}
-        accepted = 0
-        for entry in ledger.journal:
-            if entry.status == ACCEPTED:
-                accepted += 1
-            else:
-                rejections[entry.code] = rejections.get(entry.code, 0) + 1
+        rejections = Counter(entry.code for entry in ledger.journal if entry.status != ACCEPTED)
         placebo_shots = sum(
             1 for o in self.manifest.values() if o.content is ShotContent.PLACEBO
         )
@@ -567,15 +543,16 @@ class _Runner:
             patient_by_shot = {p.shot: p for p in self.patients if p.shot is not None}
             table = []
             for shot, opening in self.manifest.items():
+                record = ledger.contract.shots[shot]
                 patient = patient_by_shot.get(shot)
                 table.append(
                     {
                         "commitment": shot.hex(),
                         "content": opening.content.label,
-                        "clinic": index_of_clinic.get(ledger.contract.shots[shot].clinic),
-                        "patient": patient.address_hex if patient else None,
+                        "clinic": index_of_clinic.get(record.clinic),
+                        "patient": record.patient.hex() if record.patient else None,
                         "truly_infected": patient.truly_infected if patient else False,
-                        "reported_sick": patient.reported if patient else False,
+                        "reported_sick": record.got_sick,
                         "false_report": patient.false_report if patient else False,
                     }
                 )
@@ -593,9 +570,9 @@ class _Runner:
                 "outcome": outcome,
                 "risk_ratio": ledger.query("risk_ratio"),
                 "status": ledger.query("vaccine_status"),
-                "accepted": accepted,
-                "rejected": len(ledger.journal) - accepted,
-                "rejections_by_code": rejections,
+                "accepted": len(ledger.journal) - rejections.total(),
+                "rejected": rejections.total(),
+                "rejections_by_code": dict(rejections),
                 "events": ledger.event_count,
             },
             truth={

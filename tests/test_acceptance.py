@@ -170,7 +170,7 @@ def test_criterion_05a_forged_reveals_rejected(acceptance):
         report = run_scenario(
             spec,
             seed,
-            strategies=(Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, count=1),),
+            strategies=(Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=1),),
             keep_table=False,
         )
         kinds = {e["kind"]: e for e in report.evidence}
@@ -211,7 +211,7 @@ def test_criterion_05b_omission_always_detected(acceptance, timer):
                 spec,
                 seed,
                 strategies=(
-                    Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, fraction=fraction),
+                    Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, knob=fraction),
                 ),
                 keep_table=False,
             )

@@ -126,6 +126,14 @@ def test_scenario_validation():
             "scenario.strategies[].count is unexpected",
         ),
         (
+            _strategies({"role": "developer", "behavior": "forge_controls", "count": True}),
+            "scenario.strategies[].count must be a JSON int",
+        ),
+        (
+            _strategies({"role": "developer", "behavior": "forge_controls", "count": 0}),
+            "scenario.strategies[]: forge_controls needs a count of type int >= 1",
+        ),
+        (
             _strategies({"role": "patient", "behavior": "omit_controls", "fraction": 0.5}),
             "scenario.strategies[]: patient cannot use behavior omit_controls",
         ),
@@ -151,6 +159,10 @@ def test_scenario_validation():
                 ],
             ),
             "scenario.grid[].strategies names the clinic role twice",
+        ),
+        (
+            _set("grid", [{"label": "x", "strategies": []}, {"label": "x", "strategies": []}]),
+            "scenario.grid names the label x twice",
         ),
     ]
     for mutate, message in cases:
@@ -181,15 +193,34 @@ def test_formats_doc_scenario_example_decodes():
     assert spec.grid and spec.strategies
 
 
+def test_formats_doc_report_example_is_a_real_run():
+    # The report example in docs/FORMATS.md shows honest_pfizer_like at seed 1.
+    doc = (Path(__file__).parent.parent / "docs" / "FORMATS.md").read_text()
+    section = doc.split("## Report file (JSON)", 1)[1].split("\n## ", 1)[0]
+    example = json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+    report = run_scenario(scenario_from_dict(bundled("honest_pfizer_like")), 1, keep_table=False)
+    keys = ("seed", "label", "complete", "phase", "epochs_run", "ledger", "truth", "divergence")
+    assert {key: example[key] for key in keys} == {key: report.to_json()[key] for key in keys}
+
+
 def test_strategy_validation():
     with pytest.raises(ValueError):  # patients cannot withhold openings
         Strategy(Role.PATIENT, Behavior.OMIT_CONTROLS)
     with pytest.raises(ValueError):  # developers do not self-report sickness
         Strategy(Role.DEVELOPER, Behavior.FALSE_SICK)
     with pytest.raises(ValueError):
-        Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, fraction=1.5)
+        Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, knob=1.5)
     with pytest.raises(ValueError):
-        Strategy(Role.PATIENT, Behavior.FALSE_SICK, probability=-0.1)
+        Strategy(Role.PATIENT, Behavior.FALSE_SICK, knob=-0.1)
+    # exactly the behavior's knob, of exactly its type
+    with pytest.raises(ValueError, match="honest takes no knob"):
+        Strategy(Role.DEVELOPER, Behavior.HONEST, knob=0.5)
+    with pytest.raises(ValueError, match="biased_distribution takes no knob"):
+        Strategy(Role.DEVELOPER, Behavior.BIASED_DISTRIBUTION, knob=1)
+    with pytest.raises(ValueError, match="false_sick needs a probability"):
+        Strategy(Role.PATIENT, Behavior.FALSE_SICK)
+    with pytest.raises(ValueError, match="forge_controls needs a count"):
+        Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=True)
 
 
 # -- honest runs ----------------------------------------------------------------
@@ -307,7 +338,7 @@ def test_omission_always_lowers_reported_efficiency():
                 spec,
                 seed,
                 strategies=(
-                    Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, fraction=fraction),
+                    Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, knob=fraction),
                 ),
                 keep_table=False,
             )
@@ -324,7 +355,7 @@ def test_forged_reveals_are_rejected_atomically():
     report = run_scenario(
         spec,
         13,
-        strategies=(Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, count=1),),
+        strategies=(Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=1),),
         keep_table=False,
     )
     assert report.complete
@@ -387,7 +418,7 @@ def test_false_sick_inflates_reports():
     report = run_scenario(
         spec,
         31,
-        strategies=(Strategy(Role.PATIENT, Behavior.FALSE_SICK, probability=0.05),),
+        strategies=(Strategy(Role.PATIENT, Behavior.FALSE_SICK, knob=0.05),),
         keep_table=False,
     )
     assert report.complete
@@ -400,7 +431,7 @@ def test_never_report_suppresses_infections():
     report = run_scenario(
         spec,
         32,
-        strategies=(Strategy(Role.PATIENT, Behavior.NEVER_REPORT, probability=0.2),),
+        strategies=(Strategy(Role.PATIENT, Behavior.NEVER_REPORT, knob=0.2),),
         keep_table=False,
     )
     assert report.complete

@@ -174,6 +174,10 @@ def _rename_deadline(raw):
             ),
             "scenario.grid[].strategies names the patient role twice",
         ),
+        (
+            lambda raw: raw.update(grid=[{"label": "x", "strategies": []}] * 2),
+            "scenario.grid names the label x twice",
+        ),
         # values the deployed TrialConfig would reject, caught at load
         (lambda raw: raw["config"].update(infected_threshold=0), "infected_threshold"),
         (lambda raw: raw["config"].update(infected_threshold=500), "infected_threshold"),
@@ -187,6 +191,7 @@ def _rename_deadline(raw):
         "probabilty",
         "repeated-role",
         "repeated-role-in-grid-cell",
+        "repeated-grid-label",
         "threshold-0",
         "threshold-500",
         "efficiency-150",

@@ -156,7 +156,7 @@ def test_reports_of_another_trial_do_not_count():
         spec_b,
         infected_threshold=60,
         vaccine_fraction=0.3,
-        strategies=(Strategy(Role.PATIENT, Behavior.FALSE_SICK, probability=0.05),),
+        strategies=(Strategy(Role.PATIENT, Behavior.FALSE_SICK, knob=0.05),),
     )
     trial_a = run_scenario(spec_a, 101, keep_table=False).ledger
     trial_b = run_scenario(spec_b, 101, keep_table=False).ledger
