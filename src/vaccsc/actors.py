@@ -135,6 +135,23 @@ class ScenarioSpec:
             raise ValueError("vaccine_fraction must be in [0, 1]")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        _roles_once(self.strategies, "scenario.strategies")
+        _distinct(self.grid, "label", "the label {}", "scenario.grid")
+        for cell in self.grid:
+            _roles_once(cell.strategies, "scenario.grid[].strategies")
+
+
+def _distinct(items, key: str, name: str, path: str):
+    """``items``, if no two share the ``key`` attribute; ``name`` spells a
+    shared value in the ValueError raised otherwise."""
+    for shared, count in Counter(map(attrgetter(key), items)).items():
+        if count > 1:
+            raise ValueError(f"{path} names {name.format(shared)} twice")
+    return items
+
+
+def _roles_once(strategies, path: str):
+    return _distinct(strategies, "role.value", "the {} role", path)
 
 
 _ROLE = _label({role.value: role for role in Role})
@@ -164,23 +181,6 @@ def _strategy(value, path: str) -> Strategy:
     return _into(lambda role, behavior, **given: Strategy(role, behavior, *given.values()), schema)(value, path)
 
 
-def _distinct(item, key: str, name: str):
-    """A leaf that decodes a list of ``item`` in which no two items share the
-    ``key`` attribute; ``name`` spells a shared value in the error."""
-
-    def decode(value, path: str):
-        items = _decode(value, [item], path)
-        for shared, count in Counter(map(attrgetter(key), items)).items():
-            if count > 1:
-                raise ValueError(f"{path} names {name.format(shared)} twice")
-        return items
-
-    return decode
-
-
-_STRATEGIES = _distinct(_strategy, "role.value", "the {} role")
-
-
 # A scenario document, in the grammar of the contract's ``_decode``. Every
 # key is required; the config keys are ScenarioSpec's flat fields.
 _SCENARIO_SCHEMA = {
@@ -194,8 +194,8 @@ _SCENARIO_SCHEMA = {
     },
     "disease": _into(DiseaseModel, {"p_control": float, "p_vaccine": float, "epochs": int}),
     "vaccine_fraction": float,
-    "strategies": _STRATEGIES,
-    "grid": _distinct(_into(GridCell, {"label": str, "strategies": _STRATEGIES}), "label", "the label {}"),
+    "strategies": [_strategy],
+    "grid": [_into(GridCell, {"label": str, "strategies": [_strategy]})],
     "seeds": [int],
 }
 
@@ -269,7 +269,6 @@ class _Actor:
 @dataclass
 class _PatientState:
     actor: _Actor
-    shot: bytes | None = None
     silent: bool = False
     truly_infected: bool = False
     false_report: bool = False
@@ -394,7 +393,6 @@ class _Runner:
             "patient_reveal",
             {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
         )
-        patient.shot = shot
         if free_sorted is not None:
             self.evidence.append(
                 {
@@ -417,14 +415,15 @@ class _Runner:
         false_sick = self.strategies[Role.PATIENT]
         p_false = false_sick.knob if false_sick.behavior is Behavior.FALSE_SICK else 0.0
         rng = self.rng
-        shots = self.ledger.contract.shots
+        shots, patient_shot = self.ledger.contract.shots, self.ledger.contract.patient_shot
         for epoch in range(spec.disease.epochs):
             reporters: list[_PatientState] = []
             for patient in self.patients:
-                if shots[patient.shot].got_sick:
+                shot = patient_shot[patient.actor.keypair.address]
+                if shots[shot].got_sick:
                     continue
                 if not patient.truly_infected:
-                    content = self.manifest[patient.shot].content
+                    content = self.manifest[shot].content
                     p = (
                         spec.disease.p_control
                         if content is ShotContent.PLACEBO
@@ -540,11 +539,11 @@ class _Runner:
         table = None
         if self.keep_table:
             index_of_clinic = {address: i for i, address in enumerate(self.config.clinics)}
-            patient_by_shot = {p.shot: p for p in self.patients if p.shot is not None}
+            patient_by_address = {p.actor.keypair.address: p for p in self.patients}
             table = []
             for shot, opening in self.manifest.items():
                 record = ledger.contract.shots[shot]
-                patient = patient_by_shot.get(shot)
+                patient = patient_by_address.get(record.patient)
                 table.append(
                     {
                         "commitment": shot.hex(),
@@ -600,7 +599,7 @@ def run_scenario(
     keep_table: bool = True,
 ) -> TrialReport:
     """One full deterministic trial under the given seed and strategy set."""
-    chosen = spec.strategies if strategies is None else tuple(strategies)
+    chosen = spec.strategies if strategies is None else _roles_once(tuple(strategies), "strategies")
     return _Runner(spec, chosen, seed, label, keep_table).run()
 
 

@@ -47,15 +47,11 @@ class KeyPair:
         return self._private.sign(message)
 
 
-def verify_signature(public_key: Ed25519PublicKey, message: bytes, signature: bytes) -> bool:
-    """True iff ``signature`` over ``message`` verifies under a key from ``load_public_key``."""
+def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
+    """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
+    False too for bytes that do not parse as a public key."""
     try:
-        public_key.verify(signature, message)
+        Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
-    except InvalidSignature:
+    except (ValueError, InvalidSignature):
         return False
-
-
-def load_public_key(public_key: bytes) -> Ed25519PublicKey:
-    """Parse a raw public key for ``verify_signature``; raises ValueError on bytes it cannot parse."""
-    return Ed25519PublicKey.from_public_bytes(public_key)

@@ -22,7 +22,6 @@ from .keys import (
     SIGNATURE_SIZE,
     KeyPair,
     address_from_public_key,
-    load_public_key,
     verify_signature,
 )
 
@@ -60,6 +59,25 @@ def too_deep(text: bytes) -> bool:
         else:
             depth -= 1
     return False
+
+
+def json_object(raw: bytes, what: str) -> dict:
+    """``raw`` parsed, if it is a JSON object in canonical form: the gate every
+    payload and a log's genesis pass. Raises ContractError (MalformedPayload or
+    NonCanonicalPayload) with a detail naming ``what``."""
+    if too_deep(raw):
+        raise ContractError("MalformedPayload", f"{what} nests deeper than {MAX_JSON_DEPTH}")
+    try:
+        doc = json.loads(raw.decode())
+    except ValueError:  # bad UTF-8, bad JSON, or an int too long to convert
+        raise ContractError("MalformedPayload", f"{what} is not valid JSON") from None
+    if not isinstance(doc, dict):
+        raise ContractError("MalformedPayload", f"{what} must be a JSON object")
+    # Signed bytes that are not the canonical form (duplicate keys, extra
+    # whitespace) could mean different things to different JSON parsers.
+    if canonical_json(doc) != raw:
+        raise ContractError("NonCanonicalPayload", f"{what} is not canonical JSON")
+    return doc
 
 
 def signing_bytes(trial_id: bytes, method: str, sequence_number: int, payload: bytes) -> bytes:
@@ -187,12 +205,8 @@ class Ledger:
             return "BadSignature", "malformed key or signature"
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
-        try:
-            pub = load_public_key(tx.public_key)
-        except ValueError:
-            return "BadSignature", "invalid public key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-        if not verify_signature(pub, message, tx.signature):
+        if not verify_signature(tx.public_key, message, tx.signature):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:
@@ -200,19 +214,8 @@ class Ledger:
         return None, ""
 
     def _execute(self, tx: SignedTransaction, position: int) -> tuple[str | None, str, tuple[Event, ...]]:
-        if too_deep(tx.payload):
-            return "MalformedPayload", f"payload nests deeper than {MAX_JSON_DEPTH}", ()
         try:
-            params = json.loads(tx.payload.decode())
-        except ValueError:  # bad UTF-8, bad JSON, or an int too long to convert
-            return "MalformedPayload", "payload is not valid JSON", ()
-        if not isinstance(params, dict):
-            return "MalformedPayload", "payload must be a JSON object", ()
-        # Signed bytes that are not the canonical form (duplicate keys, extra
-        # whitespace) could mean different things to different JSON parsers.
-        if canonical_json(params) != tx.payload:
-            return "NonCanonicalPayload", "payload is not canonical JSON", ()
-        try:
+            params = json_object(tx.payload, "payload")
             emitted = self.contract.dispatch(tx.sender, tx.method, params, position)
         except ContractError as exc:
             return exc.code, str(exc), ()

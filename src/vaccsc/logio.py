@@ -1,21 +1,11 @@
 """Binary transaction-log files and their audit-by-replay reader.
 
-Layout (all integers big-endian):
-
-    magic 'VSCL' | version 0x01
-    genesis: u32 length | canonical JSON bytes
-    zero or more 'T' records:
-        'T' | status u8 (0 accepted, 1 rejected) | code: u16 len | utf8
-        | sender 20B | public_key 32B | sequence u64 | signature 64B
-        | method: u16 len | utf8 | payload: u32 len | bytes
-    trailer:
-        'F' | record_count u64 | state_digest 32B | events_digest 32B
-        | log_digest 32B
-
-log_digest is SHA-256 over every preceding byte of the file, so any
-mutation (a flipped payload bit, a deleted record, an edited trailer
-count) is detectable before replay even starts. The replay itself then
-catches semantic tampering that a consistent re-hash would hide.
+The layout is the struct formats below, in file order (drawn in
+docs/FORMATS.md); all integers are big-endian. log_digest is SHA-256
+over every preceding byte of the file, so any mutation (a flipped
+payload bit, a deleted record, an edited trailer count) is detectable
+before replay even starts. The replay itself then catches semantic
+tampering that a consistent re-hash would hide.
 """
 
 from __future__ import annotations
@@ -24,25 +14,33 @@ import json
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
+from struct import Struct
 
-from .contract import VaccineTrial
+from .contract import ContractError, VaccineTrial
 from .keys import ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE
 from .ledger import (
     ACCEPTED,
-    MAX_JSON_DEPTH,
     REJECTED,
     JournalEntry,
     Ledger,
     SignedTransaction,
     canonical_json,
-    too_deep,
+    json_object,
 )
 
 MAGIC = b"VSCL"
 VERSION = 1
 
-_STATUS_BYTE = {ACCEPTED: 0, REJECTED: 1}
-_BYTE_STATUS = {0: ACCEPTED, 1: REJECTED}
+# The layout, stated once for the writer and the reader. Between these come
+# the genesis, each record's tag 'T', code, method and payload, and the tag 'F'.
+_PREAMBLE = Struct(">4sBI")  # magic, version, genesis length
+_RECORD_HEAD = Struct(">BH")  # status, code length
+# sender, public key, sequence number, signature, method length
+_RECORD_FIXED = Struct(f">{ADDRESS_SIZE}s{PUBLIC_KEY_SIZE}sQ{SIGNATURE_SIZE}sH")
+_PAYLOAD_LENGTH = Struct(">I")
+_TRAILER = Struct(">Q32s32s32s")  # record count, state digest, events digest, log digest
+
+_STATUSES = (ACCEPTED, REJECTED)  # by status byte
 
 
 class LogFormatError(Exception):
@@ -84,16 +82,11 @@ def _encode_record(record: JournalEntry) -> bytes:
     return b"".join(
         (
             b"T",
-            bytes([_STATUS_BYTE[record.status]]),
-            len(code).to_bytes(2, "big"),
+            _RECORD_HEAD.pack(_STATUSES.index(record.status), len(code)),
             code,
-            tx.sender,
-            tx.public_key,
-            tx.sequence_number.to_bytes(8, "big"),
-            tx.signature,
-            len(method).to_bytes(2, "big"),
+            _RECORD_FIXED.pack(tx.sender, tx.public_key, tx.sequence_number, tx.signature, len(method)),
             method,
-            len(tx.payload).to_bytes(4, "big"),
+            _PAYLOAD_LENGTH.pack(len(tx.payload)),
             tx.payload,
         )
     )
@@ -107,20 +100,16 @@ def write_log(
     events_digest: bytes,
 ) -> LogFile:
     """Write the log file; returns it as ``read_log`` reads it back, less the deployed contract."""
-    body = bytearray()
-    body += MAGIC
-    body.append(VERSION)
     genesis_bytes = canonical_json(genesis)
-    body += len(genesis_bytes).to_bytes(4, "big")
+    body = bytearray(_PREAMBLE.pack(MAGIC, VERSION, len(genesis_bytes)))
     body += genesis_bytes
     for record in records:
         body += _encode_record(record)
     body += b"F"
-    body += len(records).to_bytes(8, "big")
-    body += state_digest
-    body += events_digest
-    log_digest = sha256(body).digest()
-    body += log_digest
+    body += _TRAILER.pack(len(records), state_digest, events_digest, bytes(32))
+    # The log digest covers every byte before it, so it is filled in last.
+    log_digest = sha256(memoryview(body)[:-32]).digest()
+    body[-32:] = log_digest
     Path(path).write_bytes(body)
     trailer = LogTrailer(len(records), state_digest, events_digest, log_digest)
     # The genesis parsed back from its canonical bytes has its keys sorted, as read_log gives it.
@@ -148,42 +137,27 @@ class _Cursor:
         self.pos += n
         return chunk
 
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return int.from_bytes(self.take(2, what), "big")
-
-    def u32(self, what: str) -> int:
-        return int.from_bytes(self.take(4, what), "big")
-
-    def u64(self, what: str) -> int:
-        return int.from_bytes(self.take(8, what), "big")
+    def unpack(self, fmt: Struct, what: str) -> tuple:
+        return fmt.unpack(self.take(fmt.size, what))
 
 
 def read_log(path: str | Path) -> LogFile:
     data = Path(path).read_bytes()
     cur = _Cursor(data)
-    if cur.take(4, "magic") != MAGIC:
+    magic, version, genesis_len = cur.unpack(_PREAMBLE, "magic, version and genesis length")
+    if magic != MAGIC:
         raise LogFormatError("bad magic; not a transaction log")
-    if cur.u8("version") != VERSION:
+    if version != VERSION:
         raise LogFormatError("unsupported log version")
-    genesis_len = cur.u32("genesis length")
     genesis_bytes = cur.take(genesis_len, "genesis")
-    if too_deep(genesis_bytes):
-        raise LogFormatError(f"genesis nests deeper than {MAX_JSON_DEPTH}")
-    try:
-        genesis = json.loads(genesis_bytes.decode())
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an int too long to convert
-        raise LogFormatError(f"genesis is not valid JSON: {exc}") from None
-    if not isinstance(genesis, dict):
-        raise LogFormatError("genesis must be a JSON object")
-    if canonical_json(genesis) != genesis_bytes:
-        raise LogFormatError("genesis is not canonical JSON")
     # The auditor trusts nothing in the file: a hostile genesis is rejected
-    # here, and the contract that checks it is the one the audit replays onto.
+    # here, by the gate every payload passes and by the contract that the
+    # audit replays onto.
     try:
+        genesis = json_object(genesis_bytes, "genesis")
         contract = VaccineTrial.from_genesis(genesis)
+    except ContractError as exc:
+        raise LogFormatError(str(exc)) from None
     except ValueError as exc:
         raise LogFormatError(f"invalid genesis: {exc}") from None
 
@@ -196,18 +170,15 @@ def read_log(path: str | Path) -> LogFile:
             break
         if tag != b"T":
             raise LogFormatError(f"unknown record tag {tag!r} at offset {cur.pos - 1}")
-        status_byte = cur.u8("status")
-        if status_byte not in _BYTE_STATUS:
+        status_byte, code_len = cur.unpack(_RECORD_HEAD, "status and code length")
+        if status_byte >= len(_STATUSES):
             raise LogFormatError(f"unknown status byte {status_byte}")
-        code_len = cur.u16("code length")
         code_raw = cur.take(code_len, "code")
-        sender = cur.take(ADDRESS_SIZE, "sender")
-        public_key = cur.take(PUBLIC_KEY_SIZE, "public key")
-        sequence = cur.u64("sequence number")
-        signature = cur.take(SIGNATURE_SIZE, "signature")
-        method_len = cur.u16("method length")
+        sender, public_key, sequence, signature, method_len = cur.unpack(
+            _RECORD_FIXED, "sender, public key, sequence number, signature and method length"
+        )
         method_raw = cur.take(method_len, "method")
-        payload_len = cur.u32("payload length")
+        (payload_len,) = cur.unpack(_PAYLOAD_LENGTH, "payload length")
         payload = cur.take(payload_len, "payload")
         try:
             code = code_raw.decode() or None
@@ -216,7 +187,7 @@ def read_log(path: str | Path) -> LogFile:
             method = methods[method_raw]
         except UnicodeDecodeError as exc:
             raise LogFormatError(f"non-UTF-8 text field: {exc}") from None
-        status = _BYTE_STATUS[status_byte]
+        status = _STATUSES[status_byte]
         if (status == ACCEPTED) != (code is None):
             raise LogFormatError("status byte and error code disagree")
         records.append(
@@ -234,28 +205,19 @@ def read_log(path: str | Path) -> LogFile:
             )
         )
 
-    record_count = cur.u64("record count")
-    state_digest = cur.take(32, "state digest")
-    events_digest = cur.take(32, "events digest")
-    digest_offset = cur.pos
-    log_digest = cur.take(32, "log digest")
+    trailer = LogTrailer(*cur.unpack(_TRAILER, "trailer"))
     if cur.pos != len(data):
         raise LogFormatError(f"{len(data) - cur.pos} trailing bytes after trailer")
-    if record_count != len(records):
+    if trailer.record_count != len(records):
         raise LogFormatError(
-            f"trailer claims {record_count} records, file holds {len(records)}"
+            f"trailer claims {trailer.record_count} records, file holds {len(records)}"
         )
-    if sha256(memoryview(data)[:digest_offset]).digest() != log_digest:
+    if sha256(memoryview(data)[:-32]).digest() != trailer.log_digest:
         raise LogFormatError("log digest mismatch; file was modified")
     return LogFile(
         genesis=genesis,
         records=tuple(records),
-        trailer=LogTrailer(
-            record_count=record_count,
-            state_digest=state_digest,
-            events_digest=events_digest,
-            log_digest=log_digest,
-        ),
+        trailer=trailer,
         deployed=(contract, sha256(genesis_bytes).digest()),
     )
 

@@ -11,6 +11,7 @@ import pytest
 from vaccsc.actors import (
     Behavior,
     DiseaseModel,
+    GridCell,
     Role,
     ScenarioSpec,
     Strategy,
@@ -221,6 +222,24 @@ def test_strategy_validation():
         Strategy(Role.PATIENT, Behavior.FALSE_SICK)
     with pytest.raises(ValueError, match="forge_controls needs a count"):
         Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=True)
+
+
+def test_python_api_rejects_a_repeated_role_or_label():
+    # A second strategy for a role, or a second cell with a label, would
+    # silently replace the first; Python callers get a scenario file's errors.
+    spec = small_spec()
+    twice = (
+        Strategy(Role.DEVELOPER, Behavior.OMIT_CONTROLS, knob=0.5),
+        Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=1),
+    )
+    with pytest.raises(ValueError, match="^strategies names the developer role twice"):
+        run_scenario(spec, 1, strategies=twice)
+    with pytest.raises(ValueError, match="^scenario.strategies names the developer role twice"):
+        dataclasses.replace(spec, strategies=twice)
+    with pytest.raises(ValueError, match=r"^scenario.grid\[\].strategies names the developer role twice"):
+        run_grid(dataclasses.replace(spec, grid=(GridCell("x", twice),)))
+    with pytest.raises(ValueError, match="^scenario.grid names the label x twice"):
+        run_grid(dataclasses.replace(spec, grid=(GridCell("x", ()), GridCell("x", ()))))
 
 
 # -- honest runs ----------------------------------------------------------------

@@ -18,7 +18,6 @@ from vaccsc.keys import (
     ADDRESS_SIZE,
     KeyPair,
     address_from_public_key,
-    load_public_key,
     verify_signature,
 )
 from vaccsc.ledger import (
@@ -48,7 +47,7 @@ def test_signature_golden_vector(vectors):
         message = bytes.fromhex(vec["message"])
         signature = bytes.fromhex(vec["signature"])
         assert kp.sign(message) == signature  # Ed25519 is deterministic
-        assert verify_signature(load_public_key(kp.public_key), message, signature)
+        assert verify_signature(kp.public_key, message, signature)
 
 
 def test_sign_verify_roundtrip_and_cross_key():
@@ -56,11 +55,12 @@ def test_sign_verify_roundtrip_and_cross_key():
     b = KeyPair.generate(Random(2))
     message = b"attest"
     sig = a.sign(message)
-    a_pub, b_pub = load_public_key(a.public_key), load_public_key(b.public_key)
-    assert verify_signature(a_pub, message, sig)
-    assert not verify_signature(b_pub, message, sig)
-    assert not verify_signature(a_pub, b"attest!", sig)
-    assert not verify_signature(a_pub, message, sig[:-1] + bytes([sig[-1] ^ 1]))
+    assert verify_signature(a.public_key, message, sig)
+    assert not verify_signature(b.public_key, message, sig)
+    assert not verify_signature(a.public_key, b"attest!", sig)
+    assert not verify_signature(a.public_key, message, sig[:-1] + bytes([sig[-1] ^ 1]))
+    # bytes that do not parse as a public key verify nothing
+    assert not verify_signature(a.public_key[:-1], message, sig)
 
 
 def test_keypair_generate():

@@ -188,6 +188,42 @@ def test_status_code_disagreement(logged, tmp_path):
             read_log(path)
 
 
+def framing_fields(data):
+    """(offset, size) of every record's tag, status byte and three length
+    fields, and of the trailer's record count, found by walking the layout."""
+    pos = 9 + int.from_bytes(data[5:9], "big")
+    found = []
+    while data[pos : pos + 1] == b"T":
+        code_len = int.from_bytes(data[pos + 2 : pos + 4], "big")
+        method_at = pos + 4 + code_len + 20 + 32 + 8 + 64
+        payload_at = method_at + 2 + int.from_bytes(data[method_at : method_at + 2], "big")
+        found += [(pos, 1), (pos + 1, 1), (pos + 2, 2), (method_at, 2), (payload_at, 4)]
+        pos = payload_at + 4 + int.from_bytes(data[payload_at : payload_at + 4], "big")
+    assert data[pos : pos + 1] == b"F"
+    return found + [(pos + 1, 8)]
+
+
+def test_every_prefix_and_every_rehashed_framing_bit_flip_is_caught(logged):
+    w, path = logged
+    data = path.read_bytes()
+    for cut in range(len(data)):
+        path.write_bytes(data[:cut])
+        with pytest.raises(LogFormatError):
+            read_log(path)
+    fields = framing_fields(data)
+    assert len(fields) == 5 * len(w.ledger.journal) + 1
+    for offset, size in fields:
+        for bit in range(8 * size):
+            flipped = bytearray(data[:-32])
+            flipped[offset + bit // 8] ^= 0x80 >> bit % 8
+            path.write_bytes(flipped + sha256(flipped).digest())
+            try:
+                report, _ = audit_log(read_log(path))
+            except LogFormatError:
+                continue
+            assert not report.ok, (offset, bit)
+
+
 # -- semantic tamper survives parsing but fails the replay audit ----------------
 
 
@@ -340,6 +376,39 @@ def test_non_canonical_genesis_bytes_are_a_format_error(logged):
         read_log(path)
 
 
+def signed_payload(w, payload: bytes) -> SignedTransaction:
+    """The developer's next assign_shot_to_clinic, carrying ``payload`` as it is."""
+    kp, method = w.developer, "assign_shot_to_clinic"
+    sequence = w.ledger.next_sequence(kp.address)
+    return SignedTransaction(
+        sender=kp.address,
+        public_key=kp.public_key,
+        method=method,
+        payload=payload,
+        sequence_number=sequence,
+        signature=kp.sign(signing_bytes(w.ledger.trial_id, method, sequence, payload)),
+    )
+
+
+@pytest.mark.parametrize(
+    "raw, code, detail",
+    [
+        (b'{"a":"\xff"}', "MalformedPayload", "is not valid JSON"),
+        (b'{"a":', "MalformedPayload", "is not valid JSON"),
+        (b"[]", "MalformedPayload", "must be a JSON object"),
+        (b'{"b":1,"a":2}', "NonCanonicalPayload", "is not canonical JSON"),
+    ],
+    ids=["not-utf8", "not-json", "json-list", "non-canonical"],
+)
+def test_the_genesis_passes_the_payload_gate(logged, raw, code, detail):
+    w, path = logged
+    receipt = w.ledger.submit(signed_payload(w, raw))
+    assert (receipt.code, receipt.detail) == (code, f"payload {detail}")
+    with_genesis_bytes(path, raw)
+    with pytest.raises(LogFormatError, match=f"^genesis {detail}$"):
+        read_log(path)
+
+
 def nested(depth: int) -> bytes:
     return b'{"a":' + b"[" * depth + b"]" * depth + b"}"
 
@@ -355,16 +424,7 @@ def test_deeply_nested_genesis_is_a_format_error(logged, depth):
 @pytest.mark.parametrize("depth", [2_000, 100_000])
 def test_deeply_nested_payload_is_malformed_live_and_in_replay(world_cls, tmp_path, capsys, depth):
     w = world_cls(num_shots=4)
-    kp, payload = w.developer, nested(depth)
-    tx = SignedTransaction(
-        sender=kp.address,
-        public_key=kp.public_key,
-        method="assign_shot_to_clinic",
-        payload=payload,
-        sequence_number=0,
-        signature=kp.sign(signing_bytes(w.ledger.trial_id, "assign_shot_to_clinic", 0, payload)),
-    )
-    assert w.ledger.submit(tx).code == "MalformedPayload"
+    assert w.ledger.submit(signed_payload(w, nested(depth))).code == "MalformedPayload"
     w.assign_all()
     path = tmp_path / "deep.vscl"
     write_ledger_log(path, w.ledger)
