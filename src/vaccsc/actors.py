@@ -275,8 +275,9 @@ class _PatientState:
 
 
 class _Runner:
-    def __init__(self, spec: ScenarioSpec, strategies, seed: int, label: str, keep_table: bool):
+    def __init__(self, spec: ScenarioSpec, strategies, seed: int, label: str, keep_table: bool, world=None):
         self.spec = spec
+        self.keys, self.verdicts = world or (None, None)
         self.strategies = {role: Strategy(role) for role in Role} | {s.role: s for s in strategies}
         self.seed = seed
         self.label = label
@@ -290,9 +291,9 @@ class _Runner:
 
     def _build(self) -> None:
         spec, rng = self.spec, self.rng
-        dev_kp = KeyPair.generate(rng)
-        clinic_kps = [KeyPair.generate(rng) for _ in range(spec.num_clinics)]
-        patient_kps = [KeyPair.generate(rng) for _ in range(spec.num_participants)]
+        dev_kp = KeyPair.generate(rng, self.keys)
+        clinic_kps = [KeyPair.generate(rng, self.keys) for _ in range(spec.num_clinics)]
+        patient_kps = [KeyPair.generate(rng, self.keys) for _ in range(spec.num_participants)]
         self.config = TrialConfig(
             num_participants=spec.num_participants,
             infected_threshold=spec.infected_threshold,
@@ -312,7 +313,7 @@ class _Runner:
             self.manifest[commit(opening)] = opening
         if len(self.manifest) != spec.num_participants:
             raise RuntimeError("commitment collision in manifest")
-        self.ledger = Ledger(make_genesis(self.config, self.manifest))
+        self.ledger = Ledger(make_genesis(self.config, self.manifest), verdicts=self.verdicts)
         self.developer = _Actor(dev_kp, self.ledger)
         self.clinics = [_Actor(kp, self.ledger) for kp in clinic_kps]
         self.patients = [_PatientState(_Actor(kp, self.ledger)) for kp in patient_kps]
@@ -597,10 +598,15 @@ def run_scenario(
     strategies=None,
     label: str = "default",
     keep_table: bool = True,
+    world: tuple[dict, dict] | None = None,
 ) -> TrialReport:
-    """One full deterministic trial under the given seed and strategy set."""
+    """One full deterministic trial under the given seed and strategy set.
+
+    ``world`` is the keypair and verdict memos that ``run_grid`` shares
+    among the cells of one seed (see ``KeyPair.generate`` and ``verify_signature``).
+    """
     chosen = spec.strategies if strategies is None else _roles_once(tuple(strategies), "strategies")
-    return _Runner(spec, chosen, seed, label, keep_table).run()
+    return _Runner(spec, chosen, seed, label, keep_table, world).run()
 
 
 def run_many(spec: ScenarioSpec, strategies=None, label: str = "default", keep_tables: bool = False):
@@ -612,9 +618,21 @@ def run_many(spec: ScenarioSpec, strategies=None, label: str = "default", keep_t
 
 
 def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[TrialReport]]:
-    """Every grid cell across every seed; falls back to the base strategies."""
+    """Every grid cell across every seed, by label and then seed; falls back to the base strategies.
+
+    The cells of one seed share one world: they draw the same keys, and sign
+    and verify the same transactions until their strategies part. So each seed
+    gets fresh memos of its keypairs and verdicts, which its cells share and
+    which are dropped, and taken off their ledgers, once those cells are run.
+    Every call is still made; only the repeated Ed25519 work is skipped.
+    """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)
-    return {
-        cell.label: run_many(spec, strategies=cell.strategies, label=cell.label, keep_tables=keep_tables)
-        for cell in cells
-    }
+    grid: dict[str, list[TrialReport]] = {cell.label: [] for cell in cells}
+    for seed in spec.seeds:
+        world = ({}, {})
+        for cell in cells:
+            report = run_scenario(spec, seed, cell.strategies, cell.label, keep_tables, world)
+            grid[cell.label].append(report)
+        for reports in grid.values():
+            reports[-1].ledger.verdicts = None  # the seed's memo ends with its cells
+    return grid

@@ -31,25 +31,50 @@ def address_from_public_key(public_key: bytes) -> bytes:
 class KeyPair:
     """A signing identity: private key, raw public key, derived address."""
 
-    __slots__ = ("_private", "public_key", "address")
+    __slots__ = ("_private", "public_key", "address", "_signatures")
 
-    def __init__(self, private_bytes: bytes):
+    def __init__(self, private_bytes: bytes, signatures: dict[bytes, bytes] | None = None):
         self._private = Ed25519PrivateKey.from_private_bytes(private_bytes)
         self.public_key = self._private.public_key().public_bytes_raw()
         self.address = address_from_public_key(self.public_key)
+        self._signatures = signatures
 
     @classmethod
-    def generate(cls, rng: Random) -> "KeyPair":
-        """New keypair drawn from a seeded ``random.Random``, so runs reproduce."""
-        return cls(rng.randbytes(32))
+    def generate(cls, rng: Random, shared: dict[bytes, KeyPair] | None = None) -> KeyPair:
+        """New keypair drawn from a seeded ``random.Random``, so runs reproduce.
+
+        ``shared`` maps the private bytes one world has drawn to their keypairs,
+        which memoize their signatures (see ``sign``). The 32 bytes are drawn
+        either way, so the generator's stream does not change.
+        """
+        private_bytes = rng.randbytes(32)
+        if shared is None:
+            return cls(private_bytes)
+        if private_bytes not in shared:
+            shared[private_bytes] = cls(private_bytes, {})
+        return shared[private_bytes]
 
     def sign(self, message: bytes) -> bytes:
-        return self._private.sign(message)
+        """The signature of ``message``. A keypair from a ``shared`` map keeps it under
+        the message's SHA-256 digest and gives it again: Ed25519 signing is deterministic."""
+        if self._signatures is None:
+            return self._private.sign(message)
+        digest = sha256(message).digest()
+        if digest not in self._signatures:
+            self._signatures[digest] = self._private.sign(message)
+        return self._signatures[digest]
 
 
-def verify_signature(public_key: bytes, message: bytes, signature: bytes) -> bool:
+def verify_signature(public_key: bytes, message: bytes, signature: bytes, verdicts: dict | None = None) -> bool:
     """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
-    False too for bytes that do not parse as a public key."""
+    False too for bytes that do not parse as a public key. ``verdicts`` holds one
+    world's verdicts under ``(public_key, signature, SHA-256 of message)``, three
+    parts kept apart so that no other key and signature can share an entry."""
+    if verdicts is not None:
+        key = (public_key, signature, sha256(message).digest())
+        if key not in verdicts:
+            verdicts[key] = verify_signature(public_key, message, signature)
+        return verdicts[key]
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True

@@ -171,9 +171,11 @@ class JournalEntry:
 class Ledger:
     """Owns the contract instance; all access flows through here."""
 
-    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None):
-        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``."""
+    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None, verdicts=None):
+        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``;
+        ``verdicts``, the signature verdicts this ledger shares (see ``verify_signature``)."""
         self.genesis = genesis
+        self.verdicts = verdicts
         # The trial id, the SHA-256 of the canonical genesis, fixes the contract
         # id, the config and every shot commitment; every signature covers it.
         self.contract, self.trial_id = deployed or (
@@ -206,7 +208,7 @@ class Ledger:
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-        if not verify_signature(tx.public_key, message, tx.signature):
+        if not verify_signature(tx.public_key, message, tx.signature, self.verdicts):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:

@@ -7,6 +7,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
 from vaccsc.actors import (
     Behavior,
@@ -22,9 +23,11 @@ from vaccsc.actors import (
     run_scenario,
     scenario_from_dict,
 )
+from vaccsc import keys
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
-from vaccsc.ledger import ACCEPTED, Ledger
+from vaccsc.ledger import ACCEPTED, Ledger, signing_bytes
+from vaccsc.logio import write_ledger_log
 
 
 def bundled(name: str) -> dict:
@@ -492,6 +495,103 @@ def test_run_grid_covers_every_cell():
     honest_eff = results["honest"][0].ledger_summary["outcome"]["efficiency"]
     omitted_eff = results["omit_50"][0].ledger_summary["outcome"]["efficiency"]
     assert omitted_eff < honest_eff
+
+
+def shared_world_grid(seeds) -> ScenarioSpec:
+    """``honest_small`` with one cell per role that can leave the honest path."""
+    cells = (
+        GridCell("honest", ()),
+        GridCell("forge_1", (Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, 1),)),
+        GridCell("biased", (Strategy(Role.DEVELOPER, Behavior.BIASED_DISTRIBUTION),)),
+        GridCell("collude", (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),)),
+        GridCell("never_report", (Strategy(Role.PATIENT, Behavior.NEVER_REPORT, 0.05),)),
+    )
+    return dataclasses.replace(small_spec(), seeds=tuple(seeds), grid=cells)
+
+
+def test_grid_cells_sharing_a_world_equal_the_cells_run_alone(tmp_path):
+    """Every cell of a grid whose seeds share keys, signatures and verdicts
+    gives the report and log bytes it gives when run on its own."""
+    spec = shared_world_grid([2, 5])
+    grid = run_grid(spec, keep_tables=True)
+    assert list(grid) == [cell.label for cell in spec.grid]
+    for cell in spec.grid:
+        assert [report.seed for report in grid[cell.label]] == [2, 5]
+        for report in grid[cell.label]:
+            alone = run_scenario(spec, report.seed, cell.strategies, cell.label)
+            assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
+            shared_log, alone_log = tmp_path / "shared.vscl", tmp_path / "alone.vscl"
+            write_ledger_log(shared_log, report.ledger)
+            write_ledger_log(alone_log, alone.ledger)
+            assert shared_log.read_bytes() == alone_log.read_bytes(), (cell.label, report.seed)
+
+
+def count_ed25519_work(monkeypatch) -> dict[str, list]:
+    """Stand-ins for the ``cryptography`` key classes that ``vaccsc.keys`` uses,
+    recording each private key derived, each message signed and each verify."""
+    work = {"derived": [], "signed": [], "verified": []}
+
+    class Private:
+        @staticmethod
+        def from_private_bytes(data):
+            work["derived"].append(data)
+            real = Ed25519PrivateKey.from_private_bytes(data)
+
+            class Key:
+                public_key = real.public_key
+
+                def sign(self, message):
+                    work["signed"].append((data, message))
+                    return real.sign(message)
+
+            return Key()
+
+    class Public:
+        @staticmethod
+        def from_public_bytes(data):
+            real = Ed25519PublicKey.from_public_bytes(data)
+
+            class Key:
+                def verify(self, signature, message):
+                    work["verified"].append((data, signature, message))
+                    real.verify(signature, message)
+
+            return Key()
+
+    monkeypatch.setattr(keys, "Ed25519PrivateKey", Private)
+    monkeypatch.setattr(keys, "Ed25519PublicKey", Public)
+    return work
+
+
+def signed_triples(ledgers) -> set[tuple[bytes, bytes, bytes]]:
+    return {
+        (e.tx.public_key, e.tx.signature, signing_bytes(ledger.trial_id, e.tx.method, e.tx.sequence_number, e.tx.payload))
+        for ledger in ledgers
+        for e in ledger.journal
+    }
+
+
+def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch):
+    work = count_ed25519_work(monkeypatch)
+    spec = shared_world_grid([2, 3])
+    ledgers = [report.ledger for reports in run_grid(spec).values() for report in reports]
+    triples = signed_triples(ledgers)
+    public_keys = {public_key for public_key, _, _ in triples}
+    assert len(ledgers) == 10 and sum(len(ledger.journal) for ledger in ledgers) > len(triples)
+    assert sorted(work["verified"]) == sorted(triples)
+    assert len(work["signed"]) == len(set(work["signed"])) == len(triples)
+    assert len(work["derived"]) == len(set(work["derived"])) == len(public_keys)
+    assert all(ledger.verdicts is None for ledger in ledgers)  # no memo outlives the call
+
+    before = {kind: len(done) for kind, done in work.items()}
+    run_grid(spec)
+    assert {kind: len(done) - before[kind] for kind, done in work.items()} == before
+
+    for done in work.values():
+        done.clear()
+    alone = run_scenario(spec, 2, keep_table=False).ledger
+    assert len(work["verified"]) == len(work["signed"]) == len(alone.journal)
+    assert len(work["derived"]) == spec.num_participants + spec.num_clinics + 1
 
 
 def test_run_many_covers_every_seed():

@@ -178,6 +178,37 @@ def test_reports_of_another_trial_do_not_count():
     assert ledger.query("infected_count") == 0
 
 
+def test_a_shared_verdict_accepts_only_the_transaction_it_was_made_for(world_cls):
+    """Ledger A's verdict on a transaction, shared with ledger B on the same
+    genesis, does not let a copy of it with one part changed through B."""
+    w = world_cls()
+    verdicts: dict = {}
+    a, b = Ledger(w.genesis, verdicts=verdicts), Ledger(w.genesis, verdicts=verdicts)
+    params = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
+    tx = make_transaction(w.developer, a.trial_id, "assign_shot_to_clinic", params, 0)
+    assert a.submit(tx).accepted
+    assert list(verdicts.values()) == [True]
+    flipped = bytearray(tx.signature)
+    flipped[5] ^= 0x10
+    other_shot = canonical_json({**params, "shots": [w.shot_list()[1].hex()]})
+    swapped = w.clinics[0]
+    copies = (
+        dataclasses.replace(tx, signature=bytes(flipped)),
+        dataclasses.replace(tx, payload=other_shot),
+        dataclasses.replace(tx, public_key=swapped.public_key, sender=swapped.address),
+    )
+    for copy in copies:
+        assert b.submit(copy).code == "BadSignature"
+    assert b.submit(tx).accepted
+    assert sorted(verdicts.values()) == [False, False, False, True]
+
+    message = signing_bytes(a.trial_id, tx.method, tx.sequence_number, tx.payload)
+    joined = tx.public_key + tx.signature
+    for split in (31, 33):  # the same bytes, cut elsewhere between key and signature
+        assert not verify_signature(joined[:split], message, joined[split:], verdicts)
+    assert verify_signature(tx.public_key, message, tx.signature, verdicts)
+
+
 def test_sender_must_match_signer(world_cls):
     w = world_cls()
     tx = make_transaction(w.outsider, w.ledger.trial_id, "report_sick", {}, 0)
