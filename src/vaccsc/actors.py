@@ -609,14 +609,6 @@ def run_scenario(
     return _Runner(spec, chosen, seed, label, keep_table, world).run()
 
 
-def run_many(spec: ScenarioSpec, strategies=None, label: str = "default", keep_tables: bool = False):
-    """All of the scenario's seeds in order; reports without bulky tables by default."""
-    return [
-        run_scenario(spec, seed, strategies=strategies, label=label, keep_table=keep_tables)
-        for seed in spec.seeds
-    ]
-
-
 def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[TrialReport]]:
     """Every grid cell across every seed, by label and then seed; falls back to the base strategies.
 

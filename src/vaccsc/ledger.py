@@ -10,9 +10,13 @@ byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import mmap
+import os
 import re
-from collections.abc import Iterable
+import signal
+from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import sha256
 
@@ -27,6 +31,7 @@ from .keys import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
+VERIFY_CHUNK = 64  # records per chunk of the replay's helper process (see ``Ledger.replay``)
 
 # Deepest array/object nesting a payload or genesis may have; valid ones
 # nest at most 4 deep. Bounding it before parsing keeps a hostile document
@@ -256,20 +261,67 @@ class Ledger:
     # -- replay ------------------------------------------------------------
 
     @classmethod
-    def replay(cls, genesis: dict, entries: Iterable[JournalEntry], deployed=None) -> tuple[Ledger, list[int]]:
+    def replay(cls, genesis: dict, entries: Sequence[JournalEntry], deployed=None) -> tuple[Ledger, list[int]]:
         """Re-run a journal from genesis (``deployed`` as for ``Ledger``).
 
         Returns the rebuilt ledger and the journal positions whose outcome
         (accepted/rejected + code) diverged from the recorded one. A clean
         replay returns an empty divergence list; final-state equality is
         then checked by digest comparison.
+
+        A journal longer than one chunk is also verified by a forked helper,
+        from the last record back. A record whose verdict has arrived by its
+        turn has it in ``verdicts``; the rest are verified here, so neither side waits.
         """
         ledger = cls(genesis, deployed)
         divergent: list[int] = []
-        for position, entry in enumerate(entries):
-            receipt = ledger.submit(entry.tx)
-            if receipt.status == entry.status and receipt.code == entry.code:
-                ledger.journal[-1] = entry  # the log's own entry: one per record, not two
-            else:
-                divergent.append(position)
+        pid = verdicts_in = None
+        verdicts = bytearray()  # the helper's, from the last record back
+        if len(entries) > VERIFY_CHUNK and hasattr(os, "fork"):
+            reached, (verdicts_in, verdicts_out) = mmap.mmap(-1, 8), os.pipe()
+            with contextlib.suppress(OSError):  # no helper: every record is verified here
+                pid = os.fork()
+            if pid == 0:
+                try:
+                    _verify_backwards(verdicts_out, entries, ledger.trial_id, reached)
+                finally:
+                    os._exit(0)
+            os.close(verdicts_out)
+            os.set_blocking(verdicts_in, False)
+        try:
+            for position, entry in enumerate(entries):
+                tx, back = entry.tx, len(entries) - 1 - position
+                if verdicts_in is not None and back >= len(verdicts):
+                    reached[:] = position.to_bytes(8, "little")
+                    with contextlib.suppress(BlockingIOError):
+                        verdicts += os.read(verdicts_in, len(entries))
+                if back < len(verdicts):  # the memo holds this one verdict, so it never grows
+                    message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
+                    key = (tx.public_key, tx.signature, sha256(message).digest())
+                    ledger.verdicts = {key: verdicts[back] == 1}
+                receipt = ledger.submit(tx)
+                if receipt.status == entry.status and receipt.code == entry.code:
+                    ledger.journal[-1] = entry  # the log's own entry: one per record, not two
+                else:
+                    divergent.append(position)
+        finally:
+            if pid:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            if verdicts_in is not None:
+                os.close(verdicts_in)
+            ledger.verdicts = None
         return ledger, divergent
+
+
+def _verify_backwards(out: int, entries: Sequence[JournalEntry], trial_id: bytes, reached: mmap.mmap) -> None:
+    """``Ledger.replay``'s helper: a verdict byte per record to ``out``, a chunk at a time from the end."""
+    for end in range(len(entries), 0, -VERIFY_CHUNK):
+        if end - 1 <= int.from_bytes(reached, "little"):  # the replay has got this far
+            return
+        verdicts = bytearray()
+        for entry in reversed(entries[max(0, end - VERIFY_CHUNK) : end]):
+            tx = entry.tx
+            message = signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload)
+            verdicts.append(verify_signature(tx.public_key, message, tx.signature))
+        os.write(out, verdicts)

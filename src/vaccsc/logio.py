@@ -236,7 +236,8 @@ class AuditReport:
 
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:
-    """Replay every journaled transaction and compare outcomes and digests."""
+    """Replay every journaled transaction, verified from both ends (see ``Ledger.replay``),
+    and compare outcomes and digests; no helper process outlives the call."""
     deployed, log.deployed = log.deployed, None  # a replay changes the contract
     ledger, divergent = Ledger.replay(log.genesis, log.records, deployed)
     state_match = ledger.state_digest() == log.trailer.state_digest

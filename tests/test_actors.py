@@ -19,7 +19,6 @@ from vaccsc.actors import (
     _Runner,
     load_scenario,
     run_grid,
-    run_many,
     run_scenario,
     scenario_from_dict,
 )
@@ -595,8 +594,10 @@ def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch):
 
 
 def test_run_many_covers_every_seed():
+    """A spec without a grid runs its base strategies at every seed."""
     spec = small_spec(seeds=[41, 42])
-    reports = run_many(spec)
+    assert spec.grid == ()
+    (reports,) = run_grid(spec).values()
     assert [r.seed for r in reports] == [41, 42]
     assert all(r.assignment_table is None for r in reports)
 

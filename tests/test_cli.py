@@ -2,7 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -468,3 +472,13 @@ def test_verify_reveal_bad_inputs(capsys):
         code, out, err = run_cli(capsys, "verify-reveal", *argv)
         assert code == 1 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_the_cli_imports_no_process_pool():
+    """The audit forks its one helper with ``os``; ``multiprocessing`` alone would
+    add about a megabyte to every CLI process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = "import sys, vaccsc.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    found = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert found.stdout == "[]\n"

@@ -1,17 +1,29 @@
 """Binary trial-log files: roundtrip, tamper detection, replay audit."""
 
 import copy
+import dataclasses
 import json
+import os
 import re
 from hashlib import sha256
+from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from vaccsc import cli
+from vaccsc import cli, keys, ledger
+from vaccsc.actors import run_scenario, scenario_from_dict
 from vaccsc.contract import canonical_json, json_value
-from vaccsc.ledger import ACCEPTED, REJECTED, JournalEntry, Ledger, SignedTransaction, signing_bytes
+from vaccsc.ledger import (
+    ACCEPTED,
+    REJECTED,
+    VERIFY_CHUNK,
+    JournalEntry,
+    Ledger,
+    SignedTransaction,
+    signing_bytes,
+)
 from vaccsc.logio import (
     MAGIC,
     VERSION,
@@ -479,3 +491,154 @@ def test_fuzzed_genesis_never_crashes_the_auditor(logged, tmp_path, data):
     except LogFormatError:
         return
     assert not report.ok
+
+
+# -- the replay's helper process ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def small_trial():
+    """``honest_small`` at seed 2: its genesis, journal and final digests."""
+    raw = json.loads((resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json").read_text())
+    ran = run_scenario(scenario_from_dict(raw), 2, keep_table=False).ledger
+    return ran.genesis, list(ran.journal), ran.state_digest(), ran.events_digest()
+
+
+def flipped(entry: JournalEntry, field: str, index: int) -> JournalEntry:
+    raw = bytearray(getattr(entry.tx, field))
+    raw[index] ^= 0x01
+    return dataclasses.replace(entry, tx=dataclasses.replace(entry.tx, **{field: bytes(raw)}))
+
+
+def signature_flipped_at(position):
+    def edit(records):
+        records[position] = flipped(records[position], "signature", 7)
+        return records
+
+    return edit
+
+
+def payload_flipped(records):
+    middle = len(records) // 2
+    records[middle] = flipped(records[middle], "payload", 5)
+    return records
+
+
+LOG_EDITS = {
+    "clean": lambda records: records,
+    "flipped payload": payload_flipped,
+    "signature of the first record": signature_flipped_at(0),
+    "signature of the last record": signature_flipped_at(-1),
+    "signature below a chunk boundary": signature_flipped_at(-VERIFY_CHUNK - 1),
+    "signature above a chunk boundary": signature_flipped_at(-VERIFY_CHUNK),
+    "one chunk of records": lambda records: records[:VERIFY_CHUNK],
+    "one record more than a chunk": lambda records: records[: VERIFY_CHUNK + 1],
+}
+
+
+def edited_log(small_trial, tmp_path, edit):
+    """A re-hashed log of ``small_trial`` with ``edit`` applied to its records."""
+    genesis, records, state, events = small_trial
+    path = tmp_path / "edited.vscl"
+    write_log(path, genesis, edit(list(records)), state, events)
+    return read_log(path)
+
+
+def audited(log):
+    """Everything an audit gives: the report, the replayed outcomes and the digests."""
+    report, replayed = audit_log(log)
+    assert replayed.verdicts is None
+    outcomes = [(e.status, e.code) for e in replayed.journal]
+    return report, outcomes, replayed.state_digest(), replayed.events_digest()
+
+
+def audited_alone(log, monkeypatch):
+    """``audited`` with no ``os.fork``, so the replay verifies every record itself."""
+    with monkeypatch.context() as patched:
+        patched.delattr(os, "fork")
+        return audited(log)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("edit", LOG_EDITS.values(), ids=LOG_EDITS.keys())
+def test_an_audit_is_the_same_with_the_helper_and_without(small_trial, tmp_path, monkeypatch, edit):
+    log = edited_log(small_trial, tmp_path, edit)
+    alone = audited_alone(log, monkeypatch)
+    assert audited(log) == alone
+    # Left blocking, the pipe makes the replay wait for a chunk at each record
+    # until the helper has sent the rest, so the helper verifies almost all of them.
+    monkeypatch.setattr(os, "set_blocking", lambda fd, blocking: None)
+    assert audited(log) == alone
+    assert_no_child_left()
+    assert alone[0].ok == (edit is LOG_EDITS["clean"])
+
+
+def test_the_replay_takes_the_helpers_verdicts(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, signature_flipped_at(-1))
+    real = keys.Ed25519PublicKey
+    verified = []
+
+    class Public:
+        @staticmethod
+        def from_public_bytes(data):
+            verified.append(data)
+            return real.from_public_bytes(data)
+
+    monkeypatch.setattr(keys, "Ed25519PublicKey", Public)
+    monkeypatch.setattr(os, "set_blocking", lambda fd, blocking: None)
+    report, outcomes, _, _ = audited(log)
+    assert len(verified) < len(log.records) // VERIFY_CHUNK + 2  # one read per record, each a chunk or more
+    assert report.divergent_positions == (len(log.records) - 1,)
+    assert outcomes[-1] == (REJECTED, "BadSignature")
+
+
+def cannot_fork():
+    raise OSError("fork failed")
+
+
+@pytest.mark.parametrize(
+    "owner, name, broken",
+    [(ledger, "_verify_backwards", lambda *args: os._exit(1)), (os, "fork", cannot_fork)],
+    ids=["exits at once", "cannot start"],
+)
+def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch, owner, name, broken):
+    log = edited_log(small_trial, tmp_path, payload_flipped)
+    alone = audited_alone(log, monkeypatch)
+    monkeypatch.setattr(owner, name, broken)
+    assert audited(log) == alone
+    assert_no_child_left()
+
+
+def test_the_replay_makes_one_verify_call_per_record(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
+    calls = []
+    real = ledger.verify_signature
+
+    def counting(*args):
+        calls.append(os.getpid())
+        return real(*args)
+
+    monkeypatch.setattr(ledger, "verify_signature", counting)
+    report, replayed = audit_log(log)
+    assert report.ok and replayed.verdicts is None
+    assert calls == [os.getpid()] * len(log.records)
+    assert_no_child_left()
+
+
+def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
+    real = Ledger.submit
+
+    def failing(self, tx):
+        if len(self.journal) == VERIFY_CHUNK:
+            raise RuntimeError("submit failed")
+        return real(self, tx)
+
+    monkeypatch.setattr(Ledger, "submit", failing)
+    with pytest.raises(RuntimeError, match="submit failed"):
+        audit_log(log)
+    assert_no_child_left()
