@@ -13,6 +13,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from random import Random
@@ -20,7 +21,8 @@ from random import Random
 from .commitment import Opening, ShotContent, commit, generate_nonce
 from .coinflip import RandomContribution, commit_contribution, select_index
 from .contract import (
-    TrialConfig, _decode, _label, check_numbers, efficiency_percent, json_value, make_genesis
+    DEFAULT_BINDING_DEADLINE, TrialConfig, _decode, _label, check_numbers, efficiency_percent, json_value,
+    make_genesis,
 )
 from .keys import KeyPair
 from .ledger import ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, make_transaction, too_deep
@@ -123,7 +125,7 @@ class ScenarioSpec:
     disease: DiseaseModel
     seeds: tuple[int, ...]
     vaccine_fraction: float = 0.5
-    binding_deadline: int = 100
+    binding_deadline: int = DEFAULT_BINDING_DEADLINE
     strategies: tuple[Strategy, ...] = ()  # a role not listed is honest
     grid: tuple[GridCell, ...] = ()
 
@@ -206,8 +208,17 @@ def scenario_from_dict(raw) -> ScenarioSpec:
     return ScenarioSpec(**doc.pop("config"), **doc)
 
 
-def load_scenario(path: str | Path) -> ScenarioSpec:
-    data = Path(path).read_bytes()
+def load_scenario(ref: str | Path) -> ScenarioSpec:
+    """The scenario in the file ``ref``, or else the bundled one of that name, as in
+    ``load_scenario("honest_small")``; raises OSError or ValueError naming what is wrong."""
+    root = resources.files("vaccsc") / "data" / "scenarios"
+    bundled = {file.name.removesuffix(".json"): file for file in root.iterdir() if file.name.endswith(".json")}
+    path = Path(ref) if Path(ref).exists() else bundled.get(ref)
+    if path is None:
+        raise FileNotFoundError(
+            f"scenario {ref!r} is neither a file nor a bundled name (bundled: {', '.join(sorted(bundled))})"
+        )
+    data = path.read_bytes()
     if too_deep(data):
         raise ValueError(f"scenario nests deeper than {MAX_JSON_DEPTH}")
     return scenario_from_dict(json.loads(data))
@@ -303,9 +314,8 @@ class _Runner:
             binding_deadline=spec.binding_deadline,
         )
         n_vaccine = round(spec.num_participants * spec.vaccine_fraction)
-        contents = [ShotContent.VACCINE] * n_vaccine + [ShotContent.PLACEBO] * (
-            spec.num_participants - n_vaccine
-        )
+        self.arm_sizes = {"vaccine_shots": n_vaccine, "placebo_shots": spec.num_participants - n_vaccine}
+        contents = [ShotContent.VACCINE] * n_vaccine + [ShotContent.PLACEBO] * self.arm_sizes["placebo_shots"]
         rng.shuffle(contents)
         self.manifest: dict[bytes, Opening] = {}
         for content in contents:
@@ -523,6 +533,7 @@ class _Runner:
         if complete:
             self._reveal()
         ledger = self.ledger
+        ledger.verdicts = None  # the world's verdicts stay with the world, not with this run's report
         controls, vaccines = self._sick_shots_by_arm()
         truth_ar0, truth_ar1 = len(controls), len(vaccines)
         truth_eff = efficiency_percent(truth_ar0, truth_ar1) if complete else None
@@ -534,9 +545,6 @@ class _Runner:
             else None
         )
         rejections = Counter(entry.code for entry in ledger.journal if entry.status != ACCEPTED)
-        placebo_shots = sum(
-            1 for o in self.manifest.values() if o.content is ShotContent.PLACEBO
-        )
         table = None
         if self.keep_table:
             index_of_clinic = {address: i for i, address in enumerate(self.config.clinics)}
@@ -579,8 +587,7 @@ class _Runner:
                 "ar0": truth_ar0,
                 "ar1": truth_ar1,
                 "efficiency": truth_eff,
-                "vaccine_shots": len(self.manifest) - placebo_shots,
-                "placebo_shots": placebo_shots,
+                **self.arm_sizes,
                 "genuine_infections": sum(1 for p in self.patients if p.truly_infected),
                 "false_reports": sum(1 for p in self.patients if p.false_report),
             },
@@ -615,16 +622,13 @@ def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[Tr
     The cells of one seed share one world: they draw the same keys, and sign
     and verify the same transactions until their strategies part. So each seed
     gets fresh memos of its keypairs and verdicts, which its cells share and
-    which are dropped, and taken off their ledgers, once those cells are run.
-    Every call is still made; only the repeated Ed25519 work is skipped.
+    which are dropped once those cells are run; each run takes the verdicts off
+    its own ledger. Every call is still made; only the repeated Ed25519 work is skipped.
     """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)
     grid: dict[str, list[TrialReport]] = {cell.label: [] for cell in cells}
     for seed in spec.seeds:
         world = ({}, {})
         for cell in cells:
-            report = run_scenario(spec, seed, cell.strategies, cell.label, keep_tables, world)
-            grid[cell.label].append(report)
-        for reports in grid.values():
-            reports[-1].ledger.verdicts = None  # the seed's memo ends with its cells
+            grid[cell.label].append(run_scenario(spec, seed, cell.strategies, cell.label, keep_tables, world))
     return grid

@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import tempfile
-from importlib import resources
 from pathlib import Path
 
 from .commitment import verify_raw_opening
@@ -30,22 +29,6 @@ EXIT_AUDIT = 3
 EXIT_MISMATCH = 4
 
 
-def _bundled_scenarios() -> dict[str, object]:
-    root = resources.files("vaccsc") / "data" / "scenarios"
-    return {path.name.removesuffix(".json"): path for path in root.iterdir() if path.name.endswith(".json")}
-
-
-def _resolve_scenario(ref: str):
-    bundled = _bundled_scenarios()
-    path = Path(ref) if Path(ref).exists() else bundled.get(ref)
-    if path is None:
-        raise FileNotFoundError(
-            f"scenario {ref!r} is neither a file nor a bundled name "
-            f"(bundled: {', '.join(sorted(bundled))})"
-        )
-    return load_scenario(path)
-
-
 def _write_json(path: Path, obj) -> None:
     """``obj`` as indented JSON, streamed into ``path`` piece by piece."""
     with open(path, "w") as file:
@@ -57,9 +40,15 @@ def _fmt_eff(value) -> str:
     return "undefined" if value is None else f"{value:.2f}%"
 
 
+def _outcome_line(label: str, outcome: dict) -> str:
+    """One line for a decided outcome, as ``simulate`` and ``audit`` print it."""
+    efficiency, verdict = _fmt_eff(outcome["efficiency"]), "APPROVED" if outcome["approved"] else "REJECTED"
+    return f"{label}: ar0={outcome['ar0']} ar1={outcome['ar1']} efficiency={efficiency} {verdict}"
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     try:
-        spec = _resolve_scenario(args.scenario)
+        spec = load_scenario(args.scenario)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -109,12 +98,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if not report.complete:
         print(f"incomplete trial: {report.incomplete_reason}")
         return EXIT_INCOMPLETE
-    outcome = summary["outcome"]
-    print(
-        f"outcome: ar0={outcome['ar0']} ar1={outcome['ar1']} "
-        f"efficiency={_fmt_eff(outcome['efficiency'])} "
-        f"{'APPROVED' if outcome['approved'] else 'REJECTED'}"
-    )
+    print(_outcome_line("outcome", summary["outcome"]))
     return EXIT_OK
 
 
@@ -141,11 +125,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     print(f"phase:     {ledger.query('phase')}")
     outcome = ledger.query("outcome")
     if outcome:
-        print(
-            f"recomputed: ar0={outcome['ar0']} ar1={outcome['ar1']} "
-            f"efficiency={_fmt_eff(outcome['efficiency'])} "
-            f"{'APPROVED' if outcome['approved'] else 'REJECTED'}"
-        )
+        print(_outcome_line("recomputed", outcome))
     if not report.ok:
         if report.divergent_positions:
             print(

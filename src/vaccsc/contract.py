@@ -233,8 +233,8 @@ class VaccineTrial:
     def dispatch(self, sender: bytes, method: str, params: dict, tick: int) -> list[tuple[str, dict]]:
         """Apply one call; returns emitted events or raises ContractError.
 
-        ``params`` is decoded against the method's schema before the handler
-        runs, as ABI decoding does, and the handler gets the decoded values.
+        ``params`` is decoded against the method's schema before its handler,
+        ``_<method>``, runs, as ABI decoding does, and gets the decoded values.
         Handlers validate everything else before touching state, so a raised
         ContractError always leaves the contract exactly as it was.
         """
@@ -245,11 +245,11 @@ class VaccineTrial:
             args = _decode(params, schema, "params")
         except ValueError as exc:
             raise ContractError("MalformedParams", str(exc)) from None
-        return _HANDLERS[method](self, sender, args, tick)
+        return getattr(self, f"_{method}")(sender, args, tick)
 
     # -- operations --------------------------------------------------------
 
-    def _assign_shot(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
+    def _assign_shot_to_clinic(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         if self.phase not in (TrialPhase.DEPLOYED, TrialPhase.DISTRIBUTING):
             raise ContractError("WrongPhase", "distribution is closed")
         if sender != self.config.developer:
@@ -584,12 +584,3 @@ def _decode(value, schema, path: str):
         return value
     return schema(value, path)
 
-
-_HANDLERS = {
-    "assign_shot_to_clinic": VaccineTrial._assign_shot,
-    "begin_binding": VaccineTrial._begin_binding,
-    "patient_reveal": VaccineTrial._patient_reveal,
-    "report_sick": VaccineTrial._report_sick,
-    "reveal_controls": VaccineTrial._reveal_controls,
-    "abort_binding": VaccineTrial._abort_binding,
-}

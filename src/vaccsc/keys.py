@@ -23,8 +23,6 @@ SIGNATURE_SIZE = 64
 
 def address_from_public_key(public_key: bytes) -> bytes:
     """Derive the 20-byte ledger address for a raw 32-byte public key."""
-    if len(public_key) != PUBLIC_KEY_SIZE:
-        raise ValueError(f"public key must be {PUBLIC_KEY_SIZE} bytes")
     return sha256(public_key).digest()[:ADDRESS_SIZE]
 
 
@@ -65,13 +63,17 @@ class KeyPair:
         return self._signatures[digest]
 
 
+def verdict_key(public_key: bytes, message: bytes, signature: bytes) -> tuple[bytes, bytes, bytes]:
+    """A verdict's memo key, in three parts kept apart so that no other key and signature can share it."""
+    return public_key, signature, sha256(message).digest()
+
+
 def verify_signature(public_key: bytes, message: bytes, signature: bytes, verdicts: dict | None = None) -> bool:
     """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
-    False too for bytes that do not parse as a public key. ``verdicts`` holds one
-    world's verdicts under ``(public_key, signature, SHA-256 of message)``, three
-    parts kept apart so that no other key and signature can share an entry."""
+    False too for bytes that do not parse as a public key. ``verdicts``, when given,
+    memoizes the verdicts under ``verdict_key``: one world's, or one replayed record's."""
     if verdicts is not None:
-        key = (public_key, signature, sha256(message).digest())
+        key = verdict_key(public_key, message, signature)
         if key not in verdicts:
             verdicts[key] = verify_signature(public_key, message, signature)
         return verdicts[key]

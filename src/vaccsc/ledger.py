@@ -22,10 +22,7 @@ from hashlib import sha256
 
 from .contract import ContractError, VaccineTrial, canonical_json
 from .keys import (
-    PUBLIC_KEY_SIZE,
-    SIGNATURE_SIZE,
-    KeyPair,
-    address_from_public_key,
+    ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, KeyPair, address_from_public_key, verdict_key,
     verify_signature,
 )
 
@@ -90,8 +87,6 @@ def signing_bytes(trial_id: bytes, method: str, sequence_number: int, payload: b
     sequence, payload. The trial id keeps a signature from verifying in
     any other trial."""
     method_utf8 = method.encode()
-    if len(method_utf8) > 0xFFFF:
-        raise ValueError("method name too long")
     return (
         trial_id
         + len(method_utf8).to_bytes(2, "big")
@@ -103,12 +98,24 @@ def signing_bytes(trial_id: bytes, method: str, sequence_number: int, payload: b
 
 @dataclass(frozen=True)
 class SignedTransaction:
+    """A signed call, holding only what a log record can: building one whose sizes
+    or ranges a record cannot hold raises ValueError."""
+
     sender: bytes
     public_key: bytes
     method: str
     payload: bytes
     sequence_number: int
     signature: bytes
+
+    def __post_init__(self) -> None:
+        sizes = len(self.sender), len(self.public_key), len(self.signature)
+        if sizes != (ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE):
+            raise ValueError("sender, public key and signature must be 20, 32 and 64 bytes")
+        if not 0 <= self.sequence_number < 1 << 64:
+            raise ValueError("sequence number must be in [0, 2**64)")
+        if len(self.method.encode()) > 0xFFFF or len(self.payload) >= 1 << 32:
+            raise ValueError("method over 65,535 UTF-8 bytes or payload of 2**32 bytes or more")
 
     def to_dict(self) -> dict:
         """The transaction as ``--export-json`` writes it; bytes of the payload that are not
@@ -208,8 +215,6 @@ class Ledger:
         return Receipt(status=status, code=code, detail=detail, position=position, events=events)
 
     def _authenticate(self, tx: SignedTransaction) -> tuple[str | None, str]:
-        if len(tx.public_key) != PUBLIC_KEY_SIZE or len(tx.signature) != SIGNATURE_SIZE:
-            return "BadSignature", "malformed key or signature"
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
@@ -275,30 +280,31 @@ class Ledger:
         """
         ledger = cls(genesis, deployed)
         divergent: list[int] = []
-        pid = verdicts_in = None
+        pid, fds, reached = None, [], None
         verdicts = bytearray()  # the helper's, from the last record back
-        if len(entries) > VERIFY_CHUNK and hasattr(os, "fork"):
-            reached, (verdicts_in, verdicts_out) = mmap.mmap(-1, 8), os.pipe()
-            with contextlib.suppress(OSError):  # no helper: every record is verified here
-                pid = os.fork()
-            if pid == 0:
-                try:
-                    _verify_backwards(verdicts_out, entries, ledger.trial_id, reached)
-                finally:
-                    os._exit(0)
-            os.close(verdicts_out)
-            os.set_blocking(verdicts_in, False)
         try:
+            if len(entries) > VERIFY_CHUNK and hasattr(os, "fork"):
+                with contextlib.suppress(OSError):  # no pipe, map or helper: every record is verified here
+                    reached = mmap.mmap(-1, 8)
+                    fds += os.pipe()
+                    pid = os.fork()
+                if pid == 0:
+                    try:
+                        _verify_backwards(fds[1], entries, ledger.trial_id, reached)
+                    finally:
+                        os._exit(0)
+                if pid:
+                    os.close(fds.pop())
+                    os.set_blocking(fds[0], False)
             for position, entry in enumerate(entries):
                 tx, back = entry.tx, len(entries) - 1 - position
-                if verdicts_in is not None and back >= len(verdicts):
+                if pid and back >= len(verdicts):
                     reached[:] = position.to_bytes(8, "little")
                     with contextlib.suppress(BlockingIOError):
-                        verdicts += os.read(verdicts_in, len(entries))
+                        verdicts += os.read(fds[0], len(entries))
                 if back < len(verdicts):  # the memo holds this one verdict, so it never grows
                     message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
-                    key = (tx.public_key, tx.signature, sha256(message).digest())
-                    ledger.verdicts = {key: verdicts[back] == 1}
+                    ledger.verdicts = {verdict_key(tx.public_key, message, tx.signature): verdicts[back] == 1}
                 receipt = ledger.submit(tx)
                 if receipt.status == entry.status and receipt.code == entry.code:
                     ledger.journal[-1] = entry  # the log's own entry: one per record, not two
@@ -308,8 +314,10 @@ class Ledger:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            if verdicts_in is not None:
-                os.close(verdicts_in)
+            for fd in fds:
+                os.close(fd)
+            if reached is not None:
+                reached.close()
             ledger.verdicts = None
         return ledger, divergent
 

@@ -75,10 +75,6 @@ def _encode_record(record: JournalEntry) -> bytes:
     tx = record.tx
     code = (record.code or "").encode()
     method = tx.method.encode()
-    if len(tx.sender) != ADDRESS_SIZE:
-        raise ValueError("sender must be a 20-byte address")
-    if len(tx.public_key) != PUBLIC_KEY_SIZE or len(tx.signature) != SIGNATURE_SIZE:
-        raise ValueError("malformed key or signature")
     return b"".join(
         (
             b"T",

@@ -9,6 +9,7 @@ from importlib import resources
 from random import Random
 from statistics import fmean
 
+import pytest
 from scipy.stats import chi2
 
 from vaccsc import cli
@@ -134,6 +135,7 @@ def test_criterion_03_coinflip_fairness(acceptance, timer):
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_honest_recovery_200_seeds(acceptance, timer):
     spec = load_spec("honest_pfizer_like")
     model_eff = 100.0 * (spec.disease.p_control - spec.disease.p_vaccine) / spec.disease.p_control

@@ -77,6 +77,16 @@ def test_load_scenario_from_path(tmp_path):
     assert spec.name == "honest_small"
 
 
+def test_load_scenario_takes_a_bundled_name(tmp_path, monkeypatch):
+    path = resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json"
+    assert load_scenario("honest_small") == load_scenario(path)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "honest_small").write_text(json.dumps({**bundled("honest_small"), "name": "local"}))
+    assert load_scenario("honest_small").name == "local"  # a file of that name comes first
+    with pytest.raises(FileNotFoundError, match="'no_such' is neither a file nor a bundled name"):
+        load_scenario("no_such")
+
+
 def _set(*keys_and_value):
     """A mutation of a scenario document setting one nested key."""
     *keys, last, value = keys_and_value
@@ -392,6 +402,19 @@ def test_forged_reveals_are_rejected_atomically():
     assert rejections.get("NotPlacebo") == 1
     # the swap failed, so the developer settles for withholding: efficiency drops
     assert report.ledger_summary["outcome"]["efficiency"] < report.truth["efficiency"]
+
+
+def test_a_forger_with_nothing_to_forge_reveals_honestly():
+    """With no vaccine shot to pass off as a control, the forger makes no
+    attempt: the honest reveal goes through and no evidence is recorded."""
+    spec = small_spec(vaccine_fraction=0.0)
+    forger = Strategy(Role.DEVELOPER, Behavior.FORGE_CONTROLS, knob=1)
+    report = run_scenario(spec, 13, strategies=(forger,))
+    assert report.complete and report.phase == "finalized"
+    assert report.evidence == []
+    assert [e.status for e in report.ledger.journal if e.tx.method == "reveal_controls"] == [ACCEPTED]
+    assert report.truth["vaccine_shots"] == 0 and report.truth["placebo_shots"] == spec.num_participants
+    assert report.ledger_summary["outcome"]["ar0"] == report.truth["ar0"]
 
 
 def test_biased_distribution_cannot_move_the_outcome():

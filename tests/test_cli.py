@@ -86,6 +86,20 @@ def test_simulate_export_json_and_verbose(tmp_path, capsys):
     assert "accepted=" in out
 
 
+def test_simulate_verbose_prints_the_evidence_of_a_forger(tmp_path, capsys):
+    raw = json.loads((resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json").read_text())
+    raw["strategies"] = [{"role": "developer", "behavior": "forge_controls", "count": 1}]
+    path = tmp_path / "forger.json"
+    path.write_text(json.dumps(raw))
+    argv = ["simulate", "--scenario", str(path), "--seed", "13", "--out", str(tmp_path), "--verbose"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    evidence = [json.loads(line.removeprefix("  evidence: ")) for line in out.splitlines() if "evidence:" in line]
+    assert [item["kind"] for item in evidence] == ["forged_content", "true_vaccine_opening"]
+    report = json.loads((tmp_path / "honest_small-s13.report.json").read_text())
+    assert evidence == report["evidence"]
+
+
 def test_simulate_scenario_file_path(tmp_path, capsys):
     spec = {
         "name": "tiny",
@@ -187,6 +201,10 @@ def _rename_deadline(raw):
         (lambda raw: raw["config"].update(infected_threshold=500), "infected_threshold"),
         (lambda raw: raw["config"].update(target_efficiency=150.0), "target_efficiency"),
         (lambda raw: raw["config"].update(binding_deadline=-1), "binding_deadline"),
+        # ScenarioSpec's own checks
+        (lambda raw: raw["config"].update(num_clinics=0), "at least one clinic"),
+        (lambda raw: raw.update(vaccine_fraction=1.5), "vaccine_fraction"),
+        (lambda raw: raw.update(seeds=[]), "at least one seed"),
     ],
     ids=[
         "binding_deadlien",
@@ -200,6 +218,9 @@ def _rename_deadline(raw):
         "threshold-500",
         "efficiency-150",
         "deadline-negative",
+        "clinics-0",
+        "vaccine-fraction-1.5",
+        "no-seeds",
     ],
 )
 def test_bad_scenario_is_an_input_error(tmp_path, capsys, mutate, field):

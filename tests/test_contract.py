@@ -73,6 +73,22 @@ def test_config_invariants():
         TrialConfig(0, 0, 50.0, clinics=(addr_b,), developer=addr_a)
 
 
+@pytest.mark.parametrize("clinic_size, developer_size", [(19, 20), (21, 20), (20, 19), (20, 21)])
+def test_config_addresses_are_20_bytes(clinic_size, developer_size):
+    rng = Random(1)
+    clinic, developer = rng.randbytes(clinic_size), rng.randbytes(developer_size)
+    with pytest.raises(ValueError, match="must be 20 bytes"):
+        TrialConfig(5, 2, 50.0, clinics=(clinic,), developer=developer)
+
+
+@pytest.mark.parametrize("size", [31, 33])
+def test_deploy_rejects_a_commitment_that_is_not_32_bytes(world_cls, size):
+    w = world_cls(num_shots=4)
+    shots = w.shot_list()
+    with pytest.raises(ValueError, match="32-byte digest"):
+        VaccineTrial(w.config, shots[:3] + [bytes(size)])
+
+
 def test_genesis_deployer_must_be_developer(world_cls):
     from vaccsc.ledger import Ledger
 

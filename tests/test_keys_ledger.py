@@ -31,6 +31,7 @@ from vaccsc.ledger import (
     signing_bytes,
     too_deep,
 )
+from vaccsc.logio import audit_log, read_log, write_ledger_log
 
 
 def test_key_golden_vectors(vectors):
@@ -238,6 +239,60 @@ def test_signature_fuzz_never_authenticates(world_cls):
             signature=rng.randbytes(64),
         )
         assert w.ledger.submit(forged).code == "BadSignature"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sender", bytes(19)),
+        ("sender", bytes(21)),
+        ("public_key", bytes(31)),
+        ("public_key", bytes(33)),
+        ("signature", bytes(63)),
+        ("signature", bytes(65)),
+        ("sequence_number", -1),
+        ("sequence_number", 2**64),
+        ("method", "m" * 65_536),
+    ],
+    ids=["sender-19", "sender-21", "key-31", "key-33", "sig-63", "sig-65", "seq-minus-1", "seq-2**64", "method-65536"],
+)
+def test_a_transaction_a_record_cannot_hold_is_not_built(world_cls, field, value):
+    w = world_cls()
+    tx = make_transaction(w.developer, w.ledger.trial_id, "report_sick", {}, 0)
+    with pytest.raises(ValueError):
+        dataclasses.replace(tx, **{field: value})
+
+
+def test_a_journal_of_hostile_transactions_is_written_read_back_and_audited(world_cls, tmp_path):
+    """Every transaction that can be built can be journaled and logged: a hostile
+    one is a rejection in a log that audits clean, not a log that cannot be written."""
+    w = world_cls()
+    kp = w.developer
+
+    def signed(method: str, payload: bytes, sequence: int) -> SignedTransaction:
+        signature = kp.sign(signing_bytes(w.ledger.trial_id, method, sequence, payload))
+        return SignedTransaction(kp.address, kp.public_key, method, payload, sequence, signature)
+
+    params = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
+    tx = make_transaction(kp, w.ledger.trial_id, "assign_shot_to_clinic", params, 0)
+    flipped = bytearray(tx.signature)
+    flipped[0] ^= 0x01
+    hostile = [
+        (dataclasses.replace(tx, signature=bytes(flipped)), "BadSignature"),
+        (dataclasses.replace(tx, sender=w.clinics[0].address), "BadSignature"),
+        (signed("report_sick", b"{}", 2**64 - 1), "StaleSequence"),  # the largest sequence a record holds
+        (signed("m" * 0xFFFF, b"{}", 0), "UnknownMethod"),  # the longest method a record holds
+        (signed("assign_shot_to_clinic", canonical_json(params).replace(b",", b", "), 0), "NonCanonicalPayload"),
+    ]
+    for bad, code in hostile:
+        assert w.ledger.submit(bad).code == code
+    assert w.ledger.submit(tx).accepted
+    path = tmp_path / "hostile.vscl"
+    write_ledger_log(path, w.ledger)
+    log = read_log(path)
+    assert log.records == tuple(w.ledger.journal)
+    report, _ = audit_log(log)
+    assert report.ok and report.divergent_positions == ()
 
 
 def test_unknown_method_and_malformed_payload(world_cls):

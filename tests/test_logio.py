@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import mmap
 import os
 import re
 from hashlib import sha256
@@ -600,10 +601,19 @@ def cannot_fork():
     raise OSError("fork failed")
 
 
+def too_many_open_files(*args):
+    raise OSError(24, "Too many open files")
+
+
 @pytest.mark.parametrize(
     "owner, name, broken",
-    [(ledger, "_verify_backwards", lambda *args: os._exit(1)), (os, "fork", cannot_fork)],
-    ids=["exits at once", "cannot start"],
+    [
+        (ledger, "_verify_backwards", lambda *args: os._exit(1)),
+        (os, "fork", cannot_fork),
+        (os, "pipe", too_many_open_files),
+        (mmap, "mmap", too_many_open_files),
+    ],
+    ids=["exits at once", "cannot start", "no pipe", "no map"],
 )
 def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch, owner, name, broken):
     log = edited_log(small_trial, tmp_path, payload_flipped)
@@ -611,6 +621,23 @@ def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch,
     monkeypatch.setattr(owner, name, broken)
     assert audited(log) == alone
     assert_no_child_left()
+
+
+def test_a_replay_that_cannot_fork_closes_its_pipe(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
+    opened, real_pipe = [], os.pipe
+
+    def recorded_pipe():
+        opened.extend(real_pipe())
+        return tuple(opened[-2:])
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", cannot_fork)
+    assert audit_log(log)[0].ok
+    assert len(opened) == 2
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_the_replay_makes_one_verify_call_per_record(small_trial, tmp_path, monkeypatch):
@@ -640,5 +667,13 @@ def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypa
 
     monkeypatch.setattr(Ledger, "submit", failing)
     with pytest.raises(RuntimeError, match="submit failed"):
+        audit_log(log)
+    assert_no_child_left()
+
+
+def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
+    monkeypatch.setattr(os, "set_blocking", too_many_open_files)
+    with pytest.raises(OSError, match="Too many open files"):
         audit_log(log)
     assert_no_child_left()
