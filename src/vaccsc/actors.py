@@ -131,6 +131,9 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         check_numbers(self)  # TrialConfig's checks, run at load so a bad scenario makes no output
+        target = self.target_efficiency  # deployed as round(target * 100), the decimal as written
+        if not 0.0 <= target <= 100.0 or round(target, 2) != target:
+            raise ValueError("target_efficiency must be a percentage in [0, 100] with at most two decimals")
         if self.num_clinics < 1:
             raise ValueError("need at least one clinic")
         if not 0.0 <= self.vaccine_fraction <= 1.0:
@@ -308,7 +311,7 @@ class _Runner:
         self.config = TrialConfig(
             num_participants=spec.num_participants,
             infected_threshold=spec.infected_threshold,
-            target_efficiency=spec.target_efficiency,
+            target_efficiency_bp=round(spec.target_efficiency * 100),
             clinics=tuple(kp.address for kp in clinic_kps),
             developer=dev_kp.address,
             binding_deadline=spec.binding_deadline,

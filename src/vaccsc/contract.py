@@ -5,7 +5,7 @@ shot, distributes shots to clinics, clinics bind shots to patients
 through committed coin flips, patients report illness, and once the
 infected threshold is reached the developer reveals which sick patients
 received the control. Everyone else sick is counted as vaccinated by
-elimination, the efficiency is computed, and the approval decision is
+elimination, and the approval decision is made in integers and
 published. Shot contents stay sealed behind their commitments the whole
 time, so neither clinics nor patients can tell vaccine from placebo
 before the reveal.
@@ -22,7 +22,7 @@ from .coinflip import U64_MAX, RandomContribution, select_index
 from .commitment import DIGEST_SIZE, NONCE_SIZE, ShotContent, verify_raw_opening
 from .keys import ADDRESS_SIZE
 
-CONTRACT_ID = "vaccsc-9"
+CONTRACT_ID = "vaccsc-10"
 
 DEFAULT_BINDING_DEADLINE = 100
 
@@ -91,13 +91,15 @@ class TrialConfig:
 
     num_participants: int
     infected_threshold: int
-    target_efficiency: float
+    target_efficiency_bp: int  # hundredths of a percent
     clinics: tuple[bytes, ...]
     developer: bytes
     binding_deadline: int = DEFAULT_BINDING_DEADLINE
 
     def __post_init__(self) -> None:
         check_numbers(self)
+        if not 0 <= self.target_efficiency_bp <= 10_000:
+            raise ValueError("target_efficiency_bp must be in [0, 10000] hundredths of a percent")
         if not self.clinics:
             raise ValueError("at least one clinic is required")
         if len(set(self.clinics)) != len(self.clinics):
@@ -117,8 +119,6 @@ def check_numbers(trial) -> None:
         raise ValueError("num_participants must be positive")
     if not 1 <= trial.infected_threshold <= trial.num_participants:
         raise ValueError("infected_threshold must be in [1, num_participants]")
-    if not 0.0 <= trial.target_efficiency <= 100.0:
-        raise ValueError("target_efficiency must be a percentage in [0, 100]")
     if trial.binding_deadline < 0:
         raise ValueError("binding_deadline must be non-negative")
 
@@ -139,7 +139,6 @@ class TrialOutcome:
 
     ar0: int  # infected control recipients (revealed)
     ar1: int  # infected vaccine recipients (by elimination)
-    efficiency: float | None  # signed percentage; None when ar0 = 0
     approved: bool
 
 
@@ -164,10 +163,10 @@ def risk_ratio_percent(ar0: int, ar1: int) -> float | None:
     return 100.0 * ar1 / ar0
 
 
-def decide_outcome(ar0: int, ar1: int, target_efficiency: float) -> TrialOutcome:
-    eff = efficiency_percent(ar0, ar1)
-    approved = eff is not None and eff >= target_efficiency
-    return TrialOutcome(ar0=ar0, ar1=ar1, efficiency=eff, approved=approved)
+def approves(ar0: int, ar1: int, target_efficiency_bp: int) -> bool:
+    """``efficiency_percent(ar0, ar1) >= target`` in integers, cross-multiplied by
+    ar0; never true for ar0 = 0 once ar0 + ar1, the infected threshold, is at least 1."""
+    return 10_000 * (ar0 - ar1) >= target_efficiency_bp * ar0
 
 
 @dataclass
@@ -374,19 +373,10 @@ class VaccineTrial:
                 record.vaccine_type = VaccineType.VACCINE_BY_ELIMINATION
         ar0 = len(revealed)
         ar1 = self.infected - ar0
-        self.outcome = decide_outcome(ar0, ar1, self.config.target_efficiency)
+        approved = approves(ar0, ar1, self.config.target_efficiency_bp)
+        self.outcome = TrialOutcome(ar0, ar1, approved)
         self.phase = TrialPhase.FINALIZED
-        return [
-            (
-                "TrialFinalized",
-                {
-                    "ar0": ar0,
-                    "ar1": ar1,
-                    "efficiency": self.outcome.efficiency,
-                    "approved": self.outcome.approved,
-                },
-            )
-        ]
+        return [("TrialFinalized", {"ar0": ar0, "ar1": ar1, "approved": approved})]
 
     def _abort_binding(self, sender: bytes, args: dict, tick: int) -> list[tuple[str, dict]]:
         session = self._active_session(args)
@@ -420,14 +410,13 @@ class VaccineTrial:
             if self.outcome is None:
                 return "Pending"
             return "Approved" if self.outcome.approved else "Rejected"
-        if name == "efficiency":
-            return self.outcome.efficiency if self.outcome else None
+        if self.outcome is None and name in ("risk_ratio", "outcome"):
+            return None
         if name == "risk_ratio":
-            if self.outcome is None:
-                return None
             return risk_ratio_percent(self.outcome.ar0, self.outcome.ar1)
         if name == "outcome":
-            return json_value(self.outcome)
+            ar0, ar1, approved = self.outcome.ar0, self.outcome.ar1, self.outcome.approved
+            return {"ar0": ar0, "ar1": ar1, "efficiency": efficiency_percent(ar0, ar1), "approved": approved}
         if name == "config":
             return json_value(self.config)
         raise ContractError("UnknownView", f"no view named {name!r}")
@@ -534,7 +523,8 @@ def _u64(value, path: str) -> int:
 # ``[item]`` is a list and ``[item, ...]`` a non-empty list of items, each
 # decoded to a tuple; a JSON type matches only itself, so a bool is never an
 # int and an int never a float; any other leaf decodes the value or raises
-# ValueError.
+# ValueError. No genesis or payload leaf is a float, so their canonical bytes
+# do not depend on how a language spells floats.
 _GENESIS_SCHEMA = {
     "contract": str,
     "deployer": _ADDRESS,
@@ -542,7 +532,7 @@ _GENESIS_SCHEMA = {
         "config": {
             "num_participants": int,
             "infected_threshold": int,
-            "target_efficiency": float,
+            "target_efficiency_bp": int,
             "clinics": [_ADDRESS],
             "developer": _ADDRESS,
             "binding_deadline": int,

@@ -112,10 +112,7 @@ class SignedTransaction:
         sizes = len(self.sender), len(self.public_key), len(self.signature)
         if sizes != (ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE):
             raise ValueError("sender, public key and signature must be 20, 32 and 64 bytes")
-        if not 0 <= self.sequence_number < 1 << 64:
-            raise ValueError("sequence number must be in [0, 2**64)")
-        if len(self.method.encode()) > 0xFFFF or len(self.payload) >= 1 << 32:
-            raise ValueError("method over 65,535 UTF-8 bytes or payload of 2**32 bytes or more")
+        _check_ranges(self.method, self.payload, self.sequence_number)
 
     def to_dict(self) -> dict:
         """The transaction as ``--export-json`` writes it; bytes of the payload that are not
@@ -130,10 +127,19 @@ class SignedTransaction:
         }
 
 
+def _check_ranges(method: str, payload: bytes, sequence_number: int) -> None:
+    if not 0 <= sequence_number < 1 << 64:
+        raise ValueError("sequence number must be in [0, 2**64)")
+    if len(method.encode()) > 0xFFFF or len(payload) >= 1 << 32:
+        raise ValueError("method over 65,535 UTF-8 bytes or payload of 2**32 bytes or more")
+
+
 def make_transaction(
     keypair: KeyPair, trial_id: bytes, method: str, params: dict, sequence_number: int
 ) -> SignedTransaction:
+    """The signed call; a size or range a log record cannot hold raises ValueError before signing."""
     payload = canonical_json(params)
+    _check_ranges(method, payload, sequence_number)
     signature = keypair.sign(signing_bytes(trial_id, method, sequence_number, payload))
     return SignedTransaction(
         sender=keypair.address,

@@ -31,7 +31,7 @@ class World:
         num_shots: int = 10,
         num_clinics: int = 2,
         threshold: int = 4,
-        target: float = 50.0,
+        target_bp: int = 5000,
         seed: int = 1234,
         vaccine_fraction: float = 0.5,
         binding_deadline: int = 100,
@@ -54,7 +54,7 @@ class World:
         self.config = TrialConfig(
             num_participants=num_shots,
             infected_threshold=threshold,
-            target_efficiency=target,
+            target_efficiency_bp=target_bp,
             clinics=tuple(k.address for k in self.clinics),
             developer=self.developer.address,
             binding_deadline=binding_deadline,

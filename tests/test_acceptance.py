@@ -36,13 +36,13 @@ def load_spec(name: str, **overrides):
 
 def test_criterion_01_worked_efficiency_example(world_cls, acceptance):
     direct = efficiency_percent(120, 44)
-    w = world_cls(num_shots=400, num_clinics=4, threshold=164, target=50.0, seed=7)
+    w = world_cls(num_shots=400, num_clinics=4, threshold=164, target_bp=5000, seed=7)
     w.assign_all()
     w.bind_all()
     w.sicken_exact(120, 44)
     w.reveal_honest()
-    view = w.ledger.query("efficiency")
     outcome = w.ledger.query("outcome")
+    view = outcome["efficiency"]
     ratio = w.ledger.query("risk_ratio")
     ok = (
         abs(view - 63.33) <= 0.01
@@ -54,7 +54,7 @@ def test_criterion_01_worked_efficiency_example(world_cls, acceptance):
     )
     acceptance(
         1,
-        "efficiency view returns 63.33 +/- 0.01 for 120 control / 44 vaccine infections",
+        "the outcome view's efficiency is 63.33 +/- 0.01 for 120 control / 44 vaccine infections",
         ok,
         f"view {view:.4f}%, direct {direct:.4f}%, risk ratio {ratio:.4f}%",
     )

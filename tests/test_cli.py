@@ -200,6 +200,8 @@ def _rename_deadline(raw):
         (lambda raw: raw["config"].update(infected_threshold=0), "infected_threshold"),
         (lambda raw: raw["config"].update(infected_threshold=500), "infected_threshold"),
         (lambda raw: raw["config"].update(target_efficiency=150.0), "target_efficiency"),
+        (lambda raw: raw["config"].update(target_efficiency=100.5), "target_efficiency"),
+        (lambda raw: raw["config"].update(target_efficiency=33.333), "at most two decimals"),
         (lambda raw: raw["config"].update(binding_deadline=-1), "binding_deadline"),
         # ScenarioSpec's own checks
         (lambda raw: raw["config"].update(num_clinics=0), "at least one clinic"),
@@ -217,6 +219,8 @@ def _rename_deadline(raw):
         "threshold-0",
         "threshold-500",
         "efficiency-150",
+        "efficiency-100.5",
+        "efficiency-33.333",
         "deadline-negative",
         "clinics-0",
         "vaccine-fraction-1.5",
@@ -233,6 +237,17 @@ def test_bad_scenario_is_an_input_error(tmp_path, capsys, mutate, field):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and field in err
     assert not (tmp_path / "out").exists()  # rejected before any output is made
+
+
+def test_a_two_decimal_target_deploys_in_hundredths_of_a_percent(tmp_path, capsys):
+    raw = json.loads((resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json").read_text())
+    raw["config"]["target_efficiency"] = 33.33
+    path = tmp_path / "target.json"
+    path.write_text(json.dumps(raw))
+    code, _, err = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "honest_small-s1.report.json").read_text())
+    assert report["config"]["target_efficiency_bp"] == 3333
 
 
 def test_deeply_nested_scenario_is_an_input_error(tmp_path, capsys):
@@ -422,7 +437,7 @@ def test_old_contract_id_is_rejected_by_name(tmp_path, capsys, world_cls):
     w.assign_all()
     path = tmp_path / "old.vscl"
     records = w.ledger.journal
-    for old_id in ("vaccsc-1", "vaccsc-2", "vaccsc-3", "vaccsc-4", "vaccsc-5", "vaccsc-6", "vaccsc-7", "vaccsc-8"):
+    for old_id in [f"vaccsc-{version}" for version in range(1, 10)]:
         genesis = dict(w.genesis, contract=old_id)
         write_log(path, genesis, records, w.ledger.state_digest(), w.ledger.events_digest())
         code, _, err = run_cli(capsys, "audit", str(path))

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+from itertools import repeat
 from pathlib import Path
 from random import Random
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from vaccsc.actors import load_scenario, run_scenario
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
     _METHOD_SCHEMA,
@@ -17,11 +19,13 @@ from vaccsc.contract import (
     BindingSession,
     TrialConfig,
     VaccineTrial,
-    decide_outcome,
+    approves,
+    canonical_json,
     efficiency_percent,
     json_value,
     risk_ratio_percent,
 )
+from vaccsc.logio import write_ledger_log
 
 
 # -- deployment ---------------------------------------------------------------
@@ -52,7 +56,7 @@ def test_deploy_rejects_duplicates_and_bad_counts(world_cls):
         TrialConfig(
             num_participants=10,
             infected_threshold=11,
-            target_efficiency=50.0,
+            target_efficiency_bp=5000,
             clinics=w.config.clinics,
             developer=w.config.developer,
         )
@@ -62,15 +66,16 @@ def test_config_invariants():
     rng = Random(0)
     addr_a, addr_b = rng.randbytes(20), rng.randbytes(20)
     with pytest.raises(ValueError):  # developer inside clinic set
-        TrialConfig(5, 2, 50.0, clinics=(addr_a,), developer=addr_a)
+        TrialConfig(5, 2, 5000, clinics=(addr_a,), developer=addr_a)
     with pytest.raises(ValueError):  # no clinics
-        TrialConfig(5, 2, 50.0, clinics=(), developer=addr_a)
+        TrialConfig(5, 2, 5000, clinics=(), developer=addr_a)
     with pytest.raises(ValueError):  # duplicate clinics
-        TrialConfig(5, 2, 50.0, clinics=(addr_b, addr_b), developer=addr_a)
-    with pytest.raises(ValueError):  # target out of range
-        TrialConfig(5, 2, 120.0, clinics=(addr_b,), developer=addr_a)
+        TrialConfig(5, 2, 5000, clinics=(addr_b, addr_b), developer=addr_a)
+    for target_bp in (-1, 10_001):  # target out of [0, 10000] hundredths of a percent
+        with pytest.raises(ValueError, match="target_efficiency_bp must be in"):
+            TrialConfig(5, 2, target_bp, clinics=(addr_b,), developer=addr_a)
     with pytest.raises(ValueError):  # zero participants
-        TrialConfig(0, 0, 50.0, clinics=(addr_b,), developer=addr_a)
+        TrialConfig(0, 0, 5000, clinics=(addr_b,), developer=addr_a)
 
 
 @pytest.mark.parametrize("clinic_size, developer_size", [(19, 20), (21, 20), (20, 19), (20, 21)])
@@ -78,7 +83,7 @@ def test_config_addresses_are_20_bytes(clinic_size, developer_size):
     rng = Random(1)
     clinic, developer = rng.randbytes(clinic_size), rng.randbytes(developer_size)
     with pytest.raises(ValueError, match="must be 20 bytes"):
-        TrialConfig(5, 2, 50.0, clinics=(clinic,), developer=developer)
+        TrialConfig(5, 2, 5000, clinics=(clinic,), developer=developer)
 
 
 @pytest.mark.parametrize("size", [31, 33])
@@ -645,11 +650,11 @@ def test_unconfirmed_patient_cannot_report(world_cls):
 # -- reveal and outcome ---------------------------------------------------------
 
 
-def finalized_world(world_cls, n_placebo_sick, n_vaccine_sick, num_shots=12, target=50.0):
+def finalized_world(world_cls, n_placebo_sick, n_vaccine_sick, num_shots=12, target_bp=5000):
     w = world_cls(
         num_shots=num_shots,
         threshold=n_placebo_sick + n_vaccine_sick,
-        target=target,
+        target_bp=target_bp,
         num_clinics=2,
     )
     w.assign_all()
@@ -737,10 +742,9 @@ def test_partial_reveal_lowers_efficiency(world_cls):
     w = finalized_world(world_cls, 4, 1, num_shots=14)
     partial = w.sick_control_openings()[:-1]  # withhold one true control
     receipt = w.ok(w.developer, "reveal_controls", {"openings": partial})
-    outcome = receipt.events[0].payload
-    assert outcome["ar0"] == 3 and outcome["ar1"] == 2
+    assert receipt.events[0].payload == {"ar0": 3, "ar1": 2, "approved": False}
     truthful = efficiency_percent(4, 1)
-    assert outcome["efficiency"] < truthful
+    assert w.ledger.query("outcome")["efficiency"] < truthful
 
 
 def test_efficiency_formula():
@@ -751,29 +755,26 @@ def test_efficiency_formula():
     assert efficiency_percent(10, 25) == -150.0
     assert risk_ratio_percent(120, 44) == pytest.approx(36.6667, abs=1e-3)
     assert risk_ratio_percent(0, 3) is None
-    outcome = decide_outcome(0, 4, 50.0)
-    assert outcome.efficiency is None and outcome.approved is False
+    assert not approves(0, 4, 0)  # with no control infection nothing is approved, even at a 0% target
 
 
 def test_undefined_efficiency_world(world_cls):
     w = finalized_world(world_cls, 0, 2)
     receipt = w.ok(w.developer, "reveal_controls", {"openings": []})
-    payload = receipt.events[0].payload
-    assert payload["ar0"] == 0
-    assert payload["efficiency"] is None
-    assert payload["approved"] is False
+    assert receipt.events[0].payload == {"ar0": 0, "ar1": 2, "approved": False}
+    assert w.ledger.query("outcome")["efficiency"] is None
     assert w.ledger.query("vaccine_status") == "Rejected"
     assert w.ledger.query("risk_ratio") is None
 
 
 def test_vaccine_status_targets(world_cls):
-    # 63.33% efficiency: approved at target 50, rejected at target 70
-    for target, expected in ((50.0, "Approved"), (70.0, "Rejected")):
-        w = finalized_world(world_cls, 6, 2, num_shots=20, target=target)
-        # 6 placebo, 2 vaccine among sick: VE = 100*(6-2)/6 = 66.67
+    # 6 placebo, 2 vaccine among sick: VE = 100*(6-2)/6 = 66.67%, approved
+    # at a target of 50% and of 66.66%, rejected at 66.67% and 70%
+    for target_bp, expected in ((5000, "Approved"), (6666, "Approved"), (6667, "Rejected"), (7000, "Rejected")):
+        w = finalized_world(world_cls, 6, 2, num_shots=20, target_bp=target_bp)
         w.reveal_honest()
         assert w.ledger.query("vaccine_status") == expected
-        assert w.ledger.query("efficiency") == pytest.approx(66.667, abs=1e-2)
+        assert w.ledger.query("outcome")["efficiency"] == pytest.approx(66.667, abs=1e-2)
 
 
 def test_approval_independent_of_reveal_ordering(world_cls):
@@ -786,6 +787,45 @@ def test_approval_independent_of_reveal_ordering(world_cls):
         receipt = w.ok(w.developer, "reveal_controls", {"openings": payload})
         results.append(receipt.events[0].payload)
     assert results[0] == results[1]
+
+
+# Every whole percent, and two-decimal targets whose float is not the decimal.
+PINNED_TARGETS = [(float(p), 100 * p) for p in range(101)] + [
+    (0.01, 1), (0.8, 80), (33.33, 3333), (66.67, 6667), (99.99, 9999)
+]
+
+
+def test_the_integer_decision_is_the_percent_rule():
+    """At every threshold n up to 400, for every split ar0 + ar1 = n, the
+    contract's integer decision equals ``efficiency_percent(ar0, ar1) >= t``."""
+    for n in range(1, 401):
+        ar1s = range(n + 1)
+        ar0s = [n - ar1 for ar1 in ar1s]
+        efficiencies = list(map(efficiency_percent, ar0s, ar1s))
+        for target, target_bp in PINNED_TARGETS:
+            decided = list(map(approves, ar0s, ar1s, repeat(target_bp)))
+            expected = [e is not None and e >= target for e in efficiencies]
+            assert decided == expected, (target, n)
+
+
+def _no_float(text):
+    raise AssertionError(f"float {text} in canonical bytes")
+
+
+@pytest.mark.parametrize("scenario", ["honest_small", "honest_pfizer_like", "adversary_grid"])
+def test_no_float_reaches_the_genesis_state_or_events(tmp_path, events_of, scenario):
+    spec = load_scenario(scenario)
+    ledger = run_scenario(spec, spec.seeds[0], keep_table=False).ledger
+    path = tmp_path / "run.vscl"
+    write_ledger_log(path, ledger)
+    data = path.read_bytes()
+    genesis_bytes = data[9 : 9 + int.from_bytes(data[5:9], "big")]
+    genesis = json.loads(genesis_bytes, parse_float=_no_float)
+    json.loads(ledger.contract.canonical_state(), parse_float=_no_float)
+    events = events_of(genesis, ledger.journal)
+    assert events[-1].name == "TrialFinalized"
+    for event in events:
+        json.loads(canonical_json(event), parse_float=_no_float)
 
 
 # -- blindness ----------------------------------------------------------------
@@ -825,7 +865,7 @@ def test_views(world_cls):
     w = world_cls(num_shots=4)
     assert w.ledger.query("config")["num_participants"] == 4
     assert w.ledger.query("outcome") is None
-    assert w.ledger.query("efficiency") is None
+    assert w.ledger.query("risk_ratio") is None
     with pytest.raises(ContractError):
         w.ledger.query("no_such_view")
 

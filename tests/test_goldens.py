@@ -26,70 +26,70 @@ SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 # (state_digest, events_digest, log_digest, report_digest)
 GOLDENS = {
     "honest_small-s2": (
-        "f7d117f3fc2b14251cfc1df7871ae74fc16a5d7cf0ac58786a866ce4d588290f",
-        "fa121d4f39e2675613cf7d1e9a3c95e030abf0070b78f2abe049491a7a2e8e99",
-        "d702a1862ad7d9faa127e2fb17c4cb918a94eb55081d43d65b9be46aa5763e35",
-        "e3e11d378e4515a31e32e4f1f4be64e03e74dcc21e0f79f4807364375c6be224",
+        "99a2a0755068a9378e18804eb262e09e8aaceb9287d182e77087e3960fac2f37",
+        "83de694be26e95349e9b6d1e5408a19c4c34aea1d2aef0bd40dc7c9aba8771b7",
+        "5d170c2bba43ea131d10a1aba4b70ea57816c4247ac55cb91c664381303ba299",
+        "fa5b33b813f5188bbbab11f03a4de7a5af7e32ddc3c4c3c06e6fffc303323490",
     ),
     "honest_pfizer_like-s1": (
-        "5dde136229b82650ca3f1539f3ecc21ce442d219dc433e92a6b1f7821b2587b0",
-        "12fafced09d147af5c422cdf62fb0cdcf497d386b506973895aa8205e4edb27a",
-        "b1213980d6b982ad138c47a36e5a8a9d83bf77fe58c93b3b4e3a58a41ec8a957",
-        "371a9e904e64d8bcd9f9feb5fad4cd015b8f15ea9ba90db7e51cb816c81b241a",
+        "d8c1553923f8df4fb409c6d455d2df155f0a5a69ce983d9ab4e0010496d2f8c1",
+        "4d9e12777865e15fd9cb309662825855a1e0f9bc7e1f7f52ef61ceda926db955",
+        "944c4debbab8203b2fa44e202d300869a1a488662fea2768b66d3ae126bdef39",
+        "237ecb88f8e14f91bd067cafa24fcdadedfcedf1a022dbea7d0b0d0950471a5f",
     ),
     "grid/honest": (
-        "9c883d541536357c2a7ffccc0f0093d18634ace959987df33519e042ea9998c2",
-        "81e532a1ac136539353d4bcffe4dda88f76d4f4d9b6de784b2726d3cd6aa31c2",
-        "ec17fa40d4f26f9930c0b2a53bbf2f17f0fa19463c05d0a0aa3630f92cae4298",
-        "da44479a1ab523be1bf75d750e469a5b4201ab39cb96c896cfe65d0a6db20f6a",
+        "01b6b931d7fd5bf48b2f7f4293210e394e40f760f06700a9e9837fbc5f35c712",
+        "6dbc4180f93fbc5d343e2be602eaa121d18f7682d197c309002d669b3b988d29",
+        "26565422e0b99d5d3e77b1329ec0f3fbffc7497847d48166557058aa81d27222",
+        "7e09c467c59445614a8112445ad3d8a0581eb1b3ec46b6e2a5a390af0d316ea6",
     ),
     "grid/omit_10": (
-        "2886d2baf43a9ce269aab45cdf1556cae5041cc800c3adfd0eead0bc29130da3",
-        "1ae7e93a0a67362662094ba4336021ea5d8fe1510ac0435552d0fc0714858977",
-        "0410d78c8ffe8077bef667ce275098a81417b3737d27c66f45adddb9bf5629cd",
-        "5af72cf068176a7e6348e665f9643ebe44c3f410998ec5aa2af0035d05c59920",
+        "a61db5cee70a0b8b78fa144a53da0e0a4763090e2959e1d4bfd25c1dcd494a40",
+        "e966cb8f6734adb974b86c80e92440ee19d7d7a4214834180624b7684c247e2a",
+        "cfd395f218482656306eea9a6663cfb77abfc1af5586f91686c21596c117ec20",
+        "2bc59f833c5677af361e806d407ff6239a1833968bf5d254b142b4ebea9a1b52",
     ),
     "grid/omit_25": (
-        "193b8db68f89f7c60db22dc35ec4085c5da81b63f77ddc24c8bbff62eee48d32",
-        "996c785aae889058196316635f5599564bed427778684608b3c5b66bc8b9a17e",
-        "a756c32917c703268b16ec947b0e94bb2300a0284b6ea74f5ba40cf049f7cd87",
-        "780ac6f5cd241de6eb00cdedd10dd1e9907b664f932e11458b1d0665379dd8bd",
+        "99ed38c458f1ca71a1451a98d66e0410ea239f758e8dc3a3e55782978180cceb",
+        "bfcec571cfe2227fc132cb8f9fdbb4e6f055524ccff3693f76cd7b268e533580",
+        "8cf35a36ab3f1bdd15b9c718011b6be1f45407e7f3785fd981f6eb60da1510af",
+        "e73337cb84c2672f073f0786835a381638e7f89932541ad0cb05356b560da2d5",
     ),
     "grid/omit_50": (
-        "c2f9697ed8c7edd61269f41dad4ad0681cdd3cb57adc51079a323e7b22507267",
-        "acd0be9fbcdb867358e29bab8eb5ad730bc8fe0d5832c7a5e51d06b223e596fd",
-        "24c68493701adc0691bd19daa3e9f898a1514a0c5770b26032bafcab236c8b9c",
-        "a186e81e924f22524bd0d7341270200d76512d96cceec52c1e95f3e3da91d53e",
+        "e7c37cd7aed92268acf7a1ac76863a212095df441dd908d0d5c58eec1f6e2723",
+        "7b63bd03a719fddd09d4959ee55c0bbb4d3760ad3f0758e65a891bf3b0fa2489",
+        "c397b554ba34484d46bb25a526e44002884f29f5abf6a80149aad16ddbcadcad",
+        "5d9d976835b11f1149adb109878ba2b21dd32b6bf80878cd0a6f2ee9237f5dea",
     ),
     "grid/forge_1": (
-        "2a2a1b718a6f7bb6a7453c9b613cbf6850ccbc47009bd2b0aefbf9b8abdec469",
-        "305ddab15bff10c88d86ac31ac012ec871a458591ff202500dec510fd230b608",
-        "105bc8cd399941d76db103ab5df566d7510938df702b1d9eae56bcde3d9406a1",
-        "62caf29f3bd7f514c99024e58098923983c6527b59a3b6c0c3e4ef3f43d26104",
+        "dfa6c5878495edaadb597de761ba93b1f1619159dfed1bcdaa9da51932ef4839",
+        "b89c4af9fe6cdbfe3326a474e43820b0a006a6406438c4afebc692e6e01decf8",
+        "3bc5faa1480afd50154f79dd1932c70f425c6ca99234746f7a71ede9d214414e",
+        "bd67c1707f70e77e9cfdf860799518475f1e4394cd1b81cbc2256f8808131bd8",
     ),
     "grid/biased_distribution": (
-        "8f26795d2cb10aa4807031d2d887f78aeffdf2d615ad31ef2da5a3968f80aaab",
-        "5a4257476a95c223c1080fc78e984512af843515045efb00c08a0eaca1040e4d",
-        "7ebbac1a1fcdb38136ccfebfae026b878f15d5b2c7f8a8e3d302047b7683f237",
-        "cd15f208f906f1efc74ffda86c05045676bbf29cca84383344b41117ba53f4af",
+        "70c5e04d080b13d6c6466f9c8a3cd7bb7a6ae88ad17de375c9fc43b8ddec5ded",
+        "d86d7642f17d520e26e95de48ae0b466669f79873df228d6d392004a1115824a",
+        "ca1e7a384125387b2260b198e37b52a1b79e1fb5abd32159c392038783135f92",
+        "0e1d5ddc5b6f9067953f265b4c8870e049e0834d4e71fd22e57312c108a58b4b",
     ),
     "grid/collude": (
-        "249e0e45f04014b147eed0f83d4fbdc86f442eb0f290073d656459618588b0fa",
-        "d453e89e5e3bc2f921cb3e1ad7c9f666da3e71aafce84c7e20c56b08ec049294",
-        "633a6fd7b3c1848b9ad7c79aa5438931b3897858a0b01d615a90430fd86da331",
-        "d8a9fd7bc306b4efd30194eee13327d86c6c73ccf0b81f65b151b760af3f1903",
+        "e2afe8aa3a372242950102d647f145e059c474641fde9adf9fac18863ab0f52e",
+        "bc4202b0c619bf14a59a8f19532e3ff03114ed62180a0577869d0a49828dfa55",
+        "525bcdd6a43526ddf8f4681a6645d7c3f1227c5f85b0cce0a8eb0ebf6b712f1c",
+        "530c8bd70ee65af13c797f9c8008b0851cdf06523bc1bb541cfa301ae7a26efb",
     ),
     "grid/false_sick_5": (
-        "17f4f93cdf41d43930a30095d7e7dbc1f6ac9580f082a55e840089d4d00f1d71",
-        "6fee336c18af438b04b11a71ec980f189059f85e60032286d0131371606a00d0",
-        "12f410cf0748c24350382ee788404358d6e60e39647340d7a6868a9e523a09af",
-        "7aa88bdf9e2e4b8570beeccc7e33a848e2003363b418c136733229d66f09a5aa",
+        "1730888b2be4835230484aac52c6f22061c4edbedd977cf1a40da637168e3de6",
+        "ad7f33c4b701de6244925a5084f8f3440f3aa4167439d67828b6d65e6f4d7cad",
+        "d0377a156b1b8f8f1a45e98f563887de730b94c14e26235570fd3538075392e4",
+        "5cb9de62fc167d549ad6c06ad77c125e62d2b9a0fe6fe4c392f11e672d0ff9b7",
     ),
     "grid/never_report_5": (
-        "b3bb59d72e95883ef74d170f1797b9270b5cdec819bf1650d52f85f1189973cf",
-        "24eb3fb37f308d623485900c031bb9024270cb837c5ec62d05c745987da9a548",
-        "d73ae12d50eee559c5989d25a80db2a0399266d9eaa38b5564e5093e89bf9db6",
-        "f3e43f5fc010d78bcc92bd41132493c384fbd74f7755c09bc1a95fbe06da9bc8",
+        "d64f5fd5c9419018857cbf5e3311d0bc5acac19051dd3f6c7e142e650e67655a",
+        "f51e2ca34bdfd5a7bb09c3e130806443f08352bff26b7b731a77fb60dc68026c",
+        "308f64f78511d2a34bf15e7c11c8161e0008c4874623c7ed2e3d741455c180e7",
+        "28176cb3979a8fcddb45acda81623ee1e261bfba1941ed9aed623a3d93b2277d",
     ),
 }
 

@@ -263,6 +263,22 @@ def test_a_transaction_a_record_cannot_hold_is_not_built(world_cls, field, value
         dataclasses.replace(tx, **{field: value})
 
 
+@pytest.mark.parametrize(
+    "method, sequence",
+    [("report_sick", 2**64), ("report_sick", -1), ("m" * 70_000, 0)],
+    ids=["seq-2**64", "seq-minus-1", "method-70000"],
+)
+def test_make_transaction_checks_a_record_s_ranges_before_signing(world_cls, monkeypatch, method, sequence):
+    w = world_cls()
+
+    def no_signing(self, message):
+        raise AssertionError("signed a transaction that no record can hold")
+
+    monkeypatch.setattr(KeyPair, "sign", no_signing)
+    with pytest.raises(ValueError, match="sequence number must be|method over 65,535"):
+        make_transaction(w.developer, w.ledger.trial_id, method, {}, sequence)
+
+
 def test_a_journal_of_hostile_transactions_is_written_read_back_and_audited(world_cls, tmp_path):
     """Every transaction that can be built can be journaled and logged: a hostile
     one is a rejection in a log that audits clean, not a log that cannot be written."""
@@ -471,7 +487,7 @@ def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:
     config = TrialConfig(
         num_participants=num_shots,
         infected_threshold=1,
-        target_efficiency=50.0,
+        target_efficiency_bp=5000,
         clinics=(clinic,),
         developer=developer,
     )

@@ -338,6 +338,7 @@ HOSTILE_GENESES = {
     "vaccsc-3": (_set("contract", "vaccsc-3"), "unsupported contract id 'vaccsc-3'"),
     "vaccsc-4": (_set("contract", "vaccsc-4"), "unsupported contract id 'vaccsc-4'"),
     "vaccsc-5": (_set("contract", "vaccsc-5"), "unsupported contract id 'vaccsc-5'"),
+    "vaccsc-9": (_set("contract", "vaccsc-9"), "unsupported contract id 'vaccsc-9'"),
     "zero participants": (
         _set("params", "config", "num_participants", 0),
         "num_participants must be positive",
@@ -350,9 +351,25 @@ HOSTILE_GENESES = {
         _set("params", "config", "num_participants", 2.5),
         "params.config.num_participants must be a JSON int",
     ),
-    "int target efficiency": (
-        _set("params", "config", "target_efficiency", 50),
-        "params.config.target_efficiency must be a JSON float",
+    "float target": (
+        _set("params", "config", "target_efficiency_bp", 5000.0),
+        "params.config.target_efficiency_bp must be a JSON int",
+    ),
+    "bool target": (
+        _set("params", "config", "target_efficiency_bp", True),
+        "params.config.target_efficiency_bp must be a JSON int",
+    ),
+    "negative target": (
+        _set("params", "config", "target_efficiency_bp", -1),
+        "target_efficiency_bp must be in [0, 10000]",
+    ),
+    "target over 100%": (
+        _set("params", "config", "target_efficiency_bp", 10_001),
+        "target_efficiency_bp must be in [0, 10000]",
+    ),
+    "leftover float target": (
+        _set("params", "config", "target_efficiency", 50.0),
+        "params.config.target_efficiency is unexpected",
     ),
     "params deleted": (lambda genesis: genesis.pop("params"), "genesis.params is missing"),
     "commitment not hex": (_set("params", "commitments", 0, "zz" * 32), "params.commitments"),
@@ -372,6 +389,7 @@ def test_hostile_genesis_is_a_format_error(logged, tmp_path, case):
     path = rehashed_with_genesis(w, tmp_path / "hostile.vscl", genesis)
     with pytest.raises(LogFormatError, match=re.escape(message)):
         read_log(path)
+    assert cli.main(["audit", str(path)]) == cli.EXIT_AUDIT
 
 
 def with_genesis_bytes(path, genesis_bytes):
