@@ -130,6 +130,8 @@ class ScenarioSpec:
     grid: tuple[GridCell, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.name in ("", ".", "..") or "/" in self.name or "\0" in self.name:  # it starts simulate's file names
+            raise ValueError(f"scenario.name {self.name!r} must be a file name: not empty, . or .., no / or NUL")
         check_numbers(self)  # TrialConfig's checks, run at load so a bad scenario makes no output
         target = self.target_efficiency  # deployed as round(target * 100), the decimal as written
         if not 0.0 <= target <= 100.0 or round(target, 2) != target:
@@ -256,33 +258,9 @@ class TrialReport:
         }
 
 
-class _Actor:
-    """A keyholder submitting transactions with its next sequence number."""
-
-    __slots__ = ("keypair", "ledger")
-
-    def __init__(self, keypair: KeyPair, ledger: Ledger):
-        self.keypair = keypair
-        self.ledger = ledger
-
-    def call(self, method: str, params: dict) -> Receipt:
-        ledger = self.ledger
-        tx = make_transaction(
-            self.keypair, ledger.trial_id, method, params, ledger.next_sequence(self.keypair.address)
-        )
-        return ledger.submit(tx)
-
-    def must(self, method: str, params: dict) -> Receipt:
-        """``call`` for a step the run cannot go on without: a rejection raises."""
-        receipt = self.call(method, params)
-        if not receipt.accepted:
-            raise RuntimeError(f"{method} failed: {receipt.code}")
-        return receipt
-
-
 @dataclass
 class _PatientState:
-    actor: _Actor
+    keypair: KeyPair
     silent: bool = False
     truly_infected: bool = False
     false_report: bool = False
@@ -305,15 +283,15 @@ class _Runner:
 
     def _build(self) -> None:
         spec, rng = self.spec, self.rng
-        dev_kp = KeyPair.generate(rng, self.keys)
-        clinic_kps = [KeyPair.generate(rng, self.keys) for _ in range(spec.num_clinics)]
-        patient_kps = [KeyPair.generate(rng, self.keys) for _ in range(spec.num_participants)]
+        self.developer = KeyPair.generate(rng, self.keys)
+        self.clinics = [KeyPair.generate(rng, self.keys) for _ in range(spec.num_clinics)]
+        self.patients = [_PatientState(KeyPair.generate(rng, self.keys)) for _ in range(spec.num_participants)]
         self.config = TrialConfig(
             num_participants=spec.num_participants,
             infected_threshold=spec.infected_threshold,
             target_efficiency_bp=round(spec.target_efficiency * 100),
-            clinics=tuple(kp.address for kp in clinic_kps),
-            developer=dev_kp.address,
+            clinics=tuple(kp.address for kp in self.clinics),
+            developer=self.developer.address,
             binding_deadline=spec.binding_deadline,
         )
         n_vaccine = round(spec.num_participants * spec.vaccine_fraction)
@@ -326,14 +304,24 @@ class _Runner:
             self.manifest[commit(opening)] = opening
         if len(self.manifest) != spec.num_participants:
             raise RuntimeError("commitment collision in manifest")
-        self.ledger = Ledger(make_genesis(self.config, self.manifest), verdicts=self.verdicts)
-        self.developer = _Actor(dev_kp, self.ledger)
-        self.clinics = [_Actor(kp, self.ledger) for kp in clinic_kps]
-        self.patients = [_PatientState(_Actor(kp, self.ledger)) for kp in patient_kps]
+        self.ledger = Ledger(make_genesis(self.config, self.manifest))
         patient_strategy = self.strategies[Role.PATIENT]
         if patient_strategy.behavior is Behavior.NEVER_REPORT:
             for p in self.patients:
                 p.silent = rng.random() < patient_strategy.knob
+
+    def _call(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
+        """``method`` signed by ``keypair`` with its next sequence number, submitted with the world's verdicts."""
+        ledger = self.ledger
+        tx = make_transaction(keypair, ledger.trial_id, method, params, ledger.next_sequence(keypair.address))
+        return ledger.submit(tx, self.verdicts)
+
+    def _must(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
+        """``_call`` for a step the run cannot go on without: a rejection raises."""
+        receipt = self._call(keypair, method, params)
+        if not receipt.accepted:
+            raise RuntimeError(f"{method} failed: {receipt.code}")
+        return receipt
 
     def _distribute(self) -> None:
         shots = list(self.manifest)
@@ -346,7 +334,7 @@ class _Runner:
         # with no shot (fewer shots than clinics) gets no call.
         for i, clinic in enumerate(self.config.clinics[: len(shots)]):
             batch = [shot.hex() for shot in shots[i :: len(self.clinics)]]
-            self.developer.must("assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
+            self._must(self.developer, "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
 
     def _bind_all(self) -> None:
         """Bind each patient at clinic ``index % C``, which mirrors how the
@@ -386,15 +374,15 @@ class _Runner:
                 chunk = mine[start : start + chunk_size]
                 bindings = [
                     {
-                        "patient": patient.actor.keypair.address.hex(),
+                        "patient": patient.keypair.address.hex(),
                         "clinic_value": r1,
                         "patient_commitment": commit_contribution(contrib2).hex(),
                     }
                     for patient, r1, contrib2, _, _ in chunk
                 ]
-                receipt = clinic.must("begin_binding", {"bindings": bindings})
+                receipt = self._must(clinic, "begin_binding", {"bindings": bindings})
                 for event, plan in zip(receipt.events, chunk):
-                    self._patient_reveal(clinic.keypair.address, event.payload["session"], *plan)
+                    self._patient_reveal(clinic.address, event.payload["session"], *plan)
 
     def _patient_reveal(
         self, clinic: bytes, session: int, patient, r1, contrib2, free_sorted, target_index
@@ -403,7 +391,8 @@ class _Runner:
         selects from the clinic's public free list."""
         free = self.ledger.contract.free_shots[clinic]
         shot = free[select_index(r1, contrib2.value, len(free))]
-        patient.actor.must(
+        self._must(
+            patient.keypair,
             "patient_reveal",
             {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
         )
@@ -433,7 +422,7 @@ class _Runner:
         for epoch in range(spec.disease.epochs):
             reporters: list[_PatientState] = []
             for patient in self.patients:
-                shot = patient_shot[patient.actor.keypair.address]
+                shot = patient_shot[patient.keypair.address]
                 if shots[shot].got_sick:
                     continue
                 if not patient.truly_infected:
@@ -452,7 +441,7 @@ class _Runner:
                     patient.false_report = True
                     reporters.append(patient)
             for patient in reporters:
-                if not patient.actor.call("report_sick", {}).accepted:
+                if not self._call(patient.keypair, "report_sick", {}).accepted:
                     patient.false_report = False
             self.epochs_run = epoch + 1
             if self.ledger.query("phase") == "reveal_pending":
@@ -491,7 +480,7 @@ class _Runner:
         elif developer.behavior is Behavior.FORGE_CONTROLS:
             reveal_set = self._forge_attempts(controls, vaccines)
         openings = [self._opening_entry(shot, "placebo") for shot in reveal_set]
-        self.developer.must("reveal_controls", {"openings": openings})
+        self._must(self.developer, "reveal_controls", {"openings": openings})
 
     def _forge_attempts(self, controls: list[bytes], vaccines: list[bytes]) -> list[bytes]:
         """Try to pass vaccine shots off as controls; both ways must fail.
@@ -513,7 +502,7 @@ class _Runner:
         ):
             payload = [self._opening_entry(s, "placebo") for s in kept] + entries
             before = self.ledger.state_digest()
-            receipt = self.developer.call("reveal_controls", {"openings": payload})
+            receipt = self._call(self.developer, "reveal_controls", {"openings": payload})
             self.evidence.append(
                 {
                     "kind": kind,
@@ -536,7 +525,6 @@ class _Runner:
         if complete:
             self._reveal()
         ledger = self.ledger
-        ledger.verdicts = None  # the world's verdicts stay with the world, not with this run's report
         controls, vaccines = self._sick_shots_by_arm()
         truth_ar0, truth_ar1 = len(controls), len(vaccines)
         truth_eff = efficiency_percent(truth_ar0, truth_ar1) if complete else None
@@ -551,7 +539,7 @@ class _Runner:
         table = None
         if self.keep_table:
             index_of_clinic = {address: i for i, address in enumerate(self.config.clinics)}
-            patient_by_address = {p.actor.keypair.address: p for p in self.patients}
+            patient_by_address = {p.keypair.address: p for p in self.patients}
             table = []
             for shot, opening in self.manifest.items():
                 record = ledger.contract.shots[shot]
@@ -625,8 +613,9 @@ def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[Tr
     The cells of one seed share one world: they draw the same keys, and sign
     and verify the same transactions until their strategies part. So each seed
     gets fresh memos of its keypairs and verdicts, which its cells share and
-    which are dropped once those cells are run; each run takes the verdicts off
-    its own ledger. Every call is still made; only the repeated Ed25519 work is skipped.
+    which are dropped once those cells are run. A run passes the verdicts with
+    each call it submits, so no ledger holds them. Every call is still made;
+    only the repeated Ed25519 work is skipped.
     """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)
     grid: dict[str, list[TrialReport]] = {cell.label: [] for cell in cells}

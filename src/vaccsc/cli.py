@@ -215,7 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 after printing a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
     return args.func(args)
 
 

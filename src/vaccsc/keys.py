@@ -70,8 +70,9 @@ def verdict_key(public_key: bytes, message: bytes, signature: bytes) -> tuple[by
 
 def verify_signature(public_key: bytes, message: bytes, signature: bytes, verdicts: dict | None = None) -> bool:
     """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
-    False too for bytes that do not parse as a public key. ``verdicts``, when given,
-    memoizes the verdicts under ``verdict_key``: one world's, or one replayed record's."""
+    False too for bytes that do not parse as a public key. ``verdicts``, when given, is
+    the memo of verdicts under ``verdict_key`` that the caller passes with the call:
+    a grid world's, or a replayed record's one verdict from the replay's helper."""
     if verdicts is not None:
         key = verdict_key(public_key, message, signature)
         if key not in verdicts:

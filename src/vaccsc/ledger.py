@@ -28,7 +28,8 @@ from .keys import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
-VERIFY_CHUNK = 64  # records per chunk of the replay's helper process (see ``Ledger.replay``)
+HELPER_THRESHOLD = 64  # a replay of more records forks a helper (see ``Ledger.replay``)
+VALID, INVALID, TAKEN = 1, 2, 3  # a record's byte in the map a replay shares with its helper
 
 # Deepest array/object nesting a payload or genesis may have; valid ones
 # nest at most 4 deep. Bounding it before parsing keeps a hostile document
@@ -189,11 +190,9 @@ class JournalEntry:
 class Ledger:
     """Owns the contract instance; all access flows through here."""
 
-    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None, verdicts=None):
-        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``;
-        ``verdicts``, the signature verdicts this ledger shares (see ``verify_signature``)."""
+    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None):
+        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``."""
         self.genesis = genesis
-        self.verdicts = verdicts
         # The trial id, the SHA-256 of the canonical genesis, fixes the contract
         # id, the config and every shot commitment; every signature covers it.
         self.contract, self.trial_id = deployed or (
@@ -209,9 +208,11 @@ class Ledger:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, tx: SignedTransaction) -> Receipt:
+    def submit(self, tx: SignedTransaction, verdicts: dict | None = None) -> Receipt:
+        """Journal ``tx`` with its outcome; ``verdicts`` is the memo its one signature
+        check goes through (see ``verify_signature``), or None for no memo."""
         position = len(self.journal)
-        code, detail = self._authenticate(tx)
+        code, detail = self._authenticate(tx, verdicts)
         if code is None:
             code, detail, events = self._execute(tx, position)
         else:
@@ -220,11 +221,11 @@ class Ledger:
         self.journal.append(JournalEntry(status=status, code=code, tx=tx))
         return Receipt(status=status, code=code, detail=detail, position=position, events=events)
 
-    def _authenticate(self, tx: SignedTransaction) -> tuple[str | None, str]:
+    def _authenticate(self, tx: SignedTransaction, verdicts: dict | None) -> tuple[str | None, str]:
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-        if not verify_signature(tx.public_key, message, tx.signature, self.verdicts):
+        if not verify_signature(tx.public_key, message, tx.signature, verdicts):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:
@@ -280,38 +281,36 @@ class Ledger:
         replay returns an empty divergence list; final-state equality is
         then checked by digest comparison.
 
-        A journal longer than one chunk is also verified by a forked helper,
-        from the last record back. A record whose verdict has arrived by its
-        turn has it in ``verdicts``; the rest are verified here, so neither side waits.
+        A journal of more than HELPER_THRESHOLD records is also verified by a
+        forked helper, from the last record back, through one shared byte per
+        record. The replay reads each record's byte once: it takes a VALID or
+        INVALID verdict there, and otherwise marks the byte TAKEN and verifies
+        the record itself. The helper stops at the first byte it finds set, so
+        the two meet without either waiting for the other.
         """
         ledger = cls(genesis, deployed)
         divergent: list[int] = []
-        pid, fds, reached = None, [], None
-        verdicts = bytearray()  # the helper's, from the last record back
+        pid, shared = None, None
         try:
-            if len(entries) > VERIFY_CHUNK and hasattr(os, "fork"):
-                with contextlib.suppress(OSError):  # no pipe, map or helper: every record is verified here
-                    reached = mmap.mmap(-1, 8)
-                    fds += os.pipe()
+            if len(entries) > HELPER_THRESHOLD and hasattr(os, "fork"):
+                with contextlib.suppress(OSError):  # no map or helper: every record is verified here
+                    shared = mmap.mmap(-1, len(entries))
                     pid = os.fork()
                 if pid == 0:
                     try:
-                        _verify_backwards(fds[1], entries, ledger.trial_id, reached)
+                        _verify_backwards(shared, entries, ledger.trial_id)
                     finally:
                         os._exit(0)
-                if pid:
-                    os.close(fds.pop())
-                    os.set_blocking(fds[0], False)
             for position, entry in enumerate(entries):
-                tx, back = entry.tx, len(entries) - 1 - position
-                if pid and back >= len(verdicts):
-                    reached[:] = position.to_bytes(8, "little")
-                    with contextlib.suppress(BlockingIOError):
-                        verdicts += os.read(fds[0], len(entries))
-                if back < len(verdicts):  # the memo holds this one verdict, so it never grows
-                    message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
-                    ledger.verdicts = {verdict_key(tx.public_key, message, tx.signature): verdicts[back] == 1}
-                receipt = ledger.submit(tx)
+                tx, verdicts = entry.tx, None
+                if pid:
+                    verdict = shared[position]
+                    if verdict in (VALID, INVALID):  # the helper's: a memo of this one verdict
+                        message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
+                        verdicts = {verdict_key(tx.public_key, message, tx.signature): verdict == VALID}
+                    else:
+                        shared[position] = TAKEN
+                receipt = ledger.submit(tx, verdicts)
                 if receipt.status == entry.status and receipt.code == entry.code:
                     ledger.journal[-1] = entry  # the log's own entry: one per record, not two
                 else:
@@ -320,22 +319,16 @@ class Ledger:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            for fd in fds:
-                os.close(fd)
-            if reached is not None:
-                reached.close()
-            ledger.verdicts = None
+            if shared is not None:
+                shared.close()
         return ledger, divergent
 
 
-def _verify_backwards(out: int, entries: Sequence[JournalEntry], trial_id: bytes, reached: mmap.mmap) -> None:
-    """``Ledger.replay``'s helper: a verdict byte per record to ``out``, a chunk at a time from the end."""
-    for end in range(len(entries), 0, -VERIFY_CHUNK):
-        if end - 1 <= int.from_bytes(reached, "little"):  # the replay has got this far
+def _verify_backwards(shared: mmap.mmap, entries: Sequence[JournalEntry], trial_id: bytes) -> None:
+    """``Ledger.replay``'s helper: a verdict byte for each record, from the last back to the replay's."""
+    for position in reversed(range(len(entries))):
+        if shared[position]:  # the replay has taken this record
             return
-        verdicts = bytearray()
-        for entry in reversed(entries[max(0, end - VERIFY_CHUNK) : end]):
-            tx = entry.tx
-            message = signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload)
-            verdicts.append(verify_signature(tx.public_key, message, tx.signature))
-        os.write(out, verdicts)
+        tx = entries[position].tx
+        message = signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload)
+        shared[position] = VALID if verify_signature(tx.public_key, message, tx.signature) else INVALID

@@ -207,6 +207,12 @@ def _rename_deadline(raw):
         (lambda raw: raw["config"].update(num_clinics=0), "at least one clinic"),
         (lambda raw: raw.update(vaccine_fraction=1.5), "vaccine_fraction"),
         (lambda raw: raw.update(seeds=[]), "at least one seed"),
+        # simulate names its outputs after the scenario, so a name must be one file name
+        (lambda raw: raw.update(name=""), "scenario.name"),
+        (lambda raw: raw.update(name="."), "scenario.name"),
+        (lambda raw: raw.update(name=".."), "scenario.name"),
+        (lambda raw: raw.update(name="sub/trial"), "scenario.name"),
+        (lambda raw: raw.update(name="trial\0"), "scenario.name"),
     ],
     ids=[
         "binding_deadlien",
@@ -225,6 +231,11 @@ def _rename_deadline(raw):
         "clinics-0",
         "vaccine-fraction-1.5",
         "no-seeds",
+        "name-empty",
+        "name-dot",
+        "name-dot-dot",
+        "name-slash",
+        "name-nul",
     ],
 )
 def test_bad_scenario_is_an_input_error(tmp_path, capsys, mutate, field):
@@ -258,6 +269,35 @@ def test_deeply_nested_scenario_is_an_input_error(tmp_path, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["simulate"], ["audit"], ["simulate", "--scenario", "honest_small", "--seed", "x"]],
+    ids=["no-subcommand", "simulate-without-scenario", "audit-without-log", "seed-not-an-int"],
+)
+def test_a_usage_error_is_an_input_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: vaccsc") and "error: " in err
+
+
+def test_help_exits_0(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0
+    assert out.startswith("usage: vaccsc") and err == ""
+
+
+@pytest.mark.slow
+def test_a_paper_scale_trial_simulates_and_audits(tmp_path, capsys):
+    """N=43,548, the Pfizer/BioNTech Phase III size: about 44,000 records, so the
+    audit's replay shares a map of that many bytes with its helper."""
+    code, _, err = run_cli(capsys, "simulate", "--scenario", "paper_scale", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "audit", str(tmp_path / "paper_scale-s1.vscl"))
+    assert (code, err) == (0, "")
+    assert out.endswith("audit ok: replay matches the recorded state and event digests\n")
 
 
 # -- audit ----------------------------------------------------------------------

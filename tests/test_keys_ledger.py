@@ -184,10 +184,10 @@ def test_a_shared_verdict_accepts_only_the_transaction_it_was_made_for(world_cls
     genesis, does not let a copy of it with one part changed through B."""
     w = world_cls()
     verdicts: dict = {}
-    a, b = Ledger(w.genesis, verdicts=verdicts), Ledger(w.genesis, verdicts=verdicts)
+    a, b = Ledger(w.genesis), Ledger(w.genesis)
     params = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
     tx = make_transaction(w.developer, a.trial_id, "assign_shot_to_clinic", params, 0)
-    assert a.submit(tx).accepted
+    assert a.submit(tx, verdicts).accepted
     assert list(verdicts.values()) == [True]
     flipped = bytearray(tx.signature)
     flipped[5] ^= 0x10
@@ -199,8 +199,8 @@ def test_a_shared_verdict_accepts_only_the_transaction_it_was_made_for(world_cls
         dataclasses.replace(tx, public_key=swapped.public_key, sender=swapped.address),
     )
     for copy in copies:
-        assert b.submit(copy).code == "BadSignature"
-    assert b.submit(tx).accepted
+        assert b.submit(copy, verdicts).code == "BadSignature"
+    assert b.submit(tx, verdicts).accepted
     assert sorted(verdicts.values()) == [False, False, False, True]
 
     message = signing_bytes(a.trial_id, tx.method, tx.sequence_number, tx.payload)

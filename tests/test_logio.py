@@ -18,8 +18,9 @@ from vaccsc.actors import run_scenario, scenario_from_dict
 from vaccsc.contract import canonical_json, json_value
 from vaccsc.ledger import (
     ACCEPTED,
+    HELPER_THRESHOLD,
     REJECTED,
-    VERIFY_CHUNK,
+    TAKEN,
     JournalEntry,
     Ledger,
     SignedTransaction,
@@ -548,10 +549,8 @@ LOG_EDITS = {
     "flipped payload": payload_flipped,
     "signature of the first record": signature_flipped_at(0),
     "signature of the last record": signature_flipped_at(-1),
-    "signature below a chunk boundary": signature_flipped_at(-VERIFY_CHUNK - 1),
-    "signature above a chunk boundary": signature_flipped_at(-VERIFY_CHUNK),
-    "one chunk of records": lambda records: records[:VERIFY_CHUNK],
-    "one record more than a chunk": lambda records: records[: VERIFY_CHUNK + 1],
+    "64 records": lambda records: records[:HELPER_THRESHOLD],  # too few to fork a helper
+    "65 records": lambda records: records[: HELPER_THRESHOLD + 1],  # the fewest that fork one
 }
 
 
@@ -566,7 +565,6 @@ def edited_log(small_trial, tmp_path, edit):
 def audited(log):
     """Everything an audit gives: the report, the replayed outcomes and the digests."""
     report, replayed = audit_log(log)
-    assert replayed.verdicts is None
     outcomes = [(e.status, e.code) for e in replayed.journal]
     return report, outcomes, replayed.state_digest(), replayed.events_digest()
 
@@ -588,18 +586,32 @@ def test_an_audit_is_the_same_with_the_helper_and_without(small_trial, tmp_path,
     log = edited_log(small_trial, tmp_path, edit)
     alone = audited_alone(log, monkeypatch)
     assert audited(log) == alone
-    # Left blocking, the pipe makes the replay wait for a chunk at each record
-    # until the helper has sent the rest, so the helper verifies almost all of them.
-    monkeypatch.setattr(os, "set_blocking", lambda fd, blocking: None)
-    assert audited(log) == alone
     assert_no_child_left()
     assert alone[0].ok == (edit is LOG_EDITS["clean"])
 
 
-def test_the_replay_takes_the_helpers_verdicts(small_trial, tmp_path, monkeypatch):
-    log = edited_log(small_trial, tmp_path, signature_flipped_at(-1))
-    real = keys.Ed25519PublicKey
-    verified = []
+def helper_meets_the_replay_at(monkeypatch, meeting):
+    """Make the helper stop at record ``meeting``, as if the replay had taken the
+    records before it, and start the replay only once the helper has exited."""
+    real_verify, real_fork = ledger._verify_backwards, os.fork
+
+    def verify_from_meeting(shared, entries, trial_id):
+        shared[:meeting] = bytes([TAKEN]) * meeting
+        real_verify(shared, entries, trial_id)
+
+    def fork_and_wait():
+        pid = real_fork()
+        if pid:  # waited for, not reaped: the replay still kills and reaps it
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    monkeypatch.setattr(ledger, "_verify_backwards", verify_from_meeting)
+    monkeypatch.setattr(os, "fork", fork_and_wait)
+
+
+def count_verifies(monkeypatch) -> list[bytes]:
+    """The public keys of the Ed25519 verifies made in this process from now on."""
+    real, verified = keys.Ed25519PublicKey, []
 
     class Public:
         @staticmethod
@@ -608,11 +620,30 @@ def test_the_replay_takes_the_helpers_verdicts(small_trial, tmp_path, monkeypatc
             return real.from_public_bytes(data)
 
     monkeypatch.setattr(keys, "Ed25519PublicKey", Public)
-    monkeypatch.setattr(os, "set_blocking", lambda fd, blocking: None)
+    return verified
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_an_audit_is_the_same_wherever_the_helper_meets_the_replay(small_trial, tmp_path, monkeypatch, where):
+    log = edited_log(small_trial, tmp_path, signature_flipped_at(-1))
+    alone = audited_alone(log, monkeypatch)
+    meeting = {"first": 0, "middle": len(log.records) // 2, "last": len(log.records) - 1}[where]
+    verified = count_verifies(monkeypatch)
+    helper_meets_the_replay_at(monkeypatch, meeting)
+    assert audited(log) == alone
+    assert len(verified) == meeting  # the replay verified the records before the meeting point, and no other
+    assert_no_child_left()
+
+
+def test_the_replay_takes_the_helpers_verdicts(small_trial, tmp_path, monkeypatch):
+    log = edited_log(small_trial, tmp_path, signature_flipped_at(-1))
+    verified = count_verifies(monkeypatch)
+    helper_meets_the_replay_at(monkeypatch, 0)  # the helper has the whole map first
     report, outcomes, _, _ = audited(log)
-    assert len(verified) < len(log.records) // VERIFY_CHUNK + 2  # one read per record, each a chunk or more
+    assert verified == []  # every verify ran in the helper's process
     assert report.divergent_positions == (len(log.records) - 1,)
     assert outcomes[-1] == (REJECTED, "BadSignature")
+    assert_no_child_left()
 
 
 def cannot_fork():
@@ -628,10 +659,9 @@ def too_many_open_files(*args):
     [
         (ledger, "_verify_backwards", lambda *args: os._exit(1)),
         (os, "fork", cannot_fork),
-        (os, "pipe", too_many_open_files),
         (mmap, "mmap", too_many_open_files),
     ],
-    ids=["exits at once", "cannot start", "no pipe", "no map"],
+    ids=["exits at once", "cannot start", "no map"],
 )
 def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch, owner, name, broken):
     log = edited_log(small_trial, tmp_path, payload_flipped)
@@ -641,21 +671,18 @@ def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch,
     assert_no_child_left()
 
 
-def test_a_replay_that_cannot_fork_closes_its_pipe(small_trial, tmp_path, monkeypatch):
+def test_a_replay_that_cannot_fork_closes_its_map(small_trial, tmp_path, monkeypatch):
     log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
-    opened, real_pipe = [], os.pipe
+    opened, real_map = [], mmap.mmap
 
-    def recorded_pipe():
-        opened.extend(real_pipe())
-        return tuple(opened[-2:])
+    def recorded_map(*args):
+        opened.append(real_map(*args))
+        return opened[-1]
 
-    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(mmap, "mmap", recorded_map)
     monkeypatch.setattr(os, "fork", cannot_fork)
     assert audit_log(log)[0].ok
-    assert len(opened) == 2
-    for fd in opened:
-        with pytest.raises(OSError):
-            os.fstat(fd)
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_the_replay_makes_one_verify_call_per_record(small_trial, tmp_path, monkeypatch):
@@ -668,8 +695,7 @@ def test_the_replay_makes_one_verify_call_per_record(small_trial, tmp_path, monk
         return real(*args)
 
     monkeypatch.setattr(ledger, "verify_signature", counting)
-    report, replayed = audit_log(log)
-    assert report.ok and replayed.verdicts is None
+    assert audit_log(log)[0].ok
     assert calls == [os.getpid()] * len(log.records)
     assert_no_child_left()
 
@@ -678,10 +704,10 @@ def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypa
     log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
     real = Ledger.submit
 
-    def failing(self, tx):
-        if len(self.journal) == VERIFY_CHUNK:
+    def failing(self, tx, verdicts=None):
+        if len(self.journal) == HELPER_THRESHOLD:
             raise RuntimeError("submit failed")
-        return real(self, tx)
+        return real(self, tx, verdicts)
 
     monkeypatch.setattr(Ledger, "submit", failing)
     with pytest.raises(RuntimeError, match="submit failed"):
@@ -691,7 +717,11 @@ def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypa
 
 def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_trial, tmp_path, monkeypatch):
     log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
-    monkeypatch.setattr(os, "set_blocking", too_many_open_files)
-    with pytest.raises(OSError, match="Too many open files"):
+
+    def out_of_memory(self, tx, verdicts=None):
+        raise MemoryError("no memory for the first record")
+
+    monkeypatch.setattr(Ledger, "submit", out_of_memory)
+    with pytest.raises(MemoryError, match="first record"):
         audit_log(log)
     assert_no_child_left()
