@@ -218,7 +218,7 @@ def load_scenario(ref: str | Path) -> ScenarioSpec:
     ``load_scenario("honest_small")``; raises OSError or ValueError naming what is wrong."""
     root = resources.files("vaccsc") / "data" / "scenarios"
     bundled = {file.name.removesuffix(".json"): file for file in root.iterdir() if file.name.endswith(".json")}
-    path = Path(ref) if Path(ref).exists() else bundled.get(ref)
+    path = Path(ref) if Path(ref).is_file() else bundled.get(ref)
     if path is None:
         raise FileNotFoundError(
             f"scenario {ref!r} is neither a file nor a bundled name (bundled: {', '.join(sorted(bundled))})"
@@ -263,7 +263,6 @@ class _PatientState:
     keypair: KeyPair
     silent: bool = False
     truly_infected: bool = False
-    false_report: bool = False
 
 
 class _Runner:
@@ -438,11 +437,9 @@ class _Runner:
                     if not patient.silent:
                         reporters.append(patient)
                 elif p_false and rng.random() < p_false:
-                    patient.false_report = True
                     reporters.append(patient)
             for patient in reporters:
-                if not self._call(patient.keypair, "report_sick", {}).accepted:
-                    patient.false_report = False
+                self._call(patient.keypair, "report_sick", {})
             self.epochs_run = epoch + 1
             if self.ledger.query("phase") == "reveal_pending":
                 return True
@@ -536,23 +533,24 @@ class _Runner:
             else None
         )
         rejections = Counter(entry.code for entry in ledger.journal if entry.status != ACCEPTED)
+        # A report is false when its patient was never truly infected.
+        infected = {p.keypair.address for p in self.patients if p.truly_infected}
+        reported = {record.patient for record in ledger.contract.shots.values() if record.got_sick}
         table = None
         if self.keep_table:
             index_of_clinic = {address: i for i, address in enumerate(self.config.clinics)}
-            patient_by_address = {p.keypair.address: p for p in self.patients}
             table = []
             for shot, opening in self.manifest.items():
                 record = ledger.contract.shots[shot]
-                patient = patient_by_address.get(record.patient)
                 table.append(
                     {
                         "commitment": shot.hex(),
                         "content": opening.content.label,
                         "clinic": index_of_clinic.get(record.clinic),
                         "patient": record.patient.hex() if record.patient else None,
-                        "truly_infected": patient.truly_infected if patient else False,
+                        "truly_infected": record.patient in infected,
                         "reported_sick": record.got_sick,
-                        "false_report": patient.false_report if patient else False,
+                        "false_report": record.got_sick and record.patient not in infected,
                     }
                 )
         return TrialReport(
@@ -579,8 +577,8 @@ class _Runner:
                 "ar1": truth_ar1,
                 "efficiency": truth_eff,
                 **self.arm_sizes,
-                "genuine_infections": sum(1 for p in self.patients if p.truly_infected),
-                "false_reports": sum(1 for p in self.patients if p.false_report),
+                "genuine_infections": len(infected),
+                "false_reports": len(reported - infected),
             },
             divergence={"efficiency_gap": gap},
             evidence=self.evidence,
@@ -607,7 +605,7 @@ def run_scenario(
     return _Runner(spec, chosen, seed, label, keep_table, world).run()
 
 
-def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[TrialReport]]:
+def run_grid(spec: ScenarioSpec) -> dict[str, list[TrialReport]]:
     """Every grid cell across every seed, by label and then seed; falls back to the base strategies.
 
     The cells of one seed share one world: they draw the same keys, and sign
@@ -622,5 +620,5 @@ def run_grid(spec: ScenarioSpec, keep_tables: bool = False) -> dict[str, list[Tr
     for seed in spec.seeds:
         world = ({}, {})
         for cell in cells:
-            grid[cell.label].append(run_scenario(spec, seed, cell.strategies, cell.label, keep_tables, world))
+            grid[cell.label].append(run_scenario(spec, seed, cell.strategies, cell.label, False, world))
     return grid

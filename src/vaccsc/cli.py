@@ -69,10 +69,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         with tempfile.TemporaryDirectory(dir=out_dir, prefix=".staging-") as staging:
             staged = Path(staging)
-            log = write_ledger_log(staged / log_path.name, report.ledger)
+            write_ledger_log(staged / log_path.name, report.ledger)
             _write_json(staged / report_path.name, report.to_json())
             if args.export_json:
-                _write_json(staged / export_path.name, log)
+                _write_json(staged / export_path.name, read_log(staged / log_path.name))
             # A rename onto a directory fails, so check every target before the first.
             files = list(staged.iterdir())
             for file in files:

@@ -188,16 +188,15 @@ class JournalEntry:
 
 
 class Ledger:
-    """Owns the contract instance; all access flows through here."""
+    """Owns the contract instance; all access flows through here. It is the one place
+    that deploys a contract from a genesis and derives the trial id."""
 
-    def __init__(self, genesis: dict, deployed: tuple[VaccineTrial, bytes] | None = None):
-        """``deployed``, when given, is the contract and trial id a log reader made from ``genesis``."""
+    def __init__(self, genesis: dict):
         self.genesis = genesis
+        self.contract = VaccineTrial.from_genesis(genesis)
         # The trial id, the SHA-256 of the canonical genesis, fixes the contract
         # id, the config and every shot commitment; every signature covers it.
-        self.contract, self.trial_id = deployed or (
-            VaccineTrial.from_genesis(genesis), sha256(canonical_json(genesis)).digest()
-        )
+        self.trial_id = sha256(canonical_json(genesis)).digest()
         self.journal: list[JournalEntry] = []
         # The events are not kept: each is hashed into the canonical JSON
         # list of all events as it is emitted, and the list is closed with
@@ -273,8 +272,8 @@ class Ledger:
     # -- replay ------------------------------------------------------------
 
     @classmethod
-    def replay(cls, genesis: dict, entries: Sequence[JournalEntry], deployed=None) -> tuple[Ledger, list[int]]:
-        """Re-run a journal from genesis (``deployed`` as for ``Ledger``).
+    def replay(cls, genesis: dict, entries: Sequence[JournalEntry]) -> tuple[Ledger, list[int]]:
+        """Re-run a journal on a new ``Ledger(genesis)``.
 
         Returns the rebuilt ledger and the journal positions whose outcome
         (accepted/rejected + code) diverged from the recorded one. A clean
@@ -288,7 +287,7 @@ class Ledger:
         the record itself. The helper stops at the first byte it finds set, so
         the two meet without either waiting for the other.
         """
-        ledger = cls(genesis, deployed)
+        ledger = cls(genesis)
         divergent: list[int] = []
         pid, shared = None, None
         try:

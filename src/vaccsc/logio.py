@@ -10,8 +10,7 @@ tampering that a consistent re-hash would hide.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
 from struct import Struct
@@ -55,17 +54,13 @@ class LogTrailer:
     log_digest: bytes
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogFile:
+    """What a log file holds, in the order ``--export-json`` writes it."""
+
     genesis: dict
     records: tuple[JournalEntry, ...]
     trailer: LogTrailer
-    # The contract read_log deployed from the genesis, and the trial id; the first audit replays onto them.
-    deployed: tuple[VaccineTrial, bytes] | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        """The log as ``--export-json`` writes it; ``deployed`` is not in the file."""
-        return {"genesis": self.genesis, "records": self.records, "trailer": self.trailer}
 
 
 # -- writing -----------------------------------------------------------------
@@ -94,8 +89,8 @@ def write_log(
     records: list[JournalEntry],
     state_digest: bytes,
     events_digest: bytes,
-) -> LogFile:
-    """Write the log file; returns it as ``read_log`` reads it back, less the deployed contract."""
+) -> None:
+    """Write the log file; ``read_log`` reads it back."""
     genesis_bytes = canonical_json(genesis)
     body = bytearray(_PREAMBLE.pack(MAGIC, VERSION, len(genesis_bytes)))
     body += genesis_bytes
@@ -104,16 +99,12 @@ def write_log(
     body += b"F"
     body += _TRAILER.pack(len(records), state_digest, events_digest, bytes(32))
     # The log digest covers every byte before it, so it is filled in last.
-    log_digest = sha256(memoryview(body)[:-32]).digest()
-    body[-32:] = log_digest
+    body[-32:] = sha256(memoryview(body)[:-32]).digest()
     Path(path).write_bytes(body)
-    trailer = LogTrailer(len(records), state_digest, events_digest, log_digest)
-    # The genesis parsed back from its canonical bytes has its keys sorted, as read_log gives it.
-    return LogFile(json.loads(genesis_bytes), tuple(records), trailer)
 
 
-def write_ledger_log(path: str | Path, ledger: Ledger) -> LogFile:
-    return write_log(path, ledger.genesis, ledger.journal, ledger.state_digest(), ledger.events_digest())
+def write_ledger_log(path: str | Path, ledger: Ledger) -> None:
+    write_log(path, ledger.genesis, ledger.journal, ledger.state_digest(), ledger.events_digest())
 
 
 # -- reading -----------------------------------------------------------------
@@ -148,10 +139,10 @@ def read_log(path: str | Path) -> LogFile:
     genesis_bytes = cur.take(genesis_len, "genesis")
     # The auditor trusts nothing in the file: a hostile genesis is rejected
     # here, by the gate every payload passes and by the contract that the
-    # audit replays onto.
+    # audit deploys from it.
     try:
         genesis = json_object(genesis_bytes, "genesis")
-        contract = VaccineTrial.from_genesis(genesis)
+        VaccineTrial.from_genesis(genesis)
     except ContractError as exc:
         raise LogFormatError(str(exc)) from None
     except ValueError as exc:
@@ -210,12 +201,7 @@ def read_log(path: str | Path) -> LogFile:
         )
     if sha256(memoryview(data)[:-32]).digest() != trailer.log_digest:
         raise LogFormatError("log digest mismatch; file was modified")
-    return LogFile(
-        genesis=genesis,
-        records=tuple(records),
-        trailer=trailer,
-        deployed=(contract, sha256(genesis_bytes).digest()),
-    )
+    return LogFile(genesis=genesis, records=tuple(records), trailer=trailer)
 
 
 # -- audit -------------------------------------------------------------------
@@ -232,10 +218,10 @@ class AuditReport:
 
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:
-    """Replay every journaled transaction, verified from both ends (see ``Ledger.replay``),
-    and compare outcomes and digests; no helper process outlives the call."""
-    deployed, log.deployed = log.deployed, None  # a replay changes the contract
-    ledger, divergent = Ledger.replay(log.genesis, log.records, deployed)
+    """Replay every journaled transaction on a new ledger made from the log's genesis,
+    verified from both ends (see ``Ledger.replay``), and compare outcomes and digests;
+    no helper process outlives the call."""
+    ledger, divergent = Ledger.replay(log.genesis, log.records)
     state_match = ledger.state_digest() == log.trailer.state_digest
     events_match = ledger.events_digest() == log.trailer.events_digest
     ok = not divergent and state_match and events_match

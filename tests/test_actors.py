@@ -539,12 +539,12 @@ def test_grid_cells_sharing_a_world_equal_the_cells_run_alone(tmp_path):
     """Every cell of a grid whose seeds share keys, signatures and verdicts
     gives the report and log bytes it gives when run on its own."""
     spec = shared_world_grid([2, 5])
-    grid = run_grid(spec, keep_tables=True)
+    grid = run_grid(spec)
     assert list(grid) == [cell.label for cell in spec.grid]
     for cell in spec.grid:
         assert [report.seed for report in grid[cell.label]] == [2, 5]
         for report in grid[cell.label]:
-            alone = run_scenario(spec, report.seed, cell.strategies, cell.label)
+            alone = run_scenario(spec, report.seed, cell.strategies, cell.label, keep_table=False)
             assert json.dumps(report.to_json()) == json.dumps(alone.to_json())
             shared_log, alone_log = tmp_path / "shared.vscl", tmp_path / "alone.vscl"
             write_ledger_log(shared_log, report.ledger)

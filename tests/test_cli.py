@@ -10,9 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from vaccsc import cli, ledger, logio
+from vaccsc import cli
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
-from vaccsc.contract import VaccineTrial
 from vaccsc.ledger import SignedTransaction, signing_bytes
 from vaccsc.logio import read_log, write_ledger_log, write_log
 
@@ -121,6 +120,15 @@ def test_simulate_scenario_file_path(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "simulate", "--scenario", str(path), "--out", str(tmp_path))
     assert code == 0
     assert (tmp_path / "tiny-s9.vscl").exists()
+
+
+def test_a_directory_does_not_shadow_a_bundled_scenario(tmp_path, capsys, monkeypatch):
+    """A scenario reference is a file, else a bundled name; a directory of that name is neither."""
+    (tmp_path / "honest_small").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", "honest_small", "--seed", "2")
+    assert code == 0
+    assert (tmp_path / "honest_small-s2.vscl").is_file()
 
 
 def test_simulate_incomplete_trial_exit_code(tmp_path, capsys):
@@ -330,33 +338,6 @@ def test_audit_missing_file(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("command", ["audit", "status"])
-def test_a_replay_deploys_and_encodes_the_genesis_once(sim, capsys, monkeypatch, command):
-    """The reader's check of the genesis deploys the contract that the
-    replay then runs on, and hashes the bytes it read for the trial id."""
-    deployed, encoded = [], []
-    deploy = VaccineTrial.from_genesis.__func__
-
-    def counting_deploy(cls, genesis):
-        deployed.append(genesis)
-        return deploy(cls, genesis)
-
-    def counting(encode):
-        def canonical_json(obj):
-            if isinstance(obj, dict) and "deployer" in obj:
-                encoded.append(obj)
-            return encode(obj)
-
-        return canonical_json
-
-    monkeypatch.setattr(VaccineTrial, "from_genesis", classmethod(counting_deploy))
-    for module in (ledger, logio):
-        monkeypatch.setattr(module, "canonical_json", counting(module.canonical_json))
-    code, _, _ = run_cli(capsys, command, str(sim))
-    assert code == 0
-    assert (len(deployed), len(encoded)) == (1, 1)
-
-
 def test_audit_export_json(sim, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "audit", str(sim), "--export-json")
     assert code == 0
@@ -383,21 +364,12 @@ def test_audit_export_json_keeps_a_payload_that_is_not_utf8(tmp_path, capsys, wo
     assert record["tx"]["payload"].encode("utf-8", "surrogateescape") == payload
 
 
-def test_simulate_exports_the_log_it_wrote_without_reading_it_back(tmp_path, capsys, monkeypatch):
-    """``simulate --export-json`` deploys one contract, and its export is the
-    one ``audit --export-json`` writes for the same log, byte for byte."""
-    deployed = []
-    deploy = VaccineTrial.from_genesis.__func__
-
-    def counting_deploy(cls, genesis):
-        deployed.append(genesis)
-        return deploy(cls, genesis)
-
-    monkeypatch.setattr(VaccineTrial, "from_genesis", classmethod(counting_deploy))
+def test_simulate_exports_the_log_as_audit_exports_it(tmp_path, capsys):
+    """The export ``simulate --export-json`` writes is the one ``audit --export-json``
+    writes for the same log, byte for byte."""
     argv = ("simulate", "--scenario", "honest_small", "--seed", "2", "--out", str(tmp_path), "--export-json")
     code, _, _ = run_cli(capsys, *argv)
     assert code == 0
-    assert len(deployed) == 1
     log = tmp_path / "honest_small-s2.vscl"
     code, _, _ = run_cli(capsys, "audit", str(log), "--export-json")
     assert code == 0

@@ -3,9 +3,10 @@
 A change that moves a log digest here changes the log format and must bump
 ``CONTRACT_ID`` or the log ``VERSION``. The report digest pins the run's
 report as well, so a change to the runner cannot move ``truth``,
-``evidence`` or ``assignment_table`` unnoticed. After a deliberate change,
-``PYTHONPATH=src python tests/test_goldens.py`` prints the ``GOLDENS``
-dict of the current code in source form, to paste over the one below.
+``evidence`` or ``assignment_table`` unnoticed, and each log must pass a
+real audit. After a deliberate change, ``PYTHONPATH=src python
+tests/test_goldens.py`` prints the ``GOLDENS`` dict of the current code in
+source form, to paste over the one below.
 """
 
 import dataclasses
@@ -19,7 +20,7 @@ import pytest
 
 from vaccsc.actors import load_scenario, run_grid, run_scenario
 from vaccsc.contract import canonical_json
-from vaccsc.logio import write_ledger_log
+from vaccsc.logio import audit_log, read_log, write_ledger_log
 
 SCENARIOS = resources.files("vaccsc") / "data" / "scenarios"
 
@@ -101,6 +102,7 @@ def digests(report, path) -> tuple[str, str, str, str]:
     ledger = report.ledger
     write_ledger_log(path, ledger)
     log_digest = path.read_bytes()[-32:]
+    assert audit_log(read_log(path))[0].ok
     report_digest = hashlib.sha256(canonical_json(report.to_json())).digest()
     return (
         ledger.state_digest().hex(),

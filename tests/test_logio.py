@@ -253,13 +253,18 @@ def test_fresh_log_audits_clean(logged):
 
 
 def test_a_log_read_once_audits_clean_twice(logged):
-    """The first audit replays onto the contract read_log deployed; a second
-    audit of the same read deploys its own."""
+    """A read log is a value: the file's three fields, frozen, and equal to
+    another read of the same file before and after both audits of it."""
     _, path = logged
-    log = read_log(path)
+    log, again = read_log(path), read_log(path)
+    assert [f.name for f in dataclasses.fields(log)] == ["genesis", "records", "trailer"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        log.records = ()
+    assert log == again
     first, _ = audit_log(log)
     second, _ = audit_log(log)
     assert first.ok and second.ok
+    assert log == again
 
 
 def test_deleted_record_with_consistent_digests(logged, tmp_path):
