@@ -346,69 +346,88 @@ class _Runner:
         reveal within its session's deadline, and since a clinic's free list
         changes only through its own patients' reveals, every patient gets
         the shot that binding them one at a time in patient order would give.
+
+        No step waits on a receipt, so the whole phase is built and signed
+        first: session ids count on from the contract's, each clinic's free
+        list is a local copy of the contract's, popped as each reveal selects,
+        and sequence numbers count on per signer. It is then submitted with one
+        ``submit_all``, and a binding record the ledger rejects raises, as
+        ``_must`` does: a local list that drifted from the contract's would
+        name a shot the flip does not select.
         """
-        rng = self.rng
+        rng, ledger = self.rng, self.ledger
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
         num_clinics = len(self.clinics)
         plans = []
         for index, patient in enumerate(self.patients):
-            clinic_address = self.config.clinics[index % num_clinics]
             r1 = rng.getrandbits(64)
             if colluding and index == 0:
                 # both parties pick their values in advance; XOR lands on the
                 # agreed index of the contract's public, digest-sorted free list
-                free_sorted = list(self.ledger.contract.free_shots[clinic_address])
-                target_index = rng.randrange(len(free_sorted))
+                clinic_address = self.config.clinics[index % num_clinics]
+                target_index = rng.randrange(len(ledger.contract.free_shots[clinic_address]))
                 r2 = r1 ^ target_index
             else:
-                free_sorted = target_index = None
+                target_index = None
                 r2 = rng.getrandbits(64)
             generate_nonce(rng)  # the clinic's nonce before vaccsc-9: drawn so each seed keeps its trial
             contrib2 = RandomContribution(value=r2, nonce=generate_nonce(rng))
-            plans.append((patient, r1, contrib2, free_sorted, target_index))
+            plans.append((patient.keypair, r1, contrib2, target_index))
         chunk_size = max(1, self.config.binding_deadline)
+        session = len(ledger.contract.sessions)
+        txs = []
         for i, clinic in enumerate(self.clinics[: len(plans)]):
+            free = list(ledger.contract.free_shots[clinic.address])
+            sequence = ledger.next_sequence(clinic.address)
             mine = plans[i::num_clinics]
             for start in range(0, len(mine), chunk_size):
                 chunk = mine[start : start + chunk_size]
                 bindings = [
                     {
-                        "patient": patient.keypair.address.hex(),
+                        "patient": patient.address.hex(),
                         "clinic_value": r1,
                         "patient_commitment": commit_contribution(contrib2).hex(),
                     }
-                    for patient, r1, contrib2, _, _ in chunk
+                    for patient, r1, contrib2, _ in chunk
                 ]
-                receipt = self._must(clinic, "begin_binding", {"bindings": bindings})
-                for event, plan in zip(receipt.events, chunk):
-                    self._patient_reveal(clinic.address, event.payload["session"], *plan)
+                txs.append(make_transaction(clinic, ledger.trial_id, "begin_binding", {"bindings": bindings}, sequence))
+                sequence += 1
+                for patient, r1, contrib2, target_index in chunk:
+                    # The completing reveal: the patient names the shot the
+                    # flip selects from the clinic's public free list.
+                    selected = select_index(r1, contrib2.value, len(free))
+                    if target_index is not None:
+                        self._collusion_evidence(free, target_index, selected)
+                    params = {
+                        "session": session,
+                        "value": contrib2.value,
+                        "nonce": contrib2.nonce.hex(),
+                        "shot": free.pop(selected).hex(),
+                    }
+                    txs.append(
+                        make_transaction(
+                            patient, ledger.trial_id, "patient_reveal", params, ledger.next_sequence(patient.address)
+                        )
+                    )
+                    session += 1
+        first = len(ledger.journal)
+        ledger.submit_all(txs, self.verdicts)
+        for entry in ledger.journal[first:]:
+            if entry.status != ACCEPTED:
+                raise RuntimeError(f"{entry.tx.method} failed: {entry.code}")
 
-    def _patient_reveal(
-        self, clinic: bytes, session: int, patient, r1, contrib2, free_sorted, target_index
-    ) -> None:
-        """The completing reveal: the patient names the shot the flip
-        selects from the clinic's public free list."""
-        free = self.ledger.contract.free_shots[clinic]
-        shot = free[select_index(r1, contrib2.value, len(free))]
-        self._must(
-            patient.keypair,
-            "patient_reveal",
-            {"session": session, "value": contrib2.value, "nonce": contrib2.nonce.hex(), "shot": shot.hex()},
+    def _collusion_evidence(self, free: list[bytes], target_index: int, selected: int) -> None:
+        self.evidence.append(
+            {
+                "kind": "collusion",
+                "target_index": target_index,
+                "selected_index": selected,
+                "matched": selected == target_index,
+                "content": self.manifest[free[selected]].content.label,
+                "stock_vaccine": sum(1 for c in free if self.manifest[c].content is ShotContent.VACCINE),
+                "stock_total": len(free),
+            }
         )
-        if free_sorted is not None:
-            self.evidence.append(
-                {
-                    "kind": "collusion",
-                    "target_index": target_index,
-                    "selected_index": free_sorted.index(shot),
-                    "matched": shot == free_sorted[target_index],
-                    "content": self.manifest[shot].content.label,
-                    "stock_vaccine": sum(
-                        1 for c in free_sorted if self.manifest[c].content is ShotContent.VACCINE
-                    ),
-                    "stock_total": len(free_sorted),
-                }
-            )
 
     # -- epidemic --------------------------------------------------------
 
@@ -612,8 +631,10 @@ def run_grid(spec: ScenarioSpec) -> dict[str, list[TrialReport]]:
     and verify the same transactions until their strategies part. So each seed
     gets fresh memos of its keypairs and verdicts, which its cells share and
     which are dropped once those cells are run. A run passes the verdicts with
-    each call it submits, so no ledger holds them. Every call is still made;
-    only the repeated Ed25519 work is skipped.
+    each call it submits, so no ledger holds them. Every call is still made, and
+    each still has its signature checked once: by an Ed25519 verify in the run's
+    process or in its binding phase's helper, or by the verdict such a verify
+    left in the world's memo. Only the repeated Ed25519 work is skipped.
     """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)
     grid: dict[str, list[TrialReport]] = {cell.label: [] for cell in cells}

@@ -72,7 +72,7 @@ def verify_signature(public_key: bytes, message: bytes, signature: bytes, verdic
     """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
     False too for bytes that do not parse as a public key. ``verdicts``, when given, is
     the memo of verdicts under ``verdict_key`` that the caller passes with the call:
-    a grid world's, or a replayed record's one verdict from the replay's helper."""
+    a grid world's, or one transaction's verdict from ``Ledger.submit_all``'s helper."""
     if verdicts is not None:
         key = verdict_key(public_key, message, signature)
         if key not in verdicts:

@@ -28,8 +28,8 @@ from .keys import (
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
-HELPER_THRESHOLD = 64  # a replay of more records forks a helper (see ``Ledger.replay``)
-VALID, INVALID, TAKEN = 1, 2, 3  # a record's byte in the map a replay shares with its helper
+HELPER_THRESHOLD = 64  # a batch of more transactions forks a helper (see ``Ledger.submit_all``)
+VALID, INVALID, TAKEN = 1, 2, 3  # a transaction's byte in the map ``submit_all`` shares with its helper
 
 # Deepest array/object nesting a payload or genesis may have; valid ones
 # nest at most 4 deep. Bounding it before parsing keeps a hostile document
@@ -269,65 +269,80 @@ class Ledger:
         events_hash.update(b"]")
         return events_hash.digest()
 
-    # -- replay ------------------------------------------------------------
+    def submit_all(self, txs: Sequence[SignedTransaction], verdicts: dict | None = None) -> None:
+        """Submit ``txs`` in order, each as ``submit`` would with ``verdicts``; the outcomes
+        are read from ``journal``, and no receipt is kept.
 
-    @classmethod
-    def replay(cls, genesis: dict, entries: Sequence[JournalEntry]) -> tuple[Ledger, list[int]]:
-        """Re-run a journal on a new ``Ledger(genesis)``.
-
-        Returns the rebuilt ledger and the journal positions whose outcome
-        (accepted/rejected + code) diverged from the recorded one. A clean
-        replay returns an empty divergence list; final-state equality is
-        then checked by digest comparison.
-
-        A journal of more than HELPER_THRESHOLD records is also verified by a
-        forked helper, from the last record back, through one shared byte per
-        record. The replay reads each record's byte once: it takes a VALID or
-        INVALID verdict there, and otherwise marks the byte TAKEN and verifies
-        the record itself. The helper stops at the first byte it finds set, so
-        the two meet without either waiting for the other.
+        More than HELPER_THRESHOLD transactions are also verified by a forked
+        helper, from the last back, through one shared byte per transaction. The
+        helper takes a verdict that its copy of ``verdicts`` already holds and
+        verifies the rest. Each ``submit`` reads its transaction's byte once: a
+        VALID or INVALID verdict there is what its one signature check goes
+        through, as a one-entry memo or written into ``verdicts``; otherwise it
+        marks the byte TAKEN and the check goes through ``verdicts`` alone. The
+        helper stops at the first byte it finds set, so the two meet without
+        either waiting for the other, and no helper outlives the call.
         """
-        ledger = cls(genesis)
-        divergent: list[int] = []
         pid, shared = None, None
         try:
-            if len(entries) > HELPER_THRESHOLD and hasattr(os, "fork"):
-                with contextlib.suppress(OSError):  # no map or helper: every record is verified here
-                    shared = mmap.mmap(-1, len(entries))
+            if len(txs) > HELPER_THRESHOLD and hasattr(os, "fork"):
+                with contextlib.suppress(OSError):  # no map or helper: every transaction is verified here
+                    shared = mmap.mmap(-1, len(txs))
                     pid = os.fork()
                 if pid == 0:
                     try:
-                        _verify_backwards(shared, entries, ledger.trial_id)
+                        _verify_backwards(shared, txs, self.trial_id, verdicts)
                     finally:
                         os._exit(0)
-            for position, entry in enumerate(entries):
-                tx, verdicts = entry.tx, None
+            for position, tx in enumerate(txs):
+                memo = verdicts
                 if pid:
                     verdict = shared[position]
-                    if verdict in (VALID, INVALID):  # the helper's: a memo of this one verdict
-                        message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
-                        verdicts = {verdict_key(tx.public_key, message, tx.signature): verdict == VALID}
+                    if verdict in (VALID, INVALID):  # the helper's, from a real verify or from its copy of the memo
+                        message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
+                        memo = {} if verdicts is None else verdicts
+                        memo[verdict_key(tx.public_key, message, tx.signature)] = verdict == VALID
                     else:
                         shared[position] = TAKEN
-                receipt = ledger.submit(tx, verdicts)
-                if receipt.status == entry.status and receipt.code == entry.code:
-                    ledger.journal[-1] = entry  # the log's own entry: one per record, not two
-                else:
-                    divergent.append(position)
+                self.submit(tx, memo)
         finally:
             if pid:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
             if shared is not None:
                 shared.close()
+
+    # -- replay ------------------------------------------------------------
+
+    @classmethod
+    def replay(cls, genesis: dict, entries: Sequence[JournalEntry]) -> tuple[Ledger, list[int]]:
+        """Re-run a journal on a new ``Ledger(genesis)`` with ``submit_all``.
+
+        Returns the rebuilt ledger and the journal positions whose outcome
+        (accepted/rejected + code) diverged from the recorded one. A clean
+        replay returns an empty divergence list; final-state equality is
+        then checked by digest comparison. Each reproduced outcome keeps the
+        log's own entry, so the journal holds one entry per record, not two.
+        """
+        ledger = cls(genesis)
+        ledger.submit_all([entry.tx for entry in entries])
+        divergent: list[int] = []
+        for position, (replayed, entry) in enumerate(zip(ledger.journal, entries)):
+            if replayed.status == entry.status and replayed.code == entry.code:
+                ledger.journal[position] = entry
+            else:
+                divergent.append(position)
         return ledger, divergent
 
 
-def _verify_backwards(shared: mmap.mmap, entries: Sequence[JournalEntry], trial_id: bytes) -> None:
-    """``Ledger.replay``'s helper: a verdict byte for each record, from the last back to the replay's."""
-    for position in reversed(range(len(entries))):
-        if shared[position]:  # the replay has taken this record
+def _verify_backwards(
+    shared: mmap.mmap, txs: Sequence[SignedTransaction], trial_id: bytes, verdicts: dict | None
+) -> None:
+    """``Ledger.submit_all``'s helper: a verdict byte for each transaction, from the last
+    back to the submitter's, taken from ``verdicts`` if it holds one and verified otherwise."""
+    for position in reversed(range(len(txs))):
+        if shared[position]:  # the submitter has taken this transaction
             return
-        tx = entries[position].tx
+        tx = txs[position]
         message = signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload)
-        shared[position] = VALID if verify_signature(tx.public_key, message, tx.signature) else INVALID
+        shared[position] = VALID if verify_signature(tx.public_key, message, tx.signature, verdicts) else INVALID

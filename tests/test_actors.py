@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from collections import Counter
 from importlib import resources
 from pathlib import Path
@@ -22,7 +23,7 @@ from vaccsc.actors import (
     run_scenario,
     scenario_from_dict,
 )
-from vaccsc import keys
+from vaccsc import actors, keys
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
 from vaccsc.ledger import ACCEPTED, Ledger, signing_bytes
@@ -597,26 +598,50 @@ def signed_triples(ledgers) -> set[tuple[bytes, bytes, bytes]]:
     }
 
 
-def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch):
-    work = count_ed25519_work(monkeypatch)
+def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch, tmp_path):
+    """Counted with no ``os.fork``, as a helper's verifies happen in its own process;
+    with the helper, the same reports and logs, and no triple verified twice here."""
     spec = shared_world_grid([2, 3])
-    ledgers = [report.ledger for reports in run_grid(spec).values() for report in reports]
-    triples = signed_triples(ledgers)
-    public_keys = {public_key for public_key, _, _ in triples}
-    assert len(ledgers) == 10 and sum(len(ledger.journal) for ledger in ledgers) > len(triples)
-    assert sorted(work["verified"]) == sorted(triples)
-    assert len(work["signed"]) == len(set(work["signed"])) == len(triples)
-    assert len(work["derived"]) == len(set(work["derived"])) == len(public_keys)
+    with monkeypatch.context() as patched:
+        patched.delattr(os, "fork")
+        work = count_ed25519_work(patched)
+        grid = run_grid(spec)
+        ledgers = [report.ledger for reports in grid.values() for report in reports]
+        triples = signed_triples(ledgers)
+        public_keys = {public_key for public_key, _, _ in triples}
+        assert len(ledgers) == 10 and sum(len(ledger.journal) for ledger in ledgers) > len(triples)
+        assert sorted(work["verified"]) == sorted(triples)
+        assert len(work["signed"]) == len(set(work["signed"])) == len(triples)
+        assert len(work["derived"]) == len(set(work["derived"])) == len(public_keys)
 
-    before = {kind: len(done) for kind, done in work.items()}
-    run_grid(spec)
-    assert {kind: len(done) - before[kind] for kind, done in work.items()} == before
+        before = {kind: len(done) for kind, done in work.items()}
+        run_grid(spec)
+        assert {kind: len(done) - before[kind] for kind, done in work.items()} == before
 
-    for done in work.values():
-        done.clear()
-    alone = run_scenario(spec, 2, keep_table=False).ledger
-    assert len(work["verified"]) == len(work["signed"]) == len(alone.journal)
-    assert len(work["derived"]) == spec.num_participants + spec.num_clinics + 1
+        for done in work.values():
+            done.clear()
+        alone = run_scenario(spec, 2, keep_table=False).ledger
+        assert len(work["verified"]) == len(work["signed"]) == len(alone.journal)
+        assert len(work["derived"]) == spec.num_participants + spec.num_clinics + 1
+
+    work = count_ed25519_work(monkeypatch)
+    helped = run_grid(spec)
+    assert len(work["verified"]) == len(set(work["verified"]))
+    for label, reports in helped.items():
+        for report, unhelped in zip(reports, grid[label], strict=True):
+            assert json.dumps(report.to_json()) == json.dumps(unhelped.to_json())
+            write_ledger_log(tmp_path / "helped.vscl", report.ledger)
+            write_ledger_log(tmp_path / "alone.vscl", unhelped.ledger)
+            assert (tmp_path / "helped.vscl").read_bytes() == (tmp_path / "alone.vscl").read_bytes()
+
+
+def test_a_free_list_that_drifts_from_the_contracts_fails_loudly(monkeypatch):
+    """The runner selects each shot from its own copy of a clinic's free list;
+    a copy that drifts names a shot the contract's flip does not select."""
+    real = actors.select_index
+    monkeypatch.setattr(actors, "select_index", lambda first, second, count: (real(first, second, count) + 1) % count)
+    with pytest.raises(RuntimeError, match="patient_reveal failed: WrongShot"):
+        run_scenario(small_spec(), 2, keep_table=False)
 
 
 def test_run_many_covers_every_seed():

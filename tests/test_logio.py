@@ -1,4 +1,5 @@
-"""Binary trial-log files: roundtrip, tamper detection, replay audit."""
+"""Binary trial-log files: roundtrip, tamper detection, replay audit, and the
+forked helper that verifies a replay or a run's binding phase from its far end."""
 
 import copy
 import dataclasses
@@ -7,15 +8,15 @@ import mmap
 import os
 import re
 from hashlib import sha256
-from importlib import resources
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from vaccsc import cli, keys, ledger
-from vaccsc.actors import run_scenario, scenario_from_dict
+from vaccsc.actors import Behavior, GridCell, Role, Strategy, load_scenario, run_grid, run_scenario
 from vaccsc.contract import canonical_json, json_value
+from vaccsc.keys import verdict_key
 from vaccsc.ledger import (
     ACCEPTED,
     HELPER_THRESHOLD,
@@ -518,14 +519,13 @@ def test_fuzzed_genesis_never_crashes_the_auditor(logged, tmp_path, data):
     assert not report.ok
 
 
-# -- the replay's helper process ---------------------------------------------------
+# -- the helper process of a replay and of a run's binding phase -------------------
 
 
 @pytest.fixture(scope="module")
 def small_trial():
     """``honest_small`` at seed 2: its genesis, journal and final digests."""
-    raw = json.loads((resources.files("vaccsc") / "data" / "scenarios" / "honest_small.json").read_text())
-    ran = run_scenario(scenario_from_dict(raw), 2, keep_table=False).ledger
+    ran = run_scenario(load_scenario("honest_small"), 2, keep_table=False).ledger
     return ran.genesis, list(ran.journal), ran.state_digest(), ran.events_digest()
 
 
@@ -600,9 +600,9 @@ def helper_meets_the_replay_at(monkeypatch, meeting):
     records before it, and start the replay only once the helper has exited."""
     real_verify, real_fork = ledger._verify_backwards, os.fork
 
-    def verify_from_meeting(shared, entries, trial_id):
+    def verify_from_meeting(shared, txs, trial_id, verdicts):
         shared[:meeting] = bytes([TAKEN]) * meeting
-        real_verify(shared, entries, trial_id)
+        real_verify(shared, txs, trial_id, verdicts)
 
     def fork_and_wait():
         pid = real_fork()
@@ -659,10 +659,14 @@ def too_many_open_files(*args):
     raise OSError(24, "Too many open files")
 
 
+def exits_at_once(shared, txs, trial_id, verdicts):
+    os._exit(1)
+
+
 @pytest.mark.parametrize(
     "owner, name, broken",
     [
-        (ledger, "_verify_backwards", lambda *args: os._exit(1)),
+        (ledger, "_verify_backwards", exits_at_once),
         (os, "fork", cannot_fork),
         (mmap, "mmap", too_many_open_files),
     ],
@@ -729,4 +733,77 @@ def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_t
     monkeypatch.setattr(Ledger, "submit", out_of_memory)
     with pytest.raises(MemoryError, match="first record"):
         audit_log(log)
+    assert_no_child_left()
+
+
+def test_a_helper_takes_the_verdict_its_copy_of_the_world_memo_holds(small_trial, monkeypatch):
+    """A verdict already in the memo is what the helper writes, with no Ed25519
+    verify: a False planted for a valid signature comes back BadSignature."""
+    genesis, records, _, _ = small_trial
+    fresh = Ledger(genesis)
+    tx = records[-1].tx
+    message = signing_bytes(fresh.trial_id, tx.method, tx.sequence_number, tx.payload)
+    key = verdict_key(tx.public_key, message, tx.signature)
+    world = {key: False}
+    verified = count_verifies(monkeypatch)
+    helper_meets_the_replay_at(monkeypatch, 0)  # the helper has the whole map first
+    fresh.submit_all([entry.tx for entry in records], world)
+    assert verified == []  # every verify ran in the helper's process, and the planted one not at all
+    outcomes = [(entry.status, entry.code) for entry in fresh.journal]
+    assert outcomes == [(entry.status, entry.code) for entry in records[:-1]] + [(REJECTED, "BadSignature")]
+    assert world[key] is False
+    assert_no_child_left()
+
+
+def two_cell_grid():
+    cells = (GridCell("honest", ()), GridCell("collude", (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),)))
+    return dataclasses.replace(load_scenario("honest_small"), seeds=(2,), grid=cells)
+
+
+def runs(tmp_path) -> list[tuple[str, bytes]]:
+    """The report and log bytes of a lone ``honest_small`` run at seed 2 and of a 2-cell grid at seed 2."""
+    grid = run_grid(two_cell_grid())
+    reports = [run_scenario(load_scenario("honest_small"), 2), *grid["honest"], *grid["collude"]]
+    ran = []
+    for report in reports:
+        write_ledger_log(tmp_path / "run.vscl", report.ledger)
+        ran.append((json.dumps(report.to_json()), (tmp_path / "run.vscl").read_bytes()))
+    return ran
+
+
+@pytest.fixture(scope="module")
+def runs_alone(tmp_path_factory):
+    """``runs`` with no ``os.fork``, so every binding phase is verified in the run's own process."""
+    with pytest.MonkeyPatch.context() as patched:
+        patched.delattr(os, "fork")
+        return runs(tmp_path_factory.mktemp("alone"))
+
+
+RUN_HELPERS = {
+    "helper": lambda patched: None,
+    "no fork": lambda patched: patched.delattr(os, "fork"),
+    "cannot start": lambda patched: patched.setattr(os, "fork", cannot_fork),
+    "no map": lambda patched: patched.setattr(mmap, "mmap", too_many_open_files),
+    "exits at once": lambda patched: patched.setattr(ledger, "_verify_backwards", exits_at_once),
+}
+
+
+@pytest.mark.parametrize("case", RUN_HELPERS.values(), ids=RUN_HELPERS.keys())
+def test_a_run_is_the_same_with_the_helper_and_without(runs_alone, tmp_path, monkeypatch, case):
+    case(monkeypatch)
+    assert runs(tmp_path) == runs_alone
+    assert_no_child_left()
+
+
+def test_no_helper_outlives_a_binding_phase_that_raises(monkeypatch):
+    real = Ledger.submit
+
+    def failing(self, tx, verdicts=None):
+        if len(self.journal) == 200:  # a reveal in the middle of the 404-record binding phase
+            raise RuntimeError("submit failed")
+        return real(self, tx, verdicts)
+
+    monkeypatch.setattr(Ledger, "submit", failing)
+    with pytest.raises(RuntimeError, match="submit failed"):
+        run_scenario(load_scenario("honest_small"), 2)
     assert_no_child_left()
