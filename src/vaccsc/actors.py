@@ -9,8 +9,10 @@ ledger never sees anything but commitments until the reveal.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from importlib import resources
@@ -24,8 +26,11 @@ from .contract import (
     DEFAULT_BINDING_DEADLINE, TrialConfig, _decode, _label, check_numbers, efficiency_percent, json_value,
     make_genesis,
 )
-from .keys import KeyPair
-from .ledger import ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, make_transaction, too_deep
+from .ahead import worked_ahead
+from .keys import PUBLIC_KEY_SIZE, SIGNED_SIZE, KeyPair, signed_and_verified
+from .ledger import (
+    ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, SignedTransaction, make_transaction, too_deep, unsigned,
+)
 
 
 class Role(Enum):
@@ -335,6 +340,37 @@ class _Runner:
             batch = [shot.hex() for shot in shots[i :: len(self.clinics)]]
             self._must(self.developer, "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
 
+    def _unsigned(self, keypair: KeyPair, method: str, params: dict, sequence: int) -> tuple:
+        """A call for ``_signed_ahead``: its signer, method, sequence number, payload and signing bytes."""
+        return keypair, method, sequence, *unsigned(self.ledger.trial_id, method, params, sequence)
+
+    @contextlib.contextmanager
+    def _signed_ahead(self, calls: list[tuple]) -> Iterator[Iterator[tuple[SignedTransaction, bool]]]:
+        """``calls`` from ``_unsigned`` as signed transactions, each with its verdict, in
+        order, for ``submit``.
+
+        Each call is one Ed25519 job (``signed_and_verified``: derive the key if
+        need be, sign, verify) done ahead by ``worked_ahead``'s helper, or here.
+        Its result answers the call's one ``KeyPair.sign``, and its verdict the
+        one signature check ``submit`` makes; a helper's public key is adopted.
+        """
+
+        def job(index: int) -> bytes:
+            keypair, _, _, _, message = calls[index]
+            return signed_and_verified(keypair, message, self.verdicts)
+
+        def signed(results) -> Iterator[tuple[SignedTransaction, bool]]:
+            for index, result in enumerate(results):
+                keypair, method, sequence, payload, message = calls[index]
+                result = result or job(index)
+                keypair.adopt(result[:PUBLIC_KEY_SIZE])
+                signature = keypair.sign(message, result[PUBLIC_KEY_SIZE:-1])
+                tx = SignedTransaction(keypair.address, keypair.public_key, method, payload, sequence, signature)
+                yield tx, result[-1] == 1
+
+        with worked_ahead(len(calls), SIGNED_SIZE, job) as results:
+            yield signed(results)
+
     def _bind_all(self) -> None:
         """Bind each patient at clinic ``index % C``, which mirrors how the
         shots were dealt.
@@ -347,13 +383,15 @@ class _Runner:
         changes only through its own patients' reveals, every patient gets
         the shot that binding them one at a time in patient order would give.
 
-        No step waits on a receipt, so the whole phase is built and signed
-        first: session ids count on from the contract's, each clinic's free
-        list is a local copy of the contract's, popped as each reveal selects,
-        and sequence numbers count on per signer. It is then submitted with one
-        ``submit_all``, and a binding record the ledger rejects raises, as
-        ``_must`` does: a local list that drifted from the contract's would
-        name a shot the flip does not select.
+        No step waits on a receipt, so the whole phase is planned first:
+        session ids count on from the contract's, each clinic's free list is a
+        local copy of the contract's, popped as each reveal selects, and each
+        reveal is a patient's first transaction. The reveals are signed ahead
+        by ``_signed_ahead``, which derives the patients' keys; each chunk's
+        ``begin_binding`` is built from its patients' addresses as their reveals
+        come back, and submitted before them. A binding record the ledger
+        rejects raises, as ``_must`` does: a local list that drifted from the
+        contract's would name a shot the flip does not select.
         """
         rng, ledger = self.rng, self.ledger
         colluding = self.strategies[Role.CLINIC].behavior is Behavior.COLLUDE_WITH_PATIENT
@@ -375,22 +413,14 @@ class _Runner:
             plans.append((patient.keypair, r1, contrib2, target_index))
         chunk_size = max(1, self.config.binding_deadline)
         session = len(ledger.contract.sessions)
-        txs = []
+        chunks, reveals = [], []
         for i, clinic in enumerate(self.clinics[: len(plans)]):
             free = list(ledger.contract.free_shots[clinic.address])
             sequence = ledger.next_sequence(clinic.address)
             mine = plans[i::num_clinics]
             for start in range(0, len(mine), chunk_size):
                 chunk = mine[start : start + chunk_size]
-                bindings = [
-                    {
-                        "patient": patient.address.hex(),
-                        "clinic_value": r1,
-                        "patient_commitment": commit_contribution(contrib2).hex(),
-                    }
-                    for patient, r1, contrib2, _ in chunk
-                ]
-                txs.append(make_transaction(clinic, ledger.trial_id, "begin_binding", {"bindings": bindings}, sequence))
+                chunks.append((clinic, sequence, chunk))
                 sequence += 1
                 for patient, r1, contrib2, target_index in chunk:
                     # The completing reveal: the patient names the shot the
@@ -404,17 +434,24 @@ class _Runner:
                         "nonce": contrib2.nonce.hex(),
                         "shot": free.pop(selected).hex(),
                     }
-                    txs.append(
-                        make_transaction(
-                            patient, ledger.trial_id, "patient_reveal", params, ledger.next_sequence(patient.address)
-                        )
-                    )
+                    reveals.append(self._unsigned(patient, "patient_reveal", params, 0))
                     session += 1
-        first = len(ledger.journal)
-        ledger.submit_all(txs, self.verdicts)
-        for entry in ledger.journal[first:]:
-            if entry.status != ACCEPTED:
-                raise RuntimeError(f"{entry.tx.method} failed: {entry.code}")
+        with self._signed_ahead(reveals) as signed:
+            for clinic, sequence, chunk in chunks:
+                signed_reveals = [next(signed) for _ in chunk]
+                bindings = [
+                    {
+                        "patient": tx.sender.hex(),
+                        "clinic_value": r1,
+                        "patient_commitment": commit_contribution(contrib2).hex(),
+                    }
+                    for (tx, _), (_, r1, contrib2, _) in zip(signed_reveals, chunk)
+                ]
+                begin = make_transaction(clinic, ledger.trial_id, "begin_binding", {"bindings": bindings}, sequence)
+                for tx, verdict in [(begin, None), *signed_reveals]:
+                    receipt = ledger.submit(tx, self.verdicts, verdict)
+                    if not receipt.accepted:
+                        raise RuntimeError(f"{tx.method} failed: {receipt.code}")
 
     def _collusion_evidence(self, free: list[bytes], target_index: int, selected: int) -> None:
         self.evidence.append(
@@ -435,8 +472,8 @@ class _Runner:
         spec = self.spec
         false_sick = self.strategies[Role.PATIENT]
         p_false = false_sick.knob if false_sick.behavior is Behavior.FALSE_SICK else 0.0
-        rng = self.rng
-        shots, patient_shot = self.ledger.contract.shots, self.ledger.contract.patient_shot
+        rng, ledger = self.rng, self.ledger
+        shots, patient_shot = ledger.contract.shots, ledger.contract.patient_shot
         for epoch in range(spec.disease.epochs):
             reporters: list[_PatientState] = []
             for patient in self.patients:
@@ -457,14 +494,18 @@ class _Runner:
                         reporters.append(patient)
                 elif p_false and rng.random() < p_false:
                     reporters.append(patient)
-            for patient in reporters:
-                self._call(patient.keypair, "report_sick", {})
+            reports = [
+                self._unsigned(p.keypair, "report_sick", {}, ledger.next_sequence(p.keypair.address)) for p in reporters
+            ]
+            with self._signed_ahead(reports) as signed:
+                for tx, verdict in signed:
+                    ledger.submit(tx, self.verdicts, verdict)
             self.epochs_run = epoch + 1
-            if self.ledger.query("phase") == "reveal_pending":
+            if ledger.query("phase") == "reveal_pending":
                 return True
         self.incomplete_reason = (
             f"threshold {spec.infected_threshold} not reached after "
-            f"{spec.disease.epochs} epochs ({self.ledger.query('infected_count')} infected)"
+            f"{spec.disease.epochs} epochs ({ledger.query('infected_count')} infected)"
         )
         return False
 
@@ -631,9 +672,12 @@ def run_grid(spec: ScenarioSpec) -> dict[str, list[TrialReport]]:
     and verify the same transactions until their strategies part. So each seed
     gets fresh memos of its keypairs and verdicts, which its cells share and
     which are dropped once those cells are run. A run passes the verdicts with
-    each call it submits, so no ledger holds them. Every call is still made, and
-    each still has its signature checked once: by an Ed25519 verify in the run's
-    process or in its binding phase's helper, or by the verdict such a verify
+    each call it submits, so no ledger holds them. A signature or verdict that a
+    cell's helper made enters the memos when the run takes it, so a later cell's
+    job, in its own process or a helper's copy of the memos, finds it there. A
+    world's keys are derived on first use, as a lone run's are. Every call is
+    still made, and each still has its signature checked once: by an Ed25519
+    verify in the run's process or its helper, or by the verdict such a verify
     left in the world's memo. Only the repeated Ed25519 work is skipped.
     """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)

@@ -10,26 +10,20 @@ byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import json
-import mmap
-import os
 import re
-import signal
 from collections.abc import Sequence
 from dataclasses import dataclass
 from hashlib import sha256
 
+from .ahead import worked_ahead
 from .contract import ContractError, VaccineTrial, canonical_json
 from .keys import (
-    ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, KeyPair, address_from_public_key, verdict_key,
-    verify_signature,
+    ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, KeyPair, address_from_public_key, verified, verify_signature,
 )
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
-HELPER_THRESHOLD = 64  # a batch of more transactions forks a helper (see ``Ledger.submit_all``)
-VALID, INVALID, TAKEN = 1, 2, 3  # a transaction's byte in the map ``submit_all`` shares with its helper
 
 # Deepest array/object nesting a payload or genesis may have; valid ones
 # nest at most 4 deep. Bounding it before parsing keeps a hostile document
@@ -135,20 +129,26 @@ def _check_ranges(method: str, payload: bytes, sequence_number: int) -> None:
         raise ValueError("method over 65,535 UTF-8 bytes or payload of 2**32 bytes or more")
 
 
+def unsigned(trial_id: bytes, method: str, params: dict, sequence_number: int) -> tuple[bytes, bytes]:
+    """A call's payload and the bytes its sender signs; a size or range a log record
+    cannot hold raises ValueError, before anything is signed."""
+    payload = canonical_json(params)
+    _check_ranges(method, payload, sequence_number)
+    return payload, signing_bytes(trial_id, method, sequence_number, payload)
+
+
 def make_transaction(
     keypair: KeyPair, trial_id: bytes, method: str, params: dict, sequence_number: int
 ) -> SignedTransaction:
     """The signed call; a size or range a log record cannot hold raises ValueError before signing."""
-    payload = canonical_json(params)
-    _check_ranges(method, payload, sequence_number)
-    signature = keypair.sign(signing_bytes(trial_id, method, sequence_number, payload))
+    payload, message = unsigned(trial_id, method, params, sequence_number)
     return SignedTransaction(
         sender=keypair.address,
         public_key=keypair.public_key,
         method=method,
         payload=payload,
         sequence_number=sequence_number,
-        signature=signature,
+        signature=keypair.sign(message),
     )
 
 
@@ -207,11 +207,12 @@ class Ledger:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, tx: SignedTransaction, verdicts: dict | None = None) -> Receipt:
+    def submit(self, tx: SignedTransaction, verdicts: dict | None = None, verdict: bool | None = None) -> Receipt:
         """Journal ``tx`` with its outcome; ``verdicts`` is the memo its one signature
-        check goes through (see ``verify_signature``), or None for no memo."""
+        check goes through, or None for no memo, and ``verdict`` the outcome of that
+        check made ahead, or None to make it here (see ``verify_signature``)."""
         position = len(self.journal)
-        code, detail = self._authenticate(tx, verdicts)
+        code, detail = self._authenticate(tx, verdicts, verdict)
         if code is None:
             code, detail, events = self._execute(tx, position)
         else:
@@ -220,11 +221,13 @@ class Ledger:
         self.journal.append(JournalEntry(status=status, code=code, tx=tx))
         return Receipt(status=status, code=code, detail=detail, position=position, events=events)
 
-    def _authenticate(self, tx: SignedTransaction, verdicts: dict | None) -> tuple[str | None, str]:
+    def _authenticate(
+        self, tx: SignedTransaction, verdicts: dict | None, verdict: bool | None
+    ) -> tuple[str | None, str]:
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
         message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-        if not verify_signature(tx.public_key, message, tx.signature, verdicts):
+        if not verify_signature(tx.public_key, message, tx.signature, verdicts, verdict):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:
@@ -273,44 +276,20 @@ class Ledger:
         """Submit ``txs`` in order, each as ``submit`` would with ``verdicts``; the outcomes
         are read from ``journal``, and no receipt is kept.
 
-        More than HELPER_THRESHOLD transactions are also verified by a forked
-        helper, from the last back, through one shared byte per transaction. The
-        helper takes a verdict that its copy of ``verdicts`` already holds and
-        verifies the rest. Each ``submit`` reads its transaction's byte once: a
-        VALID or INVALID verdict there is what its one signature check goes
-        through, as a one-entry memo or written into ``verdicts``; otherwise it
-        marks the byte TAKEN and the check goes through ``verdicts`` alone. The
-        helper stops at the first byte it finds set, so the two meet without
-        either waiting for the other, and no helper outlives the call.
+        Signatures are verified ahead by ``worked_ahead``'s helper, or by this
+        process when it finds the helper busy, through that process's copy of
+        ``verdicts``. Each ``submit`` takes the verdict made ahead for its one
+        signature check, or makes the check itself for a transaction left to it.
         """
-        pid, shared = None, None
-        try:
-            if len(txs) > HELPER_THRESHOLD and hasattr(os, "fork"):
-                with contextlib.suppress(OSError):  # no map or helper: every transaction is verified here
-                    shared = mmap.mmap(-1, len(txs))
-                    pid = os.fork()
-                if pid == 0:
-                    try:
-                        _verify_backwards(shared, txs, self.trial_id, verdicts)
-                    finally:
-                        os._exit(0)
-            for position, tx in enumerate(txs):
-                memo = verdicts
-                if pid:
-                    verdict = shared[position]
-                    if verdict in (VALID, INVALID):  # the helper's, from a real verify or from its copy of the memo
-                        message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-                        memo = {} if verdicts is None else verdicts
-                        memo[verdict_key(tx.public_key, message, tx.signature)] = verdict == VALID
-                    else:
-                        shared[position] = TAKEN
-                self.submit(tx, memo)
-        finally:
-            if pid:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            if shared is not None:
-                shared.close()
+
+        def job(position: int) -> bytes:
+            tx = txs[position]
+            message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
+            return bytes([verified(tx.public_key, message, tx.signature, verdicts)])
+
+        with worked_ahead(len(txs), 1, job) as results:
+            for tx, result in zip(txs, results):
+                self.submit(tx, verdicts, None if result is None else result == b"\1")
 
     # -- replay ------------------------------------------------------------
 
@@ -333,16 +312,3 @@ class Ledger:
             else:
                 divergent.append(position)
         return ledger, divergent
-
-
-def _verify_backwards(
-    shared: mmap.mmap, txs: Sequence[SignedTransaction], trial_id: bytes, verdicts: dict | None
-) -> None:
-    """``Ledger.submit_all``'s helper: a verdict byte for each transaction, from the last
-    back to the submitter's, taken from ``verdicts`` if it holds one and verified otherwise."""
-    for position in reversed(range(len(txs))):
-        if shared[position]:  # the submitter has taken this transaction
-            return
-        tx = txs[position]
-        message = signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload)
-        shared[position] = VALID if verify_signature(tx.public_key, message, tx.signature, verdicts) else INVALID

@@ -23,9 +23,10 @@ from vaccsc.actors import (
     run_scenario,
     scenario_from_dict,
 )
-from vaccsc import actors, keys
+from vaccsc import actors, keys, ledger
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
+from vaccsc.keys import KeyPair
 from vaccsc.ledger import ACCEPTED, Ledger, signing_bytes
 from vaccsc.logio import write_ledger_log
 
@@ -599,7 +600,7 @@ def signed_triples(ledgers) -> set[tuple[bytes, bytes, bytes]]:
 
 
 def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch, tmp_path):
-    """Counted with no ``os.fork``, as a helper's verifies happen in its own process;
+    """Counted with no ``os.fork``, as a helper's Ed25519 work happens in its own process;
     with the helper, the same reports and logs, and no triple verified twice here."""
     spec = shared_world_grid([2, 3])
     with monkeypatch.context() as patched:
@@ -635,6 +636,39 @@ def test_a_grid_does_each_distinct_ed25519_operation_once_per_call(monkeypatch, 
             assert (tmp_path / "helped.vscl").read_bytes() == (tmp_path / "alone.vscl").read_bytes()
 
 
+def count_calls(monkeypatch) -> Counter:
+    """The calls a traced benchmark round counts: ``KeyPair.generate``, ``KeyPair.sign``
+    and the ledger's ``verify_signature``, wrapped where the program looks them up."""
+    counted = Counter()
+
+    def counting(name, real):
+        def call(*args):
+            counted[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(KeyPair, "generate", classmethod(counting("generate", KeyPair.generate.__func__)))
+    monkeypatch.setattr(KeyPair, "sign", counting("sign", KeyPair.sign))
+    monkeypatch.setattr(ledger, "verify_signature", counting("verify", ledger.verify_signature))
+    return counted
+
+
+def test_a_helped_run_makes_each_counted_call_once_and_each_ed25519_operation_once_here(monkeypatch):
+    """With the helper on, one counted ``generate`` per key and one ``sign`` and one
+    ``verify_signature`` per record; the Ed25519 work made in this process is no more
+    than that, and none of it is made twice."""
+    spec = small_spec()
+    work = count_ed25519_work(monkeypatch)
+    counted = count_calls(monkeypatch)
+    journal = run_scenario(spec, 2, keep_table=False).ledger.journal
+    drawn = spec.num_participants + spec.num_clinics + 1
+    assert counted == {"generate": drawn, "sign": len(journal), "verify": len(journal)}
+    assert len(work["derived"]) == len(set(work["derived"])) <= drawn
+    assert len(work["signed"]) == len(set(work["signed"])) <= len(journal)
+    assert len(work["verified"]) == len(set(work["verified"])) <= len(journal)
+
+
 def test_a_free_list_that_drifts_from_the_contracts_fails_loudly(monkeypatch):
     """The runner selects each shot from its own copy of a clinic's free list;
     a copy that drifts names a shot the contract's flip does not select."""
@@ -642,6 +676,8 @@ def test_a_free_list_that_drifts_from_the_contracts_fails_loudly(monkeypatch):
     monkeypatch.setattr(actors, "select_index", lambda first, second, count: (real(first, second, count) + 1) % count)
     with pytest.raises(RuntimeError, match="patient_reveal failed: WrongShot"):
         run_scenario(small_spec(), 2, keep_table=False)
+    with pytest.raises(ChildProcessError):  # the helper signing ahead was killed and reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_run_many_covers_every_seed():

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vaccsc import keys
 from vaccsc.actors import Behavior, Role, Strategy, load_scenario, run_scenario
 from vaccsc.contract import CONTRACT_ID, TrialConfig, make_genesis
 from vaccsc.keys import (
@@ -72,6 +73,47 @@ def test_keypair_generate():
     assert a.address == address_from_public_key(a.public_key)
     # seeded generation is reproducible
     assert KeyPair.generate(Random(7)).public_key == KeyPair.generate(Random(7)).public_key
+
+
+def test_a_keypair_derives_its_key_once_on_first_use(vectors, monkeypatch):
+    derived, real = [], keys.Ed25519PrivateKey
+
+    class Private:
+        @staticmethod
+        def from_private_bytes(data):
+            derived.append(data)
+            return real.from_private_bytes(data)
+
+    monkeypatch.setattr(keys, "Ed25519PrivateKey", Private)
+    rng, stream = Random(5), Random(5)
+    drawn = KeyPair.generate(rng)
+    stream.randbytes(32)
+    assert derived == [] and rng.getstate() == stream.getstate()  # 32 bytes drawn, nothing derived
+    vec = vectors["key_vectors"][0]
+    kp = KeyPair(bytes.fromhex(vec["private"]))
+    assert derived == []
+    assert kp.address == bytes.fromhex(vec["address"])
+    kp.sign(b"message")
+    assert derived == [bytes.fromhex(vec["private"])]
+    drawn.sign(b"message")
+    assert len(derived) == 2
+
+
+def test_an_adopted_public_key_is_checked_against_the_derived_one(vectors):
+    vec = vectors["key_vectors"][0]
+    public, other = bytes.fromhex(vec["public"]), bytes.fromhex(vectors["key_vectors"][1]["public"])
+    agreeing = KeyPair(bytes.fromhex(vec["private"]))
+    agreeing.adopt(public)
+    assert agreeing.sign(b"message") == KeyPair(bytes.fromhex(vec["private"])).sign(b"message")
+    adopted_first = KeyPair(bytes.fromhex(vec["private"]))
+    adopted_first.adopt(other)
+    assert adopted_first.public_key == other  # taken as is until the key is derived here
+    with pytest.raises(ValueError, match="adopted public key disagrees"):
+        adopted_first.sign(b"message")
+    derived_first = KeyPair(bytes.fromhex(vec["private"]))
+    assert derived_first.public_key == public
+    with pytest.raises(ValueError, match="adopted public key disagrees"):
+        derived_first.adopt(other)
 
 
 def test_signing_bytes_layout():

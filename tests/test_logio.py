@@ -1,5 +1,5 @@
 """Binary trial-log files: roundtrip, tamper detection, replay audit, and the
-forked helper that verifies a replay or a run's binding phase from its far end."""
+forked helper that works a replay's verifies or a run's signing ahead of it."""
 
 import copy
 import dataclasses
@@ -7,21 +7,22 @@ import json
 import mmap
 import os
 import re
+import signal
+import time
 from hashlib import sha256
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from vaccsc import cli, keys, ledger
+from vaccsc import ahead, cli, keys, ledger
+from vaccsc.ahead import BUSY, HELPER_THRESHOLD, TAKEN
 from vaccsc.actors import Behavior, GridCell, Role, Strategy, load_scenario, run_grid, run_scenario
 from vaccsc.contract import canonical_json, json_value
 from vaccsc.keys import verdict_key
 from vaccsc.ledger import (
     ACCEPTED,
-    HELPER_THRESHOLD,
     REJECTED,
-    TAKEN,
     JournalEntry,
     Ledger,
     SignedTransaction,
@@ -519,7 +520,7 @@ def test_fuzzed_genesis_never_crashes_the_auditor(logged, tmp_path, data):
     assert not report.ok
 
 
-# -- the helper process of a replay and of a run's binding phase -------------------
+# -- the helper process of a replay and of a run's signing --------------------------
 
 
 @pytest.fixture(scope="module")
@@ -596,13 +597,13 @@ def test_an_audit_is_the_same_with_the_helper_and_without(small_trial, tmp_path,
 
 
 def helper_meets_the_replay_at(monkeypatch, meeting):
-    """Make the helper stop at record ``meeting``, as if the replay had taken the
+    """Make the helper start at record ``meeting``, as if the replay had taken the
     records before it, and start the replay only once the helper has exited."""
-    real_verify, real_fork = ledger._verify_backwards, os.fork
+    real_help, real_fork = ahead._help, os.fork
 
-    def verify_from_meeting(shared, txs, trial_id, verdicts):
+    def help_from_meeting(shared, count, width, work):
         shared[:meeting] = bytes([TAKEN]) * meeting
-        real_verify(shared, txs, trial_id, verdicts)
+        real_help(shared, count, width, work)
 
     def fork_and_wait():
         pid = real_fork()
@@ -610,7 +611,7 @@ def helper_meets_the_replay_at(monkeypatch, meeting):
             os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
         return pid
 
-    monkeypatch.setattr(ledger, "_verify_backwards", verify_from_meeting)
+    monkeypatch.setattr(ahead, "_help", help_from_meeting)
     monkeypatch.setattr(os, "fork", fork_and_wait)
 
 
@@ -659,23 +660,63 @@ def too_many_open_files(*args):
     raise OSError(24, "Too many open files")
 
 
-def exits_at_once(shared, txs, trial_id, verdicts):
+def exits_at_once(shared, count, width, work):
     os._exit(1)
 
 
-@pytest.mark.parametrize(
-    "owner, name, broken",
-    [
-        (ledger, "_verify_backwards", exits_at_once),
-        (os, "fork", cannot_fork),
-        (mmap, "mmap", too_many_open_files),
-    ],
-    ids=["exits at once", "cannot start", "no map"],
-)
-def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch, owner, name, broken):
+def claims_nothing(shared, count, width, work):
+    time.sleep(3600)  # alive until the caller kills it
+
+
+def killed_while_busy(shared, count, width, work):
+    shared[0] = shared[count // 2] = BUSY
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# Ways a helper can fail the caller, each set on a MonkeyPatch.
+BROKEN_HELPERS = {
+    "exits at once": lambda patched: patched.setattr(ahead, "_help", exits_at_once),
+    "claims nothing": lambda patched: patched.setattr(ahead, "_help", claims_nothing),
+    "killed while busy": lambda patched: patched.setattr(ahead, "_help", killed_while_busy),
+    "no fork": lambda patched: patched.delattr(os, "fork"),
+    "cannot start": lambda patched: patched.setattr(os, "fork", cannot_fork),
+    "no map": lambda patched: patched.setattr(mmap, "mmap", too_many_open_files),
+}
+
+
+@pytest.fixture
+def within_a_minute():
+    """Fails a test still running after a minute, as one whose caller waits on a dead helper would be."""
+
+    def hung(signum, frame):
+        raise TimeoutError("still running after a minute")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_the_scheduler_gives_each_item_its_own_result_in_order(within_a_minute):
+    """Work so small that the caller and the helper race for items all the way:
+    each result is still its own item's, and none is lost or moved."""
+    count = 20_000
+
+    def work(item):
+        return item.to_bytes(4, "big")
+
+    with ahead.worked_ahead(count, 4, work) as results:
+        given = [work(item) if result is None else result for item, result in enumerate(results)]
+    assert given == [work(item) for item in range(count)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("broken", BROKEN_HELPERS.values(), ids=BROKEN_HELPERS.keys())
+def test_a_helper_that_fails_changes_nothing(small_trial, tmp_path, monkeypatch, within_a_minute, broken):
     log = edited_log(small_trial, tmp_path, payload_flipped)
     alone = audited_alone(log, monkeypatch)
-    monkeypatch.setattr(owner, name, broken)
+    broken(monkeypatch)
     assert audited(log) == alone
     assert_no_child_left()
 
@@ -713,10 +754,10 @@ def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypa
     log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
     real = Ledger.submit
 
-    def failing(self, tx, verdicts=None):
+    def failing(self, tx, *verdicts):
         if len(self.journal) == HELPER_THRESHOLD:
             raise RuntimeError("submit failed")
-        return real(self, tx, verdicts)
+        return real(self, tx, *verdicts)
 
     monkeypatch.setattr(Ledger, "submit", failing)
     with pytest.raises(RuntimeError, match="submit failed"):
@@ -727,7 +768,7 @@ def test_no_helper_outlives_a_replay_that_raises(small_trial, tmp_path, monkeypa
 def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_trial, tmp_path, monkeypatch):
     log = edited_log(small_trial, tmp_path, LOG_EDITS["clean"])
 
-    def out_of_memory(self, tx, verdicts=None):
+    def out_of_memory(self, tx, *verdicts):
         raise MemoryError("no memory for the first record")
 
     monkeypatch.setattr(Ledger, "submit", out_of_memory)
@@ -773,23 +814,17 @@ def runs(tmp_path) -> list[tuple[str, bytes]]:
 
 @pytest.fixture(scope="module")
 def runs_alone(tmp_path_factory):
-    """``runs`` with no ``os.fork``, so every binding phase is verified in the run's own process."""
+    """``runs`` with no ``os.fork``, so all of its Ed25519 work is done in the run's own process."""
     with pytest.MonkeyPatch.context() as patched:
         patched.delattr(os, "fork")
         return runs(tmp_path_factory.mktemp("alone"))
 
 
-RUN_HELPERS = {
-    "helper": lambda patched: None,
-    "no fork": lambda patched: patched.delattr(os, "fork"),
-    "cannot start": lambda patched: patched.setattr(os, "fork", cannot_fork),
-    "no map": lambda patched: patched.setattr(mmap, "mmap", too_many_open_files),
-    "exits at once": lambda patched: patched.setattr(ledger, "_verify_backwards", exits_at_once),
-}
+RUN_HELPERS = {"helper": lambda patched: None, **BROKEN_HELPERS}
 
 
 @pytest.mark.parametrize("case", RUN_HELPERS.values(), ids=RUN_HELPERS.keys())
-def test_a_run_is_the_same_with_the_helper_and_without(runs_alone, tmp_path, monkeypatch, case):
+def test_a_run_is_the_same_with_the_helper_and_without(runs_alone, tmp_path, monkeypatch, within_a_minute, case):
     case(monkeypatch)
     assert runs(tmp_path) == runs_alone
     assert_no_child_left()
@@ -798,10 +833,10 @@ def test_a_run_is_the_same_with_the_helper_and_without(runs_alone, tmp_path, mon
 def test_no_helper_outlives_a_binding_phase_that_raises(monkeypatch):
     real = Ledger.submit
 
-    def failing(self, tx, verdicts=None):
+    def failing(self, tx, *verdicts):
         if len(self.journal) == 200:  # a reveal in the middle of the 404-record binding phase
             raise RuntimeError("submit failed")
-        return real(self, tx, verdicts)
+        return real(self, tx, *verdicts)
 
     monkeypatch.setattr(Ledger, "submit", failing)
     with pytest.raises(RuntimeError, match="submit failed"):
