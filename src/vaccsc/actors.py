@@ -27,10 +27,8 @@ from .contract import (
     make_genesis,
 )
 from .ahead import worked_ahead
-from .keys import PUBLIC_KEY_SIZE, SIGNED_SIZE, KeyPair, signed_and_verified
-from .ledger import (
-    ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, SignedTransaction, make_transaction, too_deep, unsigned,
-)
+from .keys import PUBLIC_KEY_SIZE, SIGNED_SIZE, KeyPair
+from .ledger import ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, SignedTransaction, too_deep, unsigned
 
 
 class Role(Enum):
@@ -273,7 +271,7 @@ class _PatientState:
 class _Runner:
     def __init__(self, spec: ScenarioSpec, strategies, seed: int, label: str, keep_table: bool, world=None):
         self.spec = spec
-        self.keys, self.verdicts = world or (None, None)
+        self.keys = world
         self.strategies = {role: Strategy(role) for role in Role} | {s.role: s for s in strategies}
         self.seed = seed
         self.label = label
@@ -315,10 +313,10 @@ class _Runner:
                 p.silent = rng.random() < patient_strategy.knob
 
     def _call(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
-        """``method`` signed by ``keypair`` with its next sequence number, submitted with the world's verdicts."""
-        ledger = self.ledger
-        tx = make_transaction(keypair, ledger.trial_id, method, params, ledger.next_sequence(keypair.address))
-        return ledger.submit(tx, self.verdicts)
+        """``method`` signed by ``keypair`` with its next sequence number, and submitted."""
+        call = self._unsigned(keypair, method, params, self.ledger.next_sequence(keypair.address))
+        with self._signed([call]) as signed:
+            return self.ledger.submit(*next(signed))
 
     def _must(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
         """``_call`` for a step the run cannot go on without: a rejection raises."""
@@ -341,29 +339,27 @@ class _Runner:
             self._must(self.developer, "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": batch})
 
     def _unsigned(self, keypair: KeyPair, method: str, params: dict, sequence: int) -> tuple:
-        """A call for ``_signed_ahead``: its signer, method, sequence number, payload and signing bytes."""
+        """A call for ``_signed``: its signer, method, sequence number, payload and signing bytes."""
         return keypair, method, sequence, *unsigned(self.ledger.trial_id, method, params, sequence)
 
     @contextlib.contextmanager
-    def _signed_ahead(self, calls: list[tuple]) -> Iterator[Iterator[tuple[SignedTransaction, bool]]]:
+    def _signed(self, calls: list[tuple]) -> Iterator[Iterator[tuple[SignedTransaction, bool]]]:
         """``calls`` from ``_unsigned`` as signed transactions, each with its verdict, in
-        order, for ``submit``.
+        order, for ``submit``: the one way from a call of the run to the ledger.
 
-        Each call is one Ed25519 job (``signed_and_verified``: derive the key if
-        need be, sign, verify) done ahead by ``worked_ahead``'s helper, or here.
-        Its result answers the call's one ``KeyPair.sign``, and its verdict the
-        one signature check ``submit`` makes; a helper's public key is adopted.
+        Each call is one Ed25519 job (``KeyPair.job``: derive the key if need be,
+        sign, verify), done ahead by ``worked_ahead``'s helper for a batch of more
+        than HELPER_THRESHOLD calls, or here. Its result answers the call's one
+        ``KeyPair.sign``, and its verdict the one signature check ``submit`` makes.
         """
 
         def job(index: int) -> bytes:
             keypair, _, _, _, message = calls[index]
-            return signed_and_verified(keypair, message, self.verdicts)
+            return keypair.job(message)
 
         def signed(results) -> Iterator[tuple[SignedTransaction, bool]]:
-            for index, result in enumerate(results):
-                keypair, method, sequence, payload, message = calls[index]
-                result = result or job(index)
-                keypair.adopt(result[:PUBLIC_KEY_SIZE])
+            for (keypair, method, sequence, payload, message), result in zip(calls, results):
+                result = keypair.job(message, result)
                 signature = keypair.sign(message, result[PUBLIC_KEY_SIZE:-1])
                 tx = SignedTransaction(keypair.address, keypair.public_key, method, payload, sequence, signature)
                 yield tx, result[-1] == 1
@@ -387,10 +383,10 @@ class _Runner:
         session ids count on from the contract's, each clinic's free list is a
         local copy of the contract's, popped as each reveal selects, and each
         reveal is a patient's first transaction. The reveals are signed ahead
-        by ``_signed_ahead``, which derives the patients' keys; each chunk's
+        by ``_signed``, which derives the patients' keys; each chunk's
         ``begin_binding`` is built from its patients' addresses as their reveals
-        come back, and submitted before them. A binding record the ledger
-        rejects raises, as ``_must`` does: a local list that drifted from the
+        come back, and submitted through ``_must`` before them. A reveal the
+        ledger rejects raises too: a local list that drifted from the
         contract's would name a shot the flip does not select.
         """
         rng, ledger = self.rng, self.ledger
@@ -416,12 +412,10 @@ class _Runner:
         chunks, reveals = [], []
         for i, clinic in enumerate(self.clinics[: len(plans)]):
             free = list(ledger.contract.free_shots[clinic.address])
-            sequence = ledger.next_sequence(clinic.address)
             mine = plans[i::num_clinics]
             for start in range(0, len(mine), chunk_size):
                 chunk = mine[start : start + chunk_size]
-                chunks.append((clinic, sequence, chunk))
-                sequence += 1
+                chunks.append((clinic, chunk))
                 for patient, r1, contrib2, target_index in chunk:
                     # The completing reveal: the patient names the shot the
                     # flip selects from the clinic's public free list.
@@ -436,8 +430,8 @@ class _Runner:
                     }
                     reveals.append(self._unsigned(patient, "patient_reveal", params, 0))
                     session += 1
-        with self._signed_ahead(reveals) as signed:
-            for clinic, sequence, chunk in chunks:
+        with self._signed(reveals) as signed:
+            for clinic, chunk in chunks:
                 signed_reveals = [next(signed) for _ in chunk]
                 bindings = [
                     {
@@ -447,9 +441,9 @@ class _Runner:
                     }
                     for (tx, _), (_, r1, contrib2, _) in zip(signed_reveals, chunk)
                 ]
-                begin = make_transaction(clinic, ledger.trial_id, "begin_binding", {"bindings": bindings}, sequence)
-                for tx, verdict in [(begin, None), *signed_reveals]:
-                    receipt = ledger.submit(tx, self.verdicts, verdict)
+                self._must(clinic, "begin_binding", {"bindings": bindings})
+                for tx, verdict in signed_reveals:
+                    receipt = ledger.submit(tx, verdict)
                     if not receipt.accepted:
                         raise RuntimeError(f"{tx.method} failed: {receipt.code}")
 
@@ -497,9 +491,9 @@ class _Runner:
             reports = [
                 self._unsigned(p.keypair, "report_sick", {}, ledger.next_sequence(p.keypair.address)) for p in reporters
             ]
-            with self._signed_ahead(reports) as signed:
+            with self._signed(reports) as signed:
                 for tx, verdict in signed:
-                    ledger.submit(tx, self.verdicts, verdict)
+                    ledger.submit(tx, verdict)
             self.epochs_run = epoch + 1
             if ledger.query("phase") == "reveal_pending":
                 return True
@@ -654,12 +648,12 @@ def run_scenario(
     strategies=None,
     label: str = "default",
     keep_table: bool = True,
-    world: tuple[dict, dict] | None = None,
+    world: dict | None = None,
 ) -> TrialReport:
     """One full deterministic trial under the given seed and strategy set.
 
-    ``world`` is the keypair and verdict memos that ``run_grid`` shares
-    among the cells of one seed (see ``KeyPair.generate`` and ``verify_signature``).
+    ``world`` is the map of keypairs that ``run_grid`` shares among the cells
+    of one seed (see ``KeyPair.generate``), or None for keypairs of this run alone.
     """
     chosen = spec.strategies if strategies is None else _roles_once(tuple(strategies), "strategies")
     return _Runner(spec, chosen, seed, label, keep_table, world).run()
@@ -670,20 +664,19 @@ def run_grid(spec: ScenarioSpec) -> dict[str, list[TrialReport]]:
 
     The cells of one seed share one world: they draw the same keys, and sign
     and verify the same transactions until their strategies part. So each seed
-    gets fresh memos of its keypairs and verdicts, which its cells share and
-    which are dropped once those cells are run. A run passes the verdicts with
-    each call it submits, so no ledger holds them. A signature or verdict that a
-    cell's helper made enters the memos when the run takes it, so a later cell's
-    job, in its own process or a helper's copy of the memos, finds it there. A
-    world's keys are derived on first use, as a lone run's are. Every call is
-    still made, and each still has its signature checked once: by an Ed25519
-    verify in the run's process or its helper, or by the verdict such a verify
-    left in the world's memo. Only the repeated Ed25519 work is skipped.
+    gets a fresh map of its keypairs, which its cells share and which is
+    dropped once those cells are run. Each keypair remembers the result of each
+    Ed25519 job (public key, signature and verdict) it has done or taken from a
+    cell's helper, so a later cell's job, in its own process or a helper's copy
+    of the world, finds it there. A world's keys are derived on first use, as a
+    lone run's are. Every call is still made, and each still has its signature
+    checked once, by the verdict of an Ed25519 verify that this seed's cells
+    made; only the repeated Ed25519 work is skipped.
     """
     cells = spec.grid or (GridCell(label="default", strategies=spec.strategies),)
     grid: dict[str, list[TrialReport]] = {cell.label: [] for cell in cells}
     for seed in spec.seeds:
-        world = ({}, {})
+        world: dict[bytes, KeyPair] = {}
         for cell in cells:
             grid[cell.label].append(run_scenario(spec, seed, cell.strategies, cell.label, False, world))
     return grid

@@ -16,11 +16,13 @@ import mmap
 import os
 import signal
 from collections.abc import Callable, Iterator
+from hashlib import sha256
 
 HELPER_THRESHOLD = 64  # more items than this fork a helper
 # An item's state byte: free, claimed by the helper, done by the helper, taken by the caller.
 FREE, BUSY, DONE, TAKEN = 0, 1, 2, 3
 _FREE = bytes([FREE])
+TAG_SIZE = 8  # a slot's tag: the first bytes of SHA-256 over its item's index and result
 
 
 @contextlib.contextmanager
@@ -29,14 +31,14 @@ def worked_ahead(count: int, width: int, work: Callable[[int], bytes]) -> Iterat
     helper forked for more than HELPER_THRESHOLD items or in this process, or None
     for an item left to the caller. An item both sides claim at once is done twice.
 
-    The map holds a state byte per item, then a ``width``-byte slot per item.
-    The helper writes a slot before its state byte, and the caller reads the
-    state before the slot, so a slot is read only once it is whole where one
-    process sees the other's stores in the order they were made (x86-64 does;
-    Python exposes no fence for weaker machines). The helper is killed and
-    reaped when the block exits, however it exits; one that cannot start
-    leaves every item here.
+    The map holds a state byte per item, then a slot per item: the ``width``-byte
+    result and its tag (``_tagged``). The helper writes a slot, then sets its
+    state byte DONE. The caller takes a DONE slot only if its tag matches, and
+    does the item itself otherwise, so a result is exact in whatever order one
+    process sees the other's stores. The helper is killed and reaped when the
+    block exits, however it exits; one that cannot start leaves every item here.
     """
+    width += TAG_SIZE
     pid, shared = None, None
     try:
         if count > HELPER_THRESHOLD and hasattr(os, "fork"):
@@ -63,7 +65,7 @@ def _help(shared: mmap.mmap, count: int, width: int, work: Callable[[int], bytes
     while item >= 0:
         shared[item] = BUSY
         slot = count + item * width
-        shared[slot : slot + width] = work(item)
+        shared[slot : slot + width] = _tagged(item, work(item))
         shared[item] = DONE
         item = shared.find(_FREE, item + 1, count)
 
@@ -75,13 +77,19 @@ def _consumed(shared: mmap.mmap, count: int, width: int, work: Callable[[int], b
         result = ahead.pop(item, None)
         while result is None:
             state = shared[item]
-            if state == DONE:
-                slot = count + item * width
-                result = shared[slot : slot + width]
-            elif state == FREE or (later := shared.find(_FREE, item + 1, count)) < 0:
-                shared[item] = TAKEN  # left to the caller: free, or busy in a helper that may be dead
+            slot = shared[count + item * width : count + (item + 1) * width]
+            if state == DONE and slot == _tagged(item, slot[:-TAG_SIZE]):
+                result = slot[:-TAG_SIZE]
+            elif state != BUSY or (later := shared.find(_FREE, item + 1, count)) < 0:
+                # left to the caller: free, done in a slot not yet whole here, or busy in a helper that may be dead
+                shared[item] = TAKEN
                 break
             else:  # busy in the helper: work the next free item instead of waiting
                 shared[later] = TAKEN
                 ahead[later] = work(later)
         yield result
+
+
+def _tagged(item: int, result: bytes) -> bytes:
+    """``result`` and its tag: the first TAG_SIZE bytes of SHA-256 over ``item`` and ``result``."""
+    return result + sha256(item.to_bytes(8, "big") + result).digest()[:TAG_SIZE]

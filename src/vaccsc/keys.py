@@ -19,7 +19,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 ADDRESS_SIZE = 20
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
-SIGNED_SIZE = PUBLIC_KEY_SIZE + SIGNATURE_SIZE + 1  # what ``signed_and_verified`` returns
+SIGNED_SIZE = PUBLIC_KEY_SIZE + SIGNATURE_SIZE + 1  # a job's result: see ``KeyPair.job``
 
 
 def address_from_public_key(public_key: bytes) -> bytes:
@@ -33,25 +33,26 @@ class KeyPair:
 
     The key is derived on first use. A public key derived in another process
     (``ahead.worked_ahead``'s helper) is adopted before that, and checked when
-    this process derives the key itself.
+    this process derives the key itself. A keypair from a ``shared`` map (see
+    ``generate``) remembers each job's result (see ``job``).
     """
 
-    __slots__ = ("_private_bytes", "_private", "_public_key", "_address", "_signatures")
+    __slots__ = ("_private_bytes", "_private", "_public_key", "_address", "_results")
 
-    def __init__(self, private_bytes: bytes, signatures: dict[bytes, bytes] | None = None):
+    def __init__(self, private_bytes: bytes, results: dict[bytes, bytes] | None = None):
         self._private_bytes = private_bytes
         self._private: Ed25519PrivateKey | None = None
         self._public_key: bytes | None = None
         self._address: bytes | None = None
-        self._signatures = signatures
+        self._results = results
 
     @classmethod
     def generate(cls, rng: Random, shared: dict[bytes, KeyPair] | None = None) -> KeyPair:
         """New keypair drawn from a seeded ``random.Random``, so runs reproduce.
 
         ``shared`` maps the private bytes one world has drawn to their keypairs,
-        which memoize their signatures (see ``sign``). The 32 bytes are drawn
-        either way, so the generator's stream does not change.
+        which remember their jobs' results. The 32 bytes are drawn either way, so
+        the generator's stream does not change.
         """
         private_bytes = rng.randbytes(32)
         if shared is None:
@@ -87,63 +88,38 @@ class KeyPair:
         elif public_key != self._public_key:
             raise ValueError("an adopted public key disagrees with the one its private bytes derive")
 
-    def _sign(self, message: bytes) -> bytes:
-        if self._signatures is None:
-            return self._key().sign(message)
-        digest = sha256(message).digest()
-        if digest not in self._signatures:
-            self._signatures[digest] = self._key().sign(message)
-        return self._signatures[digest]
-
     def sign(self, message: bytes, signature: bytes | None = None) -> bytes:
-        """The signature of ``message``. A keypair from a ``shared`` map keeps it under
-        the message's SHA-256 digest and gives it again: Ed25519 signing is deterministic.
-        ``signature``, when given, is the one ``signed_and_verified`` made of ``message``
-        with this key ahead of the call, and is the answer, as a memo's would be."""
-        if signature is None:
-            return self._sign(message)
-        if self._signatures is not None:
-            self._signatures[sha256(message).digest()] = signature
-        return signature
+        """The signature of ``message``. ``signature``, when given, is the one ``job``
+        made of ``message`` with this key, and is the answer."""
+        return self._key().sign(message) if signature is None else signature
+
+    def job(self, message: bytes, result: bytes | None = None) -> bytes:
+        """One Ed25519 job of a run: this key's public key, its signature of ``message``
+        and a verdict byte (1 valid, 0 not) from ``verified``, SIGNED_SIZE bytes in all.
+
+        ``result``, when given, is the job as another process did it: its public key
+        is adopted, and it is the answer. A keypair from a ``shared`` map remembers
+        each result under the message's SHA-256 and gives it again with no Ed25519
+        work: Ed25519 signing is deterministic.
+        """
+        digest = None if self._results is None else sha256(message).digest()
+        if result is not None:
+            self.adopt(result[:PUBLIC_KEY_SIZE])
+        elif digest is not None and digest in self._results:
+            return self._results[digest]
+        else:
+            signature = self._key().sign(message)
+            result = self.public_key + signature + bytes([verified(self.public_key, message, signature)])
+        if digest is not None:
+            self._results[digest] = result
+        return result
 
 
-def verdict_key(public_key: bytes, message: bytes, signature: bytes) -> tuple[bytes, bytes, bytes]:
-    """A verdict's memo key, in three parts kept apart so that no other key and signature can share it."""
-    return public_key, signature, sha256(message).digest()
-
-
-def verified(public_key: bytes, message: bytes, signature: bytes, verdicts: dict | None = None) -> bool:
+def verified(public_key: bytes, message: bytes, signature: bytes) -> bool:
     """True iff ``signature`` over ``message`` verifies under the raw ``public_key``;
-    False too for bytes that do not parse as a public key. ``verdicts``, when given, is
-    a memo of verdicts under ``verdict_key``: a grid world's."""
-    if verdicts is not None:
-        key = verdict_key(public_key, message, signature)
-        if key not in verdicts:
-            verdicts[key] = verified(public_key, message, signature)
-        return verdicts[key]
+    False too for bytes that do not parse as a public key."""
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
     except (ValueError, InvalidSignature):
         return False
-
-
-def verify_signature(
-    public_key: bytes, message: bytes, signature: bytes, verdicts: dict | None = None, verdict: bool | None = None
-) -> bool:
-    """A ledger's one signature check of a record: ``verified``, or ``verdict`` when the
-    caller hands one over, the outcome of ``verified`` on these bytes made ahead by
-    ``ahead.worked_ahead``; ``verdicts`` then keeps it for the world's later cells."""
-    if verdict is None:
-        return verified(public_key, message, signature, verdicts)
-    if verdicts is not None:
-        verdicts[verdict_key(public_key, message, signature)] = verdict
-    return verdict
-
-
-def signed_and_verified(keypair: KeyPair, message: bytes, verdicts: dict | None = None) -> bytes:
-    """One Ed25519 job of a run: ``keypair``'s public key, its signature of ``message``
-    and a verdict byte (1 valid, 0 not) from ``verified``, SIGNED_SIZE bytes in all."""
-    signature = keypair._sign(message)
-    public_key = keypair.public_key
-    return public_key + signature + bytes([verified(public_key, message, signature, verdicts)])

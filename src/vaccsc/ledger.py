@@ -18,9 +18,7 @@ from hashlib import sha256
 
 from .ahead import worked_ahead
 from .contract import ContractError, VaccineTrial, canonical_json
-from .keys import (
-    ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, KeyPair, address_from_public_key, verified, verify_signature,
-)
+from .keys import ADDRESS_SIZE, PUBLIC_KEY_SIZE, SIGNATURE_SIZE, address_from_public_key, verified
 
 ACCEPTED = "accepted"
 REJECTED = "rejected"
@@ -137,19 +135,13 @@ def unsigned(trial_id: bytes, method: str, params: dict, sequence_number: int) -
     return payload, signing_bytes(trial_id, method, sequence_number, payload)
 
 
-def make_transaction(
-    keypair: KeyPair, trial_id: bytes, method: str, params: dict, sequence_number: int
-) -> SignedTransaction:
-    """The signed call; a size or range a log record cannot hold raises ValueError before signing."""
-    payload, message = unsigned(trial_id, method, params, sequence_number)
-    return SignedTransaction(
-        sender=keypair.address,
-        public_key=keypair.public_key,
-        method=method,
-        payload=payload,
-        sequence_number=sequence_number,
-        signature=keypair.sign(message),
-    )
+def verify_signature(tx: SignedTransaction, trial_id: bytes, verdict: bool | None = None) -> bool:
+    """A ledger's one signature check of a record: ``verified`` over the bytes ``tx``'s
+    sender signs in trial ``trial_id``, or ``verdict`` when the caller hands one over,
+    the outcome of that check made ahead (see ``KeyPair.job`` and ``Ledger.submit_all``)."""
+    if verdict is not None:
+        return verdict
+    return verified(tx.public_key, signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload), tx.signature)
 
 
 @dataclass(frozen=True)
@@ -207,12 +199,11 @@ class Ledger:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, tx: SignedTransaction, verdicts: dict | None = None, verdict: bool | None = None) -> Receipt:
-        """Journal ``tx`` with its outcome; ``verdicts`` is the memo its one signature
-        check goes through, or None for no memo, and ``verdict`` the outcome of that
+    def submit(self, tx: SignedTransaction, verdict: bool | None = None) -> Receipt:
+        """Journal ``tx`` with its outcome; ``verdict`` is the outcome of its one signature
         check made ahead, or None to make it here (see ``verify_signature``)."""
         position = len(self.journal)
-        code, detail = self._authenticate(tx, verdicts, verdict)
+        code, detail = self._authenticate(tx, verdict)
         if code is None:
             code, detail, events = self._execute(tx, position)
         else:
@@ -221,13 +212,10 @@ class Ledger:
         self.journal.append(JournalEntry(status=status, code=code, tx=tx))
         return Receipt(status=status, code=code, detail=detail, position=position, events=events)
 
-    def _authenticate(
-        self, tx: SignedTransaction, verdicts: dict | None, verdict: bool | None
-    ) -> tuple[str | None, str]:
+    def _authenticate(self, tx: SignedTransaction, verdict: bool | None) -> tuple[str | None, str]:
         if address_from_public_key(tx.public_key) != tx.sender:
             return "BadSignature", "sender address does not match the signing key"
-        message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-        if not verify_signature(tx.public_key, message, tx.signature, verdicts, verdict):
+        if not verify_signature(tx, self.trial_id, verdict):
             return "BadSignature", "signature does not verify"
         expected = self.sequences.get(tx.sender, 0)
         if tx.sequence_number != expected:
@@ -272,24 +260,24 @@ class Ledger:
         events_hash.update(b"]")
         return events_hash.digest()
 
-    def submit_all(self, txs: Sequence[SignedTransaction], verdicts: dict | None = None) -> None:
-        """Submit ``txs`` in order, each as ``submit`` would with ``verdicts``; the outcomes
-        are read from ``journal``, and no receipt is kept.
+    def submit_all(self, txs: Sequence[SignedTransaction]) -> None:
+        """Submit ``txs`` in order; the outcomes are read from ``journal``, and no
+        receipt is kept.
 
         Signatures are verified ahead by ``worked_ahead``'s helper, or by this
-        process when it finds the helper busy, through that process's copy of
-        ``verdicts``. Each ``submit`` takes the verdict made ahead for its one
-        signature check, or makes the check itself for a transaction left to it.
+        process when it finds the helper busy. Each ``submit`` takes the verdict
+        made ahead for its one signature check, or makes the check itself for a
+        transaction left to it.
         """
 
         def job(position: int) -> bytes:
             tx = txs[position]
             message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-            return bytes([verified(tx.public_key, message, tx.signature, verdicts)])
+            return bytes([verified(tx.public_key, message, tx.signature)])
 
         with worked_ahead(len(txs), 1, job) as results:
             for tx, result in zip(txs, results):
-                self.submit(tx, verdicts, None if result is None else result == b"\1")
+                self.submit(tx, None if result is None else result == b"\1")
 
     # -- replay ------------------------------------------------------------
 

@@ -1,5 +1,6 @@
-"""Shared fixtures: conformance vectors, a hand-driven trial world, and
-the acceptance-line reporter that reprints criterion results after the run.
+"""Shared fixtures and helpers: conformance vectors, signed transactions, a
+count of the Ed25519 work done, a hand-driven trial world, and the
+acceptance-line reporter that reprints criterion results after the run.
 """
 
 from __future__ import annotations
@@ -10,13 +11,62 @@ from importlib import resources
 from random import Random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
 
+from vaccsc import keys
 from vaccsc.actors import Behavior, DiseaseModel, Role, ScenarioSpec, Strategy, run_scenario
 from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.coinflip import RandomContribution, commit_contribution, select_index
 from vaccsc.contract import TrialConfig, make_genesis
 from vaccsc.keys import KeyPair
-from vaccsc.ledger import Event, Ledger, Receipt, make_transaction
+from vaccsc.ledger import Event, Ledger, Receipt, SignedTransaction, unsigned
+
+
+def make_transaction(
+    keypair: KeyPair, trial_id: bytes, method: str, params: dict, sequence_number: int
+) -> SignedTransaction:
+    """The signed call; a size or range a log record cannot hold raises ValueError before signing."""
+    payload, message = unsigned(trial_id, method, params, sequence_number)
+    return SignedTransaction(
+        keypair.address, keypair.public_key, method, payload, sequence_number, keypair.sign(message)
+    )
+
+
+def count_ed25519_work(monkeypatch) -> dict[str, list]:
+    """Stand-ins for the ``cryptography`` key classes that ``vaccsc.keys`` uses,
+    recording each private key derived, each message signed and each verify."""
+    work = {"derived": [], "signed": [], "verified": []}
+
+    class Private:
+        @staticmethod
+        def from_private_bytes(data):
+            work["derived"].append(data)
+            real = Ed25519PrivateKey.from_private_bytes(data)
+
+            class Key:
+                public_key = real.public_key
+
+                def sign(self, message):
+                    work["signed"].append((data, message))
+                    return real.sign(message)
+
+            return Key()
+
+    class Public:
+        @staticmethod
+        def from_public_bytes(data):
+            real = Ed25519PublicKey.from_public_bytes(data)
+
+            class Key:
+                def verify(self, signature, message):
+                    work["verified"].append((data, signature, message))
+                    real.verify(signature, message)
+
+            return Key()
+
+    monkeypatch.setattr(keys, "Ed25519PrivateKey", Private)
+    monkeypatch.setattr(keys, "Ed25519PublicKey", Public)
+    return work
 
 
 class World:

@@ -8,7 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey, Ed25519PublicKey
+from conftest import count_ed25519_work
 
 from vaccsc.actors import (
     Behavior,
@@ -23,7 +23,7 @@ from vaccsc.actors import (
     run_scenario,
     scenario_from_dict,
 )
-from vaccsc import actors, keys, ledger
+from vaccsc import actors, ledger
 from vaccsc.commitment import ShotContent
 from vaccsc.contract import efficiency_percent
 from vaccsc.keys import KeyPair
@@ -552,43 +552,6 @@ def test_grid_cells_sharing_a_world_equal_the_cells_run_alone(tmp_path):
             write_ledger_log(shared_log, report.ledger)
             write_ledger_log(alone_log, alone.ledger)
             assert shared_log.read_bytes() == alone_log.read_bytes(), (cell.label, report.seed)
-
-
-def count_ed25519_work(monkeypatch) -> dict[str, list]:
-    """Stand-ins for the ``cryptography`` key classes that ``vaccsc.keys`` uses,
-    recording each private key derived, each message signed and each verify."""
-    work = {"derived": [], "signed": [], "verified": []}
-
-    class Private:
-        @staticmethod
-        def from_private_bytes(data):
-            work["derived"].append(data)
-            real = Ed25519PrivateKey.from_private_bytes(data)
-
-            class Key:
-                public_key = real.public_key
-
-                def sign(self, message):
-                    work["signed"].append((data, message))
-                    return real.sign(message)
-
-            return Key()
-
-    class Public:
-        @staticmethod
-        def from_public_bytes(data):
-            real = Ed25519PublicKey.from_public_bytes(data)
-
-            class Key:
-                def verify(self, signature, message):
-                    work["verified"].append((data, signature, message))
-                    real.verify(signature, message)
-
-            return Key()
-
-    monkeypatch.setattr(keys, "Ed25519PrivateKey", Private)
-    monkeypatch.setattr(keys, "Ed25519PublicKey", Public)
-    return work
 
 
 def signed_triples(ledgers) -> set[tuple[bytes, bytes, bytes]]:

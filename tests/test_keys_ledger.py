@@ -12,14 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import count_ed25519_work, make_transaction
 from vaccsc import keys
 from vaccsc.actors import Behavior, Role, Strategy, load_scenario, run_scenario
 from vaccsc.contract import CONTRACT_ID, TrialConfig, make_genesis
 from vaccsc.keys import (
     ADDRESS_SIZE,
+    SIGNED_SIZE,
     KeyPair,
     address_from_public_key,
-    verify_signature,
+    verified,
 )
 from vaccsc.ledger import (
     ACCEPTED,
@@ -28,7 +30,6 @@ from vaccsc.ledger import (
     Ledger,
     SignedTransaction,
     canonical_json,
-    make_transaction,
     signing_bytes,
     too_deep,
 )
@@ -49,7 +50,7 @@ def test_signature_golden_vector(vectors):
         message = bytes.fromhex(vec["message"])
         signature = bytes.fromhex(vec["signature"])
         assert kp.sign(message) == signature  # Ed25519 is deterministic
-        assert verify_signature(kp.public_key, message, signature)
+        assert verified(kp.public_key, message, signature)
 
 
 def test_sign_verify_roundtrip_and_cross_key():
@@ -57,12 +58,12 @@ def test_sign_verify_roundtrip_and_cross_key():
     b = KeyPair.generate(Random(2))
     message = b"attest"
     sig = a.sign(message)
-    assert verify_signature(a.public_key, message, sig)
-    assert not verify_signature(b.public_key, message, sig)
-    assert not verify_signature(a.public_key, b"attest!", sig)
-    assert not verify_signature(a.public_key, message, sig[:-1] + bytes([sig[-1] ^ 1]))
+    assert verified(a.public_key, message, sig)
+    assert not verified(b.public_key, message, sig)
+    assert not verified(a.public_key, b"attest!", sig)
+    assert not verified(a.public_key, message, sig[:-1] + bytes([sig[-1] ^ 1]))
     # bytes that do not parse as a public key verify nothing
-    assert not verify_signature(a.public_key[:-1], message, sig)
+    assert not verified(a.public_key[:-1], message, sig)
 
 
 def test_keypair_generate():
@@ -221,16 +222,10 @@ def test_reports_of_another_trial_do_not_count():
     assert ledger.query("infected_count") == 0
 
 
-def test_a_shared_verdict_accepts_only_the_transaction_it_was_made_for(world_cls):
-    """Ledger A's verdict on a transaction, shared with ledger B on the same
-    genesis, does not let a copy of it with one part changed through B."""
+def test_a_copy_of_a_transaction_with_one_part_changed_is_bad_signature(world_cls):
     w = world_cls()
-    verdicts: dict = {}
-    a, b = Ledger(w.genesis), Ledger(w.genesis)
     params = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
-    tx = make_transaction(w.developer, a.trial_id, "assign_shot_to_clinic", params, 0)
-    assert a.submit(tx, verdicts).accepted
-    assert list(verdicts.values()) == [True]
+    tx = make_transaction(w.developer, w.ledger.trial_id, "assign_shot_to_clinic", params, 0)
     flipped = bytearray(tx.signature)
     flipped[5] ^= 0x10
     other_shot = canonical_json({**params, "shots": [w.shot_list()[1].hex()]})
@@ -241,15 +236,55 @@ def test_a_shared_verdict_accepts_only_the_transaction_it_was_made_for(world_cls
         dataclasses.replace(tx, public_key=swapped.public_key, sender=swapped.address),
     )
     for copy in copies:
-        assert b.submit(copy, verdicts).code == "BadSignature"
-    assert b.submit(tx, verdicts).accepted
-    assert sorted(verdicts.values()) == [False, False, False, True]
+        assert w.ledger.submit(copy).code == "BadSignature"
+    assert w.ledger.submit(tx).accepted
 
-    message = signing_bytes(a.trial_id, tx.method, tx.sequence_number, tx.payload)
-    joined = tx.public_key + tx.signature
-    for split in (31, 33):  # the same bytes, cut elsewhere between key and signature
-        assert not verify_signature(joined[:split], message, joined[split:], verdicts)
-    assert verify_signature(tx.public_key, message, tx.signature, verdicts)
+
+def work_done(work: dict[str, list]) -> dict[str, int]:
+    return {kind: len(done) for kind, done in work.items()}
+
+
+def test_a_shared_keypair_answers_a_repeated_job_with_no_ed25519_work(monkeypatch):
+    work = count_ed25519_work(monkeypatch)
+    shared: dict = {}
+    keypair = KeyPair.generate(Random(1), shared)
+    first = keypair.job(b"message")
+    assert len(first) == SIGNED_SIZE and first[-1] == 1
+    assert work_done(work) == {"derived": 1, "signed": 1, "verified": 1}
+    assert KeyPair.generate(Random(1), shared) is keypair
+    assert keypair.job(b"message") == first
+    assert work_done(work) == {"derived": 1, "signed": 1, "verified": 1}
+    assert first[:32] == keypair.public_key and verified(keypair.public_key, b"message", first[32:-1])
+
+
+def test_a_new_message_or_another_keypair_does_ed25519_work(monkeypatch):
+    work = count_ed25519_work(monkeypatch)
+    shared: dict = {}
+    keypair = KeyPair.generate(Random(1), shared)
+    keypair.job(b"message")
+    keypair.job(b"another message")
+    assert work_done(work) == {"derived": 1, "signed": 2, "verified": 2}
+    KeyPair.generate(Random(2), shared).job(b"message")
+    assert work_done(work) == {"derived": 2, "signed": 3, "verified": 3}
+    alone = KeyPair.generate(Random(1))  # the same private bytes, in no shared map: nothing is remembered
+    assert alone.job(b"message") == alone.job(b"message") == keypair.job(b"message")
+    assert work_done(work) == {"derived": 3, "signed": 5, "verified": 5}
+
+
+def test_a_taken_result_is_remembered_unless_its_public_key_disagrees(monkeypatch):
+    shared: dict = {}
+    keypair = KeyPair.generate(Random(1), shared)
+    made_elsewhere = KeyPair.generate(Random(1)).job(b"message")
+    foreign = KeyPair.generate(Random(2)).job(b"another message")
+    work = count_ed25519_work(monkeypatch)
+    assert keypair.job(b"message", made_elsewhere) == made_elsewhere  # its public key is adopted
+    assert keypair.job(b"message") == made_elsewhere
+    assert work_done(work) == {"derived": 0, "signed": 0, "verified": 0}
+    with pytest.raises(ValueError, match="adopted public key disagrees"):
+        keypair.job(b"another message", foreign)
+    own = keypair.job(b"another message")
+    assert own != foreign and own[:32] == keypair.public_key
+    assert work_done(work) == {"derived": 1, "signed": 1, "verified": 1}
 
 
 def test_sender_must_match_signer(world_cls):

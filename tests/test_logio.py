@@ -16,10 +16,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from vaccsc import ahead, cli, keys, ledger
-from vaccsc.ahead import BUSY, HELPER_THRESHOLD, TAKEN
+from vaccsc.ahead import BUSY, DONE, HELPER_THRESHOLD, TAKEN
 from vaccsc.actors import Behavior, GridCell, Role, Strategy, load_scenario, run_grid, run_scenario
 from vaccsc.contract import canonical_json, json_value
-from vaccsc.keys import verdict_key
 from vaccsc.ledger import (
     ACCEPTED,
     REJECTED,
@@ -673,7 +672,36 @@ def killed_while_busy(shared, count, width, work):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# Ways a helper can fail the caller, each set on a MonkeyPatch.
+class Reordered:
+    """A helper's view of the map that stores each slot around the DONE that publishes
+    it, with a pause after DONE, as a weakly ordered CPU may let the caller see them:
+    the whole slot after DONE, or (``torn``) half of it before and half after."""
+
+    def __init__(self, shared, torn: bool):
+        self.shared, self.torn, self.pending = shared, torn, None
+
+    def find(self, *args):
+        return self.shared.find(*args)
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            half = len(value) // 2 if self.torn else 0
+            self.shared[key.start : key.start + half] = value[:half]
+            self.pending = slice(key.start + half, key.stop), value[half:]
+            return
+        self.shared[key] = value
+        if value == DONE:
+            time.sleep(0.0005)
+            where, rest = self.pending
+            self.shared[where] = rest
+
+
+def reordered(real_help, torn: bool):
+    """``real_help`` working on a ``Reordered`` view of the map."""
+    return lambda shared, *args: real_help(Reordered(shared, torn), *args)
+
+
+# Ways a helper can fail the caller, or be seen by it out of order, each set on a MonkeyPatch.
 BROKEN_HELPERS = {
     "exits at once": lambda patched: patched.setattr(ahead, "_help", exits_at_once),
     "claims nothing": lambda patched: patched.setattr(ahead, "_help", claims_nothing),
@@ -681,6 +709,8 @@ BROKEN_HELPERS = {
     "no fork": lambda patched: patched.delattr(os, "fork"),
     "cannot start": lambda patched: patched.setattr(os, "fork", cannot_fork),
     "no map": lambda patched: patched.setattr(mmap, "mmap", too_many_open_files),
+    "DONE before its slot": lambda patched: patched.setattr(ahead, "_help", reordered(ahead._help, torn=False)),
+    "torn slot before DONE": lambda patched: patched.setattr(ahead, "_help", reordered(ahead._help, torn=True)),
 }
 
 
@@ -777,25 +807,6 @@ def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_t
     assert_no_child_left()
 
 
-def test_a_helper_takes_the_verdict_its_copy_of_the_world_memo_holds(small_trial, monkeypatch):
-    """A verdict already in the memo is what the helper writes, with no Ed25519
-    verify: a False planted for a valid signature comes back BadSignature."""
-    genesis, records, _, _ = small_trial
-    fresh = Ledger(genesis)
-    tx = records[-1].tx
-    message = signing_bytes(fresh.trial_id, tx.method, tx.sequence_number, tx.payload)
-    key = verdict_key(tx.public_key, message, tx.signature)
-    world = {key: False}
-    verified = count_verifies(monkeypatch)
-    helper_meets_the_replay_at(monkeypatch, 0)  # the helper has the whole map first
-    fresh.submit_all([entry.tx for entry in records], world)
-    assert verified == []  # every verify ran in the helper's process, and the planted one not at all
-    outcomes = [(entry.status, entry.code) for entry in fresh.journal]
-    assert outcomes == [(entry.status, entry.code) for entry in records[:-1]] + [(REJECTED, "BadSignature")]
-    assert world[key] is False
-    assert_no_child_left()
-
-
 def two_cell_grid():
     cells = (GridCell("honest", ()), GridCell("collude", (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),)))
     return dataclasses.replace(load_scenario("honest_small"), seeds=(2,), grid=cells)
@@ -841,4 +852,20 @@ def test_no_helper_outlives_a_binding_phase_that_raises(monkeypatch):
     monkeypatch.setattr(Ledger, "submit", failing)
     with pytest.raises(RuntimeError, match="submit failed"):
         run_scenario(load_scenario("honest_small"), 2)
+    assert_no_child_left()
+
+
+def test_a_run_and_its_audit_build_each_record_s_signing_bytes_once_here(tmp_path, monkeypatch):
+    """A ``submit`` handed a verdict builds no signing bytes. Counted in this process,
+    with a helper that leaves the caller working ahead of a busy item: a run builds
+    each record's once, to sign it, and so does its audit."""
+    built, real = [], ledger.signing_bytes
+    monkeypatch.setattr(ledger, "signing_bytes", lambda *args: built.append(args) or real(*args))
+    monkeypatch.setattr(ahead, "_help", killed_while_busy)
+    ran = run_scenario(load_scenario("honest_small"), 2, keep_table=False).ledger
+    assert len(built) == len(ran.journal)
+    write_ledger_log(tmp_path / "run.vscl", ran)
+    built.clear()
+    report, replayed = audit_log(read_log(tmp_path / "run.vscl"))
+    assert report.ok and len(built) == len(replayed.journal)
     assert_no_child_left()
