@@ -348,23 +348,28 @@ class _Runner:
         order, for ``submit``: the one way from a call of the run to the ledger.
 
         Each call is one Ed25519 job (``KeyPair.job``: derive the key if need be,
-        sign, verify), done ahead by ``worked_ahead``'s helper for a batch of more
-        than HELPER_THRESHOLD calls, or here. Its result answers the call's one
-        ``KeyPair.sign``, and its verdict the one signature check ``submit`` makes.
+        sign, verify). Its result answers the call's one ``KeyPair.sign``, and its
+        verdict the one signature check ``submit`` makes. The jobs a grid world's
+        keypairs remember are looked up here, once, before any helper starts; only
+        the new ones go to ``worked_ahead``, whose helper does them ahead for a
+        batch of more than HELPER_THRESHOLD new jobs, or else this process does.
         """
+        remembered = [keypair.remembered(message) for keypair, _, _, _, message in calls]
+        new = [call for call, result in zip(calls, remembered) if result is None]
 
         def job(index: int) -> bytes:
-            keypair, _, _, _, message = calls[index]
+            keypair, _, _, _, message = new[index]
             return keypair.job(message)
 
         def signed(results) -> Iterator[tuple[SignedTransaction, bool]]:
-            for (keypair, method, sequence, payload, message), result in zip(calls, results):
-                result = keypair.job(message, result)
+            for (keypair, method, sequence, payload, message), result in zip(calls, remembered):
+                if result is None:
+                    result = keypair.job(message, next(results))
                 signature = keypair.sign(message, result[PUBLIC_KEY_SIZE:-1])
                 tx = SignedTransaction(keypair.address, keypair.public_key, method, payload, sequence, signature)
                 yield tx, result[-1] == 1
 
-        with worked_ahead(len(calls), SIGNED_SIZE, job) as results:
+        with worked_ahead(len(new), SIGNED_SIZE, job) as results:
             yield signed(results)
 
     def _bind_all(self) -> None:
@@ -667,8 +672,8 @@ def run_grid(spec: ScenarioSpec) -> dict[str, list[TrialReport]]:
     gets a fresh map of its keypairs, which its cells share and which is
     dropped once those cells are run. Each keypair remembers the result of each
     Ed25519 job (public key, signature and verdict) it has done or taken from a
-    cell's helper, so a later cell's job, in its own process or a helper's copy
-    of the world, finds it there. A world's keys are derived on first use, as a
+    cell's helper, so a later cell finds the job there, in its own process,
+    before any helper starts. A world's keys are derived on first use, as a
     lone run's are. Every call is still made, and each still has its signature
     checked once, by the verdict of an Ed25519 verify that this seed's cells
     made; only the repeated Ed25519 work is skipped.

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, is_dataclass
 from enum import Enum
+from functools import partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 from . import coinflip  # commit_contribution is called through it, where bench/layers.py counts it
 from .coinflip import U64_MAX, RandomContribution, select_index
@@ -47,13 +49,20 @@ def _json_default(obj):
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
-# One encoder for every call: json.dumps with arguments builds a new one each time.
-_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default)
+# One encoder for every call, built once. JSONEncoder.encode builds the C one
+# again on every call; it is built here with its markers None, which drops only
+# the check for circular references. No input here can need it: a payload or a
+# genesis is parsed JSON, acyclic and at most ledger.MAX_JSON_DEPTH deep, and
+# the program's own values are acyclic rows.
+if c_make_encoder is None:  # no C accelerator: the pure-Python encoder
+    _ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=_json_default).iterencode
+else:
+    _ENCODE = c_make_encoder(None, _json_default, encode_basestring_ascii, None, ":", ",", True, False, True)
 
 
 def canonical_json(obj) -> bytes:
     """Deterministic JSON bytes: sorted keys, no whitespace, UTF-8."""
-    return _CANONICAL.encode(obj).encode()
+    return "".join(_ENCODE(obj, 0)).encode()  # 0: the C encoder's indent level, or iterencode's _one_shot
 
 
 def json_value(obj):
@@ -132,6 +141,15 @@ class ShotRecord:
     got_sick: bool = False
     vaccine_type: VaccineType = VaccineType.UNKNOWN
 
+    def row(self) -> dict:
+        """The fields as plain JSON values, for ``canonical_state``."""
+        return {
+            "clinic": self.clinic and self.clinic.hex(),
+            "patient": self.patient and self.patient.hex(),
+            "got_sick": self.got_sick,
+            "vaccine_type": self.vaccine_type.value,
+        }
+
 
 @dataclass(frozen=True)
 class TrialOutcome:
@@ -185,6 +203,20 @@ class BindingSession:
     patient_reveal: RandomContribution | None = None
     aborted: bool = False
 
+    def row(self) -> dict:
+        """The fields as plain JSON values, for ``canonical_state``."""
+        reveal = self.patient_reveal
+        reveal = reveal and {"value": reveal.value, "nonce": reveal.nonce.hex()}
+        return {
+            "clinic": self.clinic.hex(),
+            "patient": self.patient.hex(),
+            "deadline": self.deadline,
+            "clinic_value": self.clinic_value,
+            "patient_commit": self.patient_commit.hex(),
+            "patient_reveal": reveal,
+            "aborted": self.aborted,
+        }
+
 
 class VaccineTrial:
     """Contract instance. All mutation goes through ``dispatch``."""
@@ -221,7 +253,7 @@ class VaccineTrial:
         contract = genesis.get("contract")
         if contract != CONTRACT_ID:
             raise ValueError(f"unsupported contract id {contract!r}")
-        doc = _decode(genesis, _GENESIS_SCHEMA, "genesis")
+        doc = _GENESIS(genesis)
         config = TrialConfig(**doc["params"]["config"])
         if doc["deployer"] != config.developer:
             raise ValueError("genesis deployer does not match the configured developer")
@@ -237,11 +269,11 @@ class VaccineTrial:
         Handlers validate everything else before touching state, so a raised
         ContractError always leaves the contract exactly as it was.
         """
-        schema = _METHOD_SCHEMA.get(method)
-        if schema is None:
+        decode = _METHODS.get(method)
+        if decode is None:
             raise ContractError("UnknownMethod", f"no such method {method!r}")
         try:
-            args = _decode(params, schema, "params")
+            args = decode(params)
         except ValueError as exc:
             raise ContractError("MalformedParams", str(exc)) from None
         return getattr(self, f"_{method}")(sender, args, tick)
@@ -428,8 +460,9 @@ class VaccineTrial:
 
         The bytes are the canonical JSON of the object with the keys below
         and ``sessions`` (the list) and ``shots`` (the rows keyed by
-        commitment hex). Those two grow with the trial, so they are encoded
-        ``_STATE_SLICE`` entries at a time and only the slices are joined.
+        commitment hex), each row its dataclass's fields by name. Those two
+        grow with the trial, so their rows are built as plain values (``row``)
+        ``_STATE_SLICE`` entries at a time, encoded, and only the slices are joined.
         """
         head = canonical_json(
             {
@@ -446,15 +479,12 @@ class VaccineTrial:
             [
                 head[:-1],
                 b',"sessions":[',
-                *_sliced(self.sessions, canonical_json),
+                *_sliced(self.sessions, lambda part: canonical_json([session.row() for session in part])),
                 b'],"shots":{',
-                *_sliced(sorted(self.shots), self._encode_shots),
+                *_sliced(sorted(self.shots), lambda part: canonical_json({c.hex(): self.shots[c].row() for c in part})),
                 b"}}",
             ]
         )
-
-    def _encode_shots(self, shots: list[bytes]) -> bytes:
-        return canonical_json({shot.hex(): self.shots[shot] for shot in shots})
 
 
 def _sliced(entries: list, encode) -> list[bytes]:
@@ -519,10 +549,10 @@ def _u64(value, path: str) -> int:
     return value
 
 
-# Exact JSON shapes, decoded by ``_decode``: an object has exactly its keys;
-# ``[item]`` is a list and ``[item, ...]`` a non-empty list of items, each
-# decoded to a tuple; a JSON type matches only itself, so a bool is never an
-# int and an int never a float; any other leaf decodes the value or raises
+# Exact JSON shapes, decoded by ``_compiled`` decoders: an object has exactly
+# its keys; ``[item]`` is a list and ``[item, ...]`` a non-empty list of items,
+# each decoded to a tuple; a JSON type matches only itself, so a bool is never
+# an int and an int never a float; any other leaf decodes the value or raises
 # ValueError. No genesis or payload leaf is a float, so their canonical bytes
 # do not depend on how a language spells floats.
 _GENESIS_SCHEMA = {
@@ -555,22 +585,46 @@ _METHOD_SCHEMA = {
 }
 
 
-def _decode(value, schema, path: str):
-    """``value`` decoded against ``schema``; raises ValueError naming the first bad field."""
+def _compiled(schema, path: str):
+    """A decoder of one value against ``schema``, its paths fixed here: it returns
+    the decoded value or raises ValueError naming the first bad field."""
     if isinstance(schema, dict):
-        if type(value) is not dict:
-            raise ValueError(f"{path} must be an object")
-        if value.keys() != schema.keys():
-            key = min(schema.keys() ^ value.keys())
-            raise ValueError(f"{path}.{key} is {'missing' if key in schema else 'unexpected'}")
-        return {key: _decode(value[key], item, f"{path}.{key}") for key, item in schema.items()}
-    if isinstance(schema, list):
-        if type(value) is not list or (len(schema) > 1 and not value):
-            raise ValueError(f"{path} must be a {'non-empty ' if len(schema) > 1 else ''}list")
-        return tuple([_decode(item, schema[0], f"{path}[]") for item in value])
-    if isinstance(schema, type):
-        if type(value) is not schema:
-            raise ValueError(f"{path} must be a JSON {schema.__name__}")
-        return value
-    return schema(value, path)
+        keys, items = schema.keys(), [(key, _compiled(item, f"{path}.{key}")) for key, item in schema.items()]
 
+        def decode_object(value):
+            if type(value) is not dict:
+                raise ValueError(f"{path} must be an object")
+            if value.keys() != keys:
+                key = min(keys ^ value.keys())
+                raise ValueError(f"{path}.{key} is {'missing' if key in keys else 'unexpected'}")
+            return {key: item(value[key]) for key, item in items}
+
+        return decode_object
+    if isinstance(schema, list):
+        item, non_empty = _compiled(schema[0], f"{path}[]"), len(schema) > 1
+
+        def decode_list(value):
+            if type(value) is not list or (non_empty and not value):
+                raise ValueError(f"{path} must be a {'non-empty ' if non_empty else ''}list")
+            return tuple([item(entry) for entry in value])
+
+        return decode_list
+    if isinstance(schema, type):
+
+        def decode_type(value):
+            if type(value) is not schema:
+                raise ValueError(f"{path} must be a JSON {schema.__name__}")
+            return value
+
+        return decode_type
+    return partial(schema, path=path)
+
+
+_GENESIS = _compiled(_GENESIS_SCHEMA, "genesis")
+_METHODS = {method: _compiled(schema, "params") for method, schema in _METHOD_SCHEMA.items()}
+
+
+def _decode(value, schema, path: str):
+    """``value`` decoded against ``schema`` at ``path``, for a schema built at run time, such
+    as a scenario's; the genesis and method params take the decoders compiled once above."""
+    return _compiled(schema, path)(value)

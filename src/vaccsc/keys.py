@@ -34,7 +34,7 @@ class KeyPair:
     The key is derived on first use. A public key derived in another process
     (``ahead.worked_ahead``'s helper) is adopted before that, and checked when
     this process derives the key itself. A keypair from a ``shared`` map (see
-    ``generate``) remembers each job's result (see ``job``).
+    ``generate``) remembers each job's result (see ``remembered``).
     """
 
     __slots__ = ("_private_bytes", "_private", "_public_key", "_address", "_results")
@@ -99,20 +99,22 @@ class KeyPair:
 
         ``result``, when given, is the job as another process did it: its public key
         is adopted, and it is the answer. A keypair from a ``shared`` map remembers
-        each result under the message's SHA-256 and gives it again with no Ed25519
-        work: Ed25519 signing is deterministic.
+        each result (see ``remembered``).
         """
-        digest = None if self._results is None else sha256(message).digest()
-        if result is not None:
-            self.adopt(result[:PUBLIC_KEY_SIZE])
-        elif digest is not None and digest in self._results:
-            return self._results[digest]
-        else:
+        if result is None:
             signature = self._key().sign(message)
             result = self.public_key + signature + bytes([verified(self.public_key, message, signature)])
-        if digest is not None:
-            self._results[digest] = result
+        else:
+            self.adopt(result[:PUBLIC_KEY_SIZE])
+        if self._results is not None:
+            self._results[sha256(message).digest()] = result
         return result
+
+    def remembered(self, message: bytes) -> bytes | None:
+        """The result of a job of ``message`` that this keypair has done or taken, kept
+        under the message's SHA-256 by a keypair from a ``shared`` map, or None. It
+        answers the job again with no Ed25519 work: Ed25519 signing is deterministic."""
+        return None if self._results is None else self._results.get(sha256(message).digest())
 
 
 def verified(public_key: bytes, message: bytes, signature: bytes) -> bool:

@@ -190,9 +190,10 @@ class Ledger:
         # id, the config and every shot commitment; every signature covers it.
         self.trial_id = sha256(canonical_json(genesis)).digest()
         self.journal: list[JournalEntry] = []
-        # The events are not kept: each is hashed into the canonical JSON
-        # list of all events as it is emitted, and the list is closed with
-        # "]" on a copy of the hash when a digest is asked for.
+        # The events are not kept: each transaction's events are hashed, as
+        # one piece, into the canonical JSON list of all events when they are
+        # emitted, and the list is closed with "]" on a copy of the hash when
+        # a digest is asked for.
         self.event_count = 0
         self._events_hash = sha256(b"[")
         self.sequences: dict[bytes, int] = {}
@@ -231,15 +232,20 @@ class Ledger:
         # Sequence numbers advance only on acceptance, so a rejected call
         # can be corrected and resubmitted under the same number.
         self.sequences[tx.sender] = tx.sequence_number + 1
-        events = []
-        for name, payload in emitted:
-            event = Event(index=self.event_count, name=name, payload=payload, cause=position)
-            if self.event_count:
+        first = self.event_count
+        events = tuple(
+            Event(index=index, name=name, payload=payload, cause=position)
+            for index, (name, payload) in enumerate(emitted, first)
+        )
+        if events:
+            # An Event's instance dict is its plain cause/index/name/payload
+            # object, so the encoder needs no callback; the list's brackets are
+            # stripped and its body joins the running list.
+            if first:
                 self._events_hash.update(b",")
-            self._events_hash.update(canonical_json(event))
-            self.event_count += 1
-            events.append(event)
-        return None, "", tuple(events)
+            self._events_hash.update(canonical_json([vars(event) for event in events])[1:-1])
+            self.event_count += len(events)
+        return None, "", events
 
     # -- queries ---------------------------------------------------------
 

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from vaccsc.actors import load_scenario, run_scenario
-from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
+from vaccsc.coinflip import U64_MAX
+from vaccsc.commitment import DIGEST_SIZE, NONCE_SIZE, Opening, ShotContent, commit, generate_nonce
 from vaccsc.contract import (
     _METHOD_SCHEMA,
     CONTRACT_ID,
@@ -25,6 +26,7 @@ from vaccsc.contract import (
     json_value,
     risk_ratio_percent,
 )
+from vaccsc.keys import ADDRESS_SIZE
 from vaccsc.logio import write_ledger_log
 
 
@@ -1013,6 +1015,73 @@ RESPELLINGS = {
 def test_each_respelling_is_malformed(world_cls, kind):
     method, respell = RESPELLINGS[kind]
     assert_malformed_then_honest(world_cls, method, respell)
+
+
+ADDRESS_HEX, DIGEST_HEX, NONCE_HEX = "a1" * ADDRESS_SIZE, "b2" * DIGEST_SIZE, "c3" * NONCE_SIZE
+BINDING = {"patient": ADDRESS_HEX, "clinic_value": 7, "patient_commitment": DIGEST_HEX}
+OPENING = {"commitment": DIGEST_HEX, "nonce": NONCE_HEX, "content": "placebo"}
+
+# One malformed call per kind of decoder error, at a nested path where it can
+# be: (method, params, the MalformedParams detail).
+MALFORMED_DETAILS = {
+    "not an object": ("begin_binding", {"bindings": [BINDING, 7]}, "params.bindings[] must be an object"),
+    "missing key": (
+        "begin_binding",
+        {"bindings": [{"patient": ADDRESS_HEX, "clinic_value": 7}]},
+        "params.bindings[].patient_commitment is missing",
+    ),
+    "unexpected key": (
+        "reveal_controls",
+        {"openings": [{**OPENING, "memo": "x"}]},
+        "params.openings[].memo is unexpected",
+    ),
+    "unexpected top-level key": ("report_sick", {"memo": "x"}, "params.memo is unexpected"),
+    "JSON type": (
+        "patient_reveal",
+        {"session": True, "value": 1, "nonce": NONCE_HEX, "shot": DIGEST_HEX},
+        "params.session must be a JSON int",
+    ),
+    "not a list": ("reveal_controls", {"openings": OPENING}, "params.openings must be a list"),
+    "empty list": (
+        "assign_shot_to_clinic",
+        {"clinic": ADDRESS_HEX, "shots": []},
+        "params.shots must be a non-empty list",
+    ),
+    "empty nested list": ("begin_binding", {"bindings": []}, "params.bindings must be a non-empty list"),
+    "hex leaf": (
+        "assign_shot_to_clinic",
+        {"clinic": ADDRESS_HEX, "shots": [DIGEST_HEX, DIGEST_HEX.upper()]},
+        "params.shots[] must be 32 bytes of lowercase hex without spaces",
+    ),
+    "nested hex leaf": (
+        "reveal_controls",
+        {"openings": [{**OPENING, "nonce": NONCE_HEX[:-2]}]},
+        "params.openings[].nonce must be 32 bytes of lowercase hex without spaces",
+    ),
+    "label leaf": (
+        "reveal_controls",
+        {"openings": [{**OPENING, "content": "PLACEBO"}]},
+        "params.openings[].content must be 'placebo' or 'vaccine'",
+    ),
+    "u64": (
+        "begin_binding",
+        {"bindings": [{**BINDING, "clinic_value": U64_MAX + 1}]},
+        "params.bindings[].clinic_value must be an unsigned 64-bit integer",
+    ),
+    "top-level u64": (
+        "patient_reveal",
+        {"session": 0, "value": -1, "nonce": NONCE_HEX, "shot": DIGEST_HEX},
+        "params.value must be an unsigned 64-bit integer",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED_DETAILS))
+def test_a_malformed_call_names_its_nested_path(world_cls, kind):
+    method, params, detail = MALFORMED_DETAILS[kind]
+    w = world_cls()
+    receipt = w.fail(w.developer, method, params, "MalformedParams")
+    assert receipt.detail == detail
 
 
 def schema_keys(schema) -> set[str]:

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import tracemalloc
+from enum import Enum
 from hashlib import sha256
 from importlib import resources
 from random import Random
@@ -12,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_ed25519_work, make_transaction
+from conftest import World, count_ed25519_work, make_transaction
 from vaccsc import keys
 from vaccsc.actors import Behavior, Role, Strategy, load_scenario, run_scenario
+from vaccsc.commitment import ShotContent
 from vaccsc.contract import CONTRACT_ID, TrialConfig, make_genesis
 from vaccsc.keys import (
     ADDRESS_SIZE,
@@ -252,7 +254,7 @@ def test_a_shared_keypair_answers_a_repeated_job_with_no_ed25519_work(monkeypatc
     assert len(first) == SIGNED_SIZE and first[-1] == 1
     assert work_done(work) == {"derived": 1, "signed": 1, "verified": 1}
     assert KeyPair.generate(Random(1), shared) is keypair
-    assert keypair.job(b"message") == first
+    assert keypair.remembered(b"message") == first
     assert work_done(work) == {"derived": 1, "signed": 1, "verified": 1}
     assert first[:32] == keypair.public_key and verified(keypair.public_key, b"message", first[32:-1])
 
@@ -267,7 +269,8 @@ def test_a_new_message_or_another_keypair_does_ed25519_work(monkeypatch):
     KeyPair.generate(Random(2), shared).job(b"message")
     assert work_done(work) == {"derived": 2, "signed": 3, "verified": 3}
     alone = KeyPair.generate(Random(1))  # the same private bytes, in no shared map: nothing is remembered
-    assert alone.job(b"message") == alone.job(b"message") == keypair.job(b"message")
+    assert alone.job(b"message") == alone.job(b"message") == keypair.remembered(b"message")
+    assert alone.remembered(b"message") is None
     assert work_done(work) == {"derived": 3, "signed": 5, "verified": 5}
 
 
@@ -278,7 +281,7 @@ def test_a_taken_result_is_remembered_unless_its_public_key_disagrees(monkeypatc
     foreign = KeyPair.generate(Random(2)).job(b"another message")
     work = count_ed25519_work(monkeypatch)
     assert keypair.job(b"message", made_elsewhere) == made_elsewhere  # its public key is adopted
-    assert keypair.job(b"message") == made_elsewhere
+    assert keypair.remembered(b"message") == made_elsewhere
     assert work_done(work) == {"derived": 0, "signed": 0, "verified": 0}
     with pytest.raises(ValueError, match="adopted public key disagrees"):
         keypair.job(b"another message", foreign)
@@ -541,19 +544,100 @@ def test_replay_of_empty_journal_is_genesis(world_cls):
 # -- streamed digests ------------------------------------------------------------
 
 
+def generic_value(obj):
+    """The generic encoding of the program's own types, kept here as an oracle:
+    bytes as hex, an Enum as its value, a dataclass as every one of its fields."""
+    if isinstance(obj, bytes):
+        return obj.hex()
+    if isinstance(obj, Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+GENERIC_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=generic_value)
+
+
 def one_shot_state(trial) -> bytes:
-    """The canonical state as one canonical_json call over the whole document."""
-    return canonical_json(
-        {
-            "contract": CONTRACT_ID,
-            "phase": trial.phase,
-            "config": trial.config,
-            "shots": {c.hex(): r for c, r in trial.shots.items()},
-            "sessions": trial.sessions,
-            "infected": trial.infected,
-            "outcome": trial.outcome,
-        }
+    """The canonical state as one generic encoding of the whole document, each
+    session and shot row a dataclass: a field the contract's rows leave out
+    makes it differ."""
+    document = {
+        "contract": CONTRACT_ID,
+        "phase": trial.phase,
+        "config": trial.config,
+        "shots": {c.hex(): r for c, r in trial.shots.items()},
+        "sessions": trial.sessions,
+        "infected": trial.infected,
+        "outcome": trial.outcome,
+    }
+    return GENERIC_JSON.encode(document).encode()
+
+
+def random_call(w: World, rng: Random, sessions: dict) -> tuple[KeyPair, str, dict]:
+    """One call of a random interleaving, mostly one that can be accepted now:
+    ``sessions`` maps each session id this world may have opened to its patient,
+    clinic and flip values."""
+    contract = w.ledger.contract
+
+    def mostly(fitting: list, every: list):
+        return rng.choice(fitting if fitting and rng.random() < 0.9 else every)
+
+    kind = rng.choice(("assign", "begin", "reveal", "abort", "sick", "controls", "junk"))
+    if kind == "assign":
+        unassigned = [shot for shot, record in contract.shots.items() if record.clinic is None]
+        shots = {mostly(unassigned, w.shot_list()) for _ in range(rng.randint(1, 2))}
+        clinic = rng.choice(w.config.clinics)
+        return w.developer, "assign_shot_to_clinic", {"clinic": clinic.hex(), "shots": [s.hex() for s in shots]}
+    indexes = range(len(w.patients))
+    if kind == "begin":
+        taken = contract.patient_shot.keys() | contract.pending_by_patient.keys()
+        patient = mostly([i for i in indexes if w.patients[i].address not in taken], indexes)
+        clinic = rng.randrange(len(w.clinics))
+        r1, c2 = w.contributions()
+        session = len(contract.sessions)  # its id, if this call is accepted
+        sessions[session] = {"patient": patient, "clinic": clinic, "r1": r1, "c2": c2, "id": session}
+        return w.clinics[clinic], "begin_binding", {"bindings": [w.binding(patient, r1, c2)]}
+    if kind in ("reveal", "abort") and sessions:
+        s = sessions[rng.choice(sorted(sessions))]
+        patient = w.patients[s["patient"]]
+        if kind == "abort":
+            return rng.choice((patient, w.clinics[s["clinic"]])), "abort_binding", {"session": s["id"]}
+        if contract.free_shots[w.config.clinics[s["clinic"]]]:
+            return patient, "patient_reveal", w.patient_reveal(s["id"], s["clinic"], s["r1"], s["c2"])
+    if kind == "sick":
+        bound = [i for i in indexes if w.patients[i].address in contract.patient_shot]
+        return w.patients[mostly(bound, indexes)], "report_sick", {}
+    if kind == "controls":
+        sick = [shot for shot, record in contract.shots.items() if record.got_sick]
+        placebo = [shot for shot in sick if w.openings[shot].content is ShotContent.PLACEBO]
+        return w.developer, "reveal_controls", {"openings": [w.opening_entry(shot) for shot in sorted(placebo)]}
+    return rng.choice(w.patients), "report_sick", {"memo": rng.randrange(3)}
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_state_rows_and_event_hashing_cannot_drift_from_the_dataclasses(seed):
+    """Over random interleavings of valid and rejected calls: the canonical state
+    equals the generic encoding of the dataclasses, and the events digest equals
+    the SHA-256 of one canonical_json call over every receipt's events."""
+    rng = Random(seed)
+    w = World(
+        num_shots=rng.choice((4, 6)),
+        num_clinics=rng.randint(1, 2),
+        threshold=rng.randint(1, 3),
+        seed=seed,
+        binding_deadline=rng.randint(0, 3),
+        extra_patients=2,
     )
+    sessions: dict[int, dict] = {}
+    events = []
+    for _ in range(60):
+        receipt = w.call(*random_call(w, rng, sessions))
+        events.extend(receipt.events)
+        assert w.ledger.contract.canonical_state() == one_shot_state(w.ledger.contract)
+        assert w.ledger.events_digest() == sha256(canonical_json(events)).digest()
 
 
 def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:

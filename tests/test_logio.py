@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from vaccsc import ahead, cli, keys, ledger
+from vaccsc import actors, ahead, cli, keys, ledger
 from vaccsc.ahead import BUSY, DONE, HELPER_THRESHOLD, TAKEN
 from vaccsc.actors import Behavior, GridCell, Role, Strategy, load_scenario, run_grid, run_scenario
 from vaccsc.contract import canonical_json, json_value
@@ -807,20 +807,31 @@ def test_no_helper_outlives_a_replay_that_raises_before_its_first_record(small_t
     assert_no_child_left()
 
 
-def two_cell_grid():
-    cells = (GridCell("honest", ()), GridCell("collude", (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),)))
+def shared_world_grid():
+    """``honest_small`` at seed 2 as four cells of one world: an honest cell; a second
+    one whose every Ed25519 job the first leaves remembered; a colluding one, which
+    changes its first patient's reveal; and one of silent patients, whose draws shift
+    every binding value, so that its batches of new jobs fork helpers."""
+    cells = (
+        GridCell("honest", ()),
+        GridCell("again", ()),
+        GridCell("collude", (Strategy(Role.CLINIC, Behavior.COLLUDE_WITH_PATIENT),)),
+        GridCell("silent", (Strategy(Role.PATIENT, Behavior.NEVER_REPORT, 0.5),)),
+    )
     return dataclasses.replace(load_scenario("honest_small"), seeds=(2,), grid=cells)
 
 
+def written(report, tmp_path) -> tuple[str, bytes]:
+    """A run's report JSON and log bytes."""
+    write_ledger_log(tmp_path / "run.vscl", report.ledger)
+    return json.dumps(report.to_json()), (tmp_path / "run.vscl").read_bytes()
+
+
 def runs(tmp_path) -> list[tuple[str, bytes]]:
-    """The report and log bytes of a lone ``honest_small`` run at seed 2 and of a 2-cell grid at seed 2."""
-    grid = run_grid(two_cell_grid())
-    reports = [run_scenario(load_scenario("honest_small"), 2), *grid["honest"], *grid["collude"]]
-    ran = []
-    for report in reports:
-        write_ledger_log(tmp_path / "run.vscl", report.ledger)
-        ran.append((json.dumps(report.to_json()), (tmp_path / "run.vscl").read_bytes()))
-    return ran
+    """The report and log bytes of a lone ``honest_small`` run at seed 2 and of ``shared_world_grid``'s cells."""
+    grid = run_grid(shared_world_grid())
+    reports = [run_scenario(load_scenario("honest_small"), 2), *(report for cell in grid.values() for report in cell)]
+    return [written(report, tmp_path) for report in reports]
 
 
 @pytest.fixture(scope="module")
@@ -838,6 +849,41 @@ RUN_HELPERS = {"helper": lambda patched: None, **BROKEN_HELPERS}
 def test_a_run_is_the_same_with_the_helper_and_without(runs_alone, tmp_path, monkeypatch, within_a_minute, case):
     case(monkeypatch)
     assert runs(tmp_path) == runs_alone
+    assert_no_child_left()
+
+
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of each helper forked from this process from now on."""
+    forked, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
+def test_a_grid_cell_whose_jobs_are_all_remembered_forks_no_helper(tmp_path, monkeypatch):
+    forked, per_cell, real_run = counted_forks(monkeypatch), [], actors.run_scenario
+
+    def counted_run(*args):
+        before = len(forked)
+        report = real_run(*args)
+        per_cell.append(len(forked) - before)
+        return report
+
+    monkeypatch.setattr(actors, "run_scenario", counted_run)
+    spec = shared_world_grid()
+    grid = run_grid(spec)
+    honest, again, _, silent = per_cell
+    assert honest > 0 and again == 0 and silent > 0
+    before = len(forked)
+    alone = real_run(spec, 2, (), "again", False)
+    assert len(forked) > before  # with no world, the same cell's batches fork
+    assert written(grid["again"][0], tmp_path) == written(alone, tmp_path)
     assert_no_child_left()
 
 
