@@ -28,7 +28,7 @@ from .contract import (
 )
 from .ahead import worked_ahead
 from .keys import PUBLIC_KEY_SIZE, SIGNED_SIZE, KeyPair
-from .ledger import ACCEPTED, MAX_JSON_DEPTH, Ledger, Receipt, SignedTransaction, too_deep, unsigned
+from .ledger import MAX_JSON_DEPTH, JournalEntry, Ledger, SignedTransaction, too_deep, unsigned
 
 
 class Role(Enum):
@@ -268,6 +268,13 @@ class _PatientState:
     truly_infected: bool = False
 
 
+def _accepted(entry: JournalEntry) -> JournalEntry:
+    """``entry``, the outcome of a step the run cannot go on without; a rejection raises."""
+    if not entry.accepted:
+        raise RuntimeError(f"{entry.tx.method} failed: {entry.code}")
+    return entry
+
+
 class _Runner:
     def __init__(self, spec: ScenarioSpec, strategies, seed: int, label: str, keep_table: bool, world=None):
         self.spec = spec
@@ -312,18 +319,15 @@ class _Runner:
             for p in self.patients:
                 p.silent = rng.random() < patient_strategy.knob
 
-    def _call(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
+    def _call(self, keypair: KeyPair, method: str, params: dict) -> JournalEntry:
         """``method`` signed by ``keypair`` with its next sequence number, and submitted."""
         call = self._unsigned(keypair, method, params, self.ledger.next_sequence(keypair.address))
         with self._signed([call]) as signed:
             return self.ledger.submit(*next(signed))
 
-    def _must(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
+    def _must(self, keypair: KeyPair, method: str, params: dict) -> JournalEntry:
         """``_call`` for a step the run cannot go on without: a rejection raises."""
-        receipt = self._call(keypair, method, params)
-        if not receipt.accepted:
-            raise RuntimeError(f"{method} failed: {receipt.code}")
-        return receipt
+        return _accepted(self._call(keypair, method, params))
 
     def _distribute(self) -> None:
         shots = list(self.manifest)
@@ -384,7 +388,7 @@ class _Runner:
         changes only through its own patients' reveals, every patient gets
         the shot that binding them one at a time in patient order would give.
 
-        No step waits on a receipt, so the whole phase is planned first:
+        No step waits on an outcome, so the whole phase is planned first:
         session ids count on from the contract's, each clinic's free list is a
         local copy of the contract's, popped as each reveal selects, and each
         reveal is a patient's first transaction. The reveals are signed ahead
@@ -448,9 +452,7 @@ class _Runner:
                 ]
                 self._must(clinic, "begin_binding", {"bindings": bindings})
                 for tx, verdict in signed_reveals:
-                    receipt = ledger.submit(tx, verdict)
-                    if not receipt.accepted:
-                        raise RuntimeError(f"{tx.method} failed: {receipt.code}")
+                    _accepted(ledger.submit(tx, verdict))
 
     def _collusion_evidence(self, free: list[bytes], target_index: int, selected: int) -> None:
         self.evidence.append(
@@ -558,15 +560,15 @@ class _Runner:
         ):
             payload = [self._opening_entry(s, "placebo") for s in kept] + entries
             before = self.ledger.state_digest()
-            receipt = self._call(self.developer, "reveal_controls", {"openings": payload})
+            entry = self._call(self.developer, "reveal_controls", {"openings": payload})
             self.evidence.append(
                 {
                     "kind": kind,
                     "forged": k,
-                    "code": receipt.code,
-                    "rejected": not receipt.accepted,
+                    "code": entry.code,
+                    "rejected": not entry.accepted,
                     "state_unchanged": self.ledger.state_digest() == before,
-                    "journal_position": receipt.position,
+                    "journal_position": len(self.ledger.journal) - 1,
                 }
             )
         return kept
@@ -591,7 +593,7 @@ class _Runner:
             if isinstance(ledger_eff, float) and isinstance(truth_eff, float)
             else None
         )
-        rejections = Counter(entry.code for entry in ledger.journal if entry.status != ACCEPTED)
+        rejections = Counter(entry.code for entry in ledger.journal if not entry.accepted)
         # A report is false when its patient was never truly infected.
         infected = {p.keypair.address for p in self.patients if p.truly_infected}
         reported = {record.patient for record in ledger.contract.shots.values() if record.got_sick}

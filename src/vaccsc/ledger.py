@@ -145,29 +145,6 @@ def verify_signature(tx: SignedTransaction, trial_id: bytes, verdict: bool | Non
 
 
 @dataclass(frozen=True)
-class Event:
-    """An emitted contract event; ordinals are global and gapless."""
-
-    index: int
-    name: str
-    payload: dict
-    cause: int  # journal position of the transaction that emitted it
-
-
-@dataclass(frozen=True)
-class Receipt:
-    status: str
-    code: str | None
-    detail: str
-    position: int  # journal position of this submission
-    events: tuple[Event, ...]
-
-    @property
-    def accepted(self) -> bool:
-        return self.status == ACCEPTED
-
-
-@dataclass(frozen=True)
 class JournalEntry:
     """One journaled submission and its outcome: the record a log file holds.
 
@@ -178,10 +155,14 @@ class JournalEntry:
     code: str | None
     tx: SignedTransaction
 
+    @property
+    def accepted(self) -> bool:
+        return self.status == ACCEPTED
+
 
 class Ledger:
-    """Owns the contract instance; all access flows through here. It is the one place
-    that deploys a contract from a genesis and derives the trial id."""
+    """Deploys the contract from a genesis and derives the trial id; authenticates each
+    submission, and keeps the journal of every one with its outcome and the digests."""
 
     def __init__(self, genesis: dict):
         self.genesis = genesis
@@ -200,52 +181,45 @@ class Ledger:
 
     # -- submission ----------------------------------------------------
 
-    def submit(self, tx: SignedTransaction, verdict: bool | None = None) -> Receipt:
-        """Journal ``tx`` with its outcome; ``verdict`` is the outcome of its one signature
-        check made ahead, or None to make it here (see ``verify_signature``)."""
-        position = len(self.journal)
-        code, detail = self._authenticate(tx, verdict)
-        if code is None:
-            code, detail, events = self._execute(tx, position)
-        else:
-            events = ()
-        status = ACCEPTED if code is None else REJECTED
-        self.journal.append(JournalEntry(status=status, code=code, tx=tx))
-        return Receipt(status=status, code=code, detail=detail, position=position, events=events)
+    def submit(self, tx: SignedTransaction, verdict: bool | None = None) -> JournalEntry:
+        """Journal ``tx`` with its outcome and return that entry; ``verdict`` is the outcome of
+        its one signature check made ahead, or None to make it here (see ``verify_signature``)."""
+        code = self._authenticate(tx, verdict) or self._execute(tx, len(self.journal))
+        entry = JournalEntry(ACCEPTED if code is None else REJECTED, code, tx)
+        self.journal.append(entry)
+        return entry
 
-    def _authenticate(self, tx: SignedTransaction, verdict: bool | None) -> tuple[str | None, str]:
-        if address_from_public_key(tx.public_key) != tx.sender:
-            return "BadSignature", "sender address does not match the signing key"
-        if not verify_signature(tx, self.trial_id, verdict):
-            return "BadSignature", "signature does not verify"
-        expected = self.sequences.get(tx.sender, 0)
-        if tx.sequence_number != expected:
-            return "StaleSequence", f"expected sequence {expected}, got {tx.sequence_number}"
-        return None, ""
+    def _authenticate(self, tx: SignedTransaction, verdict: bool | None) -> str | None:
+        if address_from_public_key(tx.public_key) != tx.sender or not verify_signature(tx, self.trial_id, verdict):
+            return "BadSignature"
+        if tx.sequence_number != self.sequences.get(tx.sender, 0):
+            return "StaleSequence"
+        return None
 
-    def _execute(self, tx: SignedTransaction, position: int) -> tuple[str | None, str, tuple[Event, ...]]:
+    def _execute(self, tx: SignedTransaction, position: int) -> str | None:
+        """Apply ``tx`` at journal ``position``: its rejection code, or None once its events are
+        hashed. The reason is the text of the ContractError from ``json_object`` or ``dispatch``."""
         try:
             params = json_object(tx.payload, "payload")
             emitted = self.contract.dispatch(tx.sender, tx.method, params, position)
         except ContractError as exc:
-            return exc.code, str(exc), ()
+            return exc.code
         # Sequence numbers advance only on acceptance, so a rejected call
         # can be corrected and resubmitted under the same number.
         self.sequences[tx.sender] = tx.sequence_number + 1
-        first = self.event_count
-        events = tuple(
-            Event(index=index, name=name, payload=payload, cause=position)
-            for index, (name, payload) in enumerate(emitted, first)
-        )
-        if events:
-            # An Event's instance dict is its plain cause/index/name/payload
-            # object, so the encoder needs no callback; the list's brackets are
-            # stripped and its body joins the running list.
-            if first:
+        if emitted:
+            # Each event's record (docs/FORMATS.md, "Events") as a plain object,
+            # so the encoder needs no callback; the list's brackets are stripped
+            # and its body joins the running list.
+            records = [
+                {"cause": position, "index": index, "name": name, "payload": payload}
+                for index, (name, payload) in enumerate(emitted, self.event_count)
+            ]
+            if self.event_count:
                 self._events_hash.update(b",")
-            self._events_hash.update(canonical_json([vars(event) for event in events])[1:-1])
-            self.event_count += len(events)
-        return None, "", events
+            self._events_hash.update(canonical_json(records)[1:-1])
+            self.event_count += len(records)
+        return None
 
     # -- queries ---------------------------------------------------------
 
@@ -267,8 +241,7 @@ class Ledger:
         return events_hash.digest()
 
     def submit_all(self, txs: Sequence[SignedTransaction]) -> None:
-        """Submit ``txs`` in order; the outcomes are read from ``journal``, and no
-        receipt is kept.
+        """Submit ``txs`` in order; the outcomes are read from ``journal``.
 
         Signatures are verified ahead by ``worked_ahead``'s helper, or by this
         process when it finds the helper busy. Each ``submit`` takes the verdict

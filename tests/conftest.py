@@ -1,6 +1,7 @@
 """Shared fixtures and helpers: conformance vectors, signed transactions, a
-count of the Ed25519 work done, a hand-driven trial world, and the
-acceptance-line reporter that reprints criterion results after the run.
+count of the Ed25519 work done, the events a ledger emits, a hand-driven trial
+world, and the acceptance-line reporter that reprints criterion results after
+the run.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from vaccsc.commitment import Opening, ShotContent, commit, generate_nonce
 from vaccsc.coinflip import RandomContribution, commit_contribution, select_index
 from vaccsc.contract import TrialConfig, make_genesis
 from vaccsc.keys import KeyPair
-from vaccsc.ledger import Event, Ledger, Receipt, SignedTransaction, unsigned
+from vaccsc.ledger import JournalEntry, Ledger, SignedTransaction, unsigned
 
 
 def make_transaction(
@@ -69,6 +70,29 @@ def count_ed25519_work(monkeypatch) -> dict[str, list]:
     return work
 
 
+def record_events(ledger: Ledger) -> list[dict]:
+    """The events a new ``ledger`` emits, each as docs/FORMATS.md's record:
+    ``cause`` the journal position (the tick ``submit`` hands ``dispatch``) and
+    ``index`` gapless from 0. They are taken from what ``dispatch`` returns,
+    wrapped on the ledger's contract instance; the ledger itself keeps only
+    their digest."""
+    records: list[dict] = []
+    dispatch = ledger.contract.dispatch
+
+    def recorded(sender: bytes, method: str, params: dict, tick: int) -> list[tuple[str, dict]]:
+        emitted = dispatch(sender, method, params, tick)
+        records.extend(
+            [
+                {"cause": tick, "index": index, "name": name, "payload": payload}
+                for index, (name, payload) in enumerate(emitted, len(records))
+            ]
+        )
+        return emitted
+
+    ledger.contract.dispatch = recorded
+    return records
+
+
 class World:
     """A trial driven operation by operation, with ground truth on the side.
 
@@ -111,33 +135,37 @@ class World:
         )
         self.genesis = make_genesis(self.config, list(self.openings))
         self.ledger = Ledger(self.genesis)
+        # every event emitted so far, and those of the latest call
+        self.emitted = record_events(self.ledger)
+        self.events: list[dict] = []
         self.patient_shot: dict[int, bytes] = {}
         self.sick: list[int] = []
 
     # -- submissions -----------------------------------------------------
 
-    def call(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
+    def call(self, keypair: KeyPair, method: str, params: dict) -> JournalEntry:
+        """Sign and submit the call; its events are left in ``events``."""
         tx = make_transaction(
             keypair, self.ledger.trial_id, method, params, self.ledger.next_sequence(keypair.address)
         )
-        return self.ledger.submit(tx)
+        start = len(self.emitted)
+        entry = self.ledger.submit(tx)
+        self.events = self.emitted[start:]
+        return entry
 
-    def ok(self, keypair: KeyPair, method: str, params: dict) -> Receipt:
-        receipt = self.call(keypair, method, params)
-        assert receipt.accepted, (
-            f"{method} unexpectedly rejected: {receipt.code} ({receipt.detail})"
-        )
-        return receipt
+    def ok(self, keypair: KeyPair, method: str, params: dict) -> list[dict]:
+        """``call``, which must be accepted; returns its events."""
+        entry = self.call(keypair, method, params)
+        assert entry.accepted, f"{method} unexpectedly rejected: {entry.code}"
+        return self.events
 
-    def fail(self, keypair: KeyPair, method: str, params: dict, code: str) -> Receipt:
+    def fail(self, keypair: KeyPair, method: str, params: dict, code: str) -> JournalEntry:
         before = self.ledger.state_digest()
-        receipt = self.call(keypair, method, params)
-        assert not receipt.accepted, f"{method} unexpectedly accepted"
-        assert receipt.code == code, (
-            f"expected {code}, got {receipt.code} ({receipt.detail})"
-        )
+        entry = self.call(keypair, method, params)
+        assert not entry.accepted, f"{method} unexpectedly accepted"
+        assert entry.code == code, f"expected {code}, got {entry.code}"
         assert self.ledger.state_digest() == before, f"{method} rejection mutated state"
-        return receipt
+        return entry
 
     # -- protocol steps ----------------------------------------------------
 
@@ -180,14 +208,14 @@ class World:
         r2: int | None = None,
     ):
         """Open a session holding the clinic's value and the patient's
-        commitment; returns driving state."""
+        commitment; returns driving state. A session's id is its index."""
         r1, c2 = self.contributions(r1, r2)
-        receipt = self.ok(
+        session = len(self.ledger.contract.sessions)
+        self.ok(
             self.clinics[clinic_index],
             "begin_binding",
             {"bindings": [self.binding(patient_index, r1, c2)]},
         )
-        session = receipt.events[0].payload["session"]
         return session, r1, c2
 
     def selected_shot(self, clinic_index: int, r1: int, c2: RandomContribution) -> bytes:
@@ -228,23 +256,23 @@ class World:
         session_of: dict[int, int] = {}
         for c in range(min(num_clinics, count)):
             indexes = range(c, count, num_clinics)
-            receipt = self.ok(
+            events = self.ok(
                 self.clinics[c],
                 "begin_binding",
                 {"bindings": [self.binding(i, *drawn[i]) for i in indexes]},
             )
-            for i, event in zip(indexes, receipt.events):
-                session_of[i] = event.payload["session"]
+            for i, event in zip(indexes, events):
+                session_of[i] = event["payload"]["session"]
         for i, (r1, c2) in enumerate(drawn):
             self.complete(session_of[i], i, i % num_clinics, r1, c2)
 
     def arm(self, patient_index: int) -> ShotContent:
         return self.openings[self.patient_shot[patient_index]].content
 
-    def sicken(self, patient_index: int) -> Receipt:
-        receipt = self.ok(self.patients[patient_index], "report_sick", {})
+    def sicken(self, patient_index: int) -> list[dict]:
+        events = self.ok(self.patients[patient_index], "report_sick", {})
         self.sick.append(patient_index)
-        return receipt
+        return events
 
     def sicken_exact(self, n_placebo: int, n_vaccine: int) -> None:
         """Make exactly these many bound patients sick, by true arm."""
@@ -274,7 +302,7 @@ class World:
         )
         return [self.opening_entry(shot) for shot in shots]
 
-    def reveal_honest(self) -> Receipt:
+    def reveal_honest(self) -> list[dict]:
         return self.ok(
             self.developer, "reveal_controls", {"openings": self.sick_control_openings()}
         )
@@ -294,11 +322,14 @@ def world_cls():
     return World
 
 
-def replayed_events(genesis: dict, journal) -> list[Event]:
-    """Every event a journal emits, in order, read from the receipts of a
-    replay: a ledger keeps only the running digest of its events."""
+def replayed_events(genesis: dict, journal) -> list[dict]:
+    """Every event a journal emits, in order, as ``record_events`` numbers them
+    in a replay: a ledger keeps only the running digest of its events."""
     ledger = Ledger(genesis)
-    return [event for entry in journal for event in ledger.submit(entry.tx).events]
+    events = record_events(ledger)
+    for entry in journal:
+        ledger.submit(entry.tx)
+    return events
 
 
 @pytest.fixture

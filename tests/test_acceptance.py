@@ -383,7 +383,7 @@ class _FuzzDriver:
             ("completed", patient_idx, clinic_idx, shot),
         )
 
-    def apply(self, note, receipt):
+    def apply(self, note, events):
         if note is None:
             return
         kind = note[0]
@@ -391,7 +391,7 @@ class _FuzzDriver:
             self.unassigned.pop()
             self.stock[note[2]] += 1
         elif kind == "begun":
-            self.inflight = (receipt.events[0].payload["session"], *note[1:])
+            self.inflight = (events[0]["payload"]["session"], *note[1:])
         elif kind == "completed":
             patient_idx, clinic_idx, shot = note[1], note[2], note[3]
             self.bound[patient_idx] = shot
@@ -463,14 +463,14 @@ def test_criterion_07_access_control_fuzz(world_cls, acceptance, timer):
         step = driver.next_step(phase) if rng.random() < 0.4 else None
         kind, keypair, method, params, note = step if step else random_probe()
         before = w.ledger.state_digest()
-        receipt = w.call(keypair, method, params)
+        entry = w.call(keypair, method, params)
         probes += 1
-        if receipt.accepted:
+        if entry.accepted:
             roles, phases = PERMISSION_MATRIX.get(method, (set(), set()))
             if kind not in roles or phase not in phases:
-                violations.append((kind, method, phase, receipt.code))
+                violations.append((kind, method, phase, entry.code))
             if step:
-                driver.apply(note, receipt)
+                driver.apply(note, w.events)
         else:
             if w.ledger.state_digest() != before:
                 violations.append((kind, method, phase, "rejection mutated state"))
@@ -549,19 +549,19 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
                 clinic_idx = rng.choice(startable)
                 r1 = rng.getrandbits(64)
                 c2 = RandomContribution(value=rng.getrandbits(64), nonce=generate_nonce(rng))
-                receipt = w.ok(
+                events = w.ok(
                     w.clinics[clinic_idx],
                     "begin_binding",
                     {"bindings": [w.binding(patient_idx, r1, c2)]},
                 )
-                sid = receipt.events[0].payload["session"]
+                sid = events[0]["payload"]["session"]
                 stock[clinic_idx] -= 1  # reserve so completing reveals never race
                 inflight[sid] = {"patient": patient_idx, "clinic": clinic_idx, "r1": r1, "c2": c2}
             elif choice == "sicken":
                 patient_idx = rng.choice(i_can_sicken)
-                receipt = w.ok(w.patients[patient_idx], "report_sick", {})
+                events = w.ok(w.patients[patient_idx], "report_sick", {})
                 sick.append(patient_idx)
-                if any(e.name == "TrialFinished" for e in receipt.events):
+                if any(e["name"] == "TrialFinished" for e in events):
                     active = False
             else:
                 sid = choice[1]
@@ -580,8 +580,7 @@ def test_criterion_08_conservation_and_write_once(world_cls, acceptance, timer):
             for i in sick
             if w.openings[bound[i]].content is ShotContent.PLACEBO
         ]
-        receipt = w.ok(w.developer, "reveal_controls", {"openings": openings})
-        outcome = receipt.events[0].payload
+        outcome = w.ok(w.developer, "reveal_controls", {"openings": openings})[0]["payload"]
         truth_ar0 = len(openings)
         free_left = sum(len(w.ledger.contract.free_shots[c]) for c in w.config.clinics)
         patients_map = w.ledger.contract.patient_shot

@@ -302,9 +302,9 @@ def test_binding_journal_is_one_record_per_patient_and_one_per_clinic_chunk(even
     methods = {entry.tx.method for entry in report.ledger.journal}
     assert not {"patient_commit", "clinic_reveal", "confirm_binding"} & methods
     events = events_of(report.ledger.genesis, report.ledger.journal)
-    started = [e for e in events if e.name == "BindingStarted"]
-    assert [e.payload["session"] for e in started] == list(range(n))
-    assert sum(e.name == "BindingConfirmed" for e in events) == n
+    started = [e for e in events if e["name"] == "BindingStarted"]
+    assert [e["payload"]["session"] for e in started] == list(range(n))
+    assert sum(e["name"] == "BindingConfirmed" for e in events) == n
 
 
 def late_session_steps(ledger) -> list[int]:

@@ -343,7 +343,9 @@ def test_audit_export_json(sim, tmp_path, capsys):
     assert code == 0
     export = sim.with_suffix(".vscl.json")
     assert export.exists()
-    json.loads(export.read_text())
+    records = json.loads(export.read_text())["records"]
+    # a record holds its fields only; the entry's ``accepted`` property is not one
+    assert records and all(set(record) == {"status", "code", "tx"} for record in records)
 
 
 def test_audit_export_json_keeps_a_payload_that_is_not_utf8(tmp_path, capsys, world_cls):

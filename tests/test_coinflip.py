@@ -102,8 +102,7 @@ def test_a_wrongly_relayed_commitment_only_stalls_the_session(world_cls, aborter
     w.assign_all()
     clinic, patient = w.clinics[0], w.patients[0]
     r1, c2 = w.contributions()
-    receipt = w.ok(clinic, "begin_binding", {"bindings": [w.binding(0, r1, wrong(c2))]})
-    sid = receipt.events[0].payload["session"]
+    sid = w.ok(clinic, "begin_binding", {"bindings": [w.binding(0, r1, wrong(c2))]})[0]["payload"]["session"]
     w.fail(patient, "patient_reveal", w.patient_reveal(sid, 0, r1, c2), "RevealMismatch")  # checks the state digest
     assert patient.address not in w.ledger.contract.patient_shot
     session = w.ledger.contract.sessions[sid]
@@ -221,9 +220,9 @@ def test_ordering_safety(world_cls, data):
         else:  # either party may abort; the flag picks which
             sender, params = (patient if right else clinic), {"session": sid}
         before = w.ledger.state_digest()
-        receipt = w.call(sender, step, params)
-        if not receipt.accepted:
-            assert w.ledger.state_digest() == before, f"rejected {step} ({receipt.code}) changed state"
+        entry = w.call(sender, step, params)
+        if not entry.accepted:
+            assert w.ledger.state_digest() == before, f"rejected {step} ({entry.code}) changed state"
             continue
         if step == "patient_reveal":
             assert right

@@ -18,6 +18,7 @@ from vaccsc.contract import (
     _METHOD_SCHEMA,
     CONTRACT_ID,
     BindingSession,
+    ContractError,
     TrialConfig,
     VaccineTrial,
     approves,
@@ -113,8 +114,8 @@ def test_assignment_flow(world_cls):
     w = world_cls(num_shots=4, num_clinics=2)
     shots = w.shot_list()
     clinic0 = w.config.clinics[0].hex()
-    receipt = w.ok(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0})
-    assert receipt.events[0].name == "ShotAssigned"
+    events = w.ok(w.developer, "assign_shot_to_clinic", {"shots": [shots[0].hex()], "clinic": clinic0})
+    assert events[0]["name"] == "ShotAssigned"
     assert w.ledger.query("phase") == "distributing"
     assert len(w.ledger.contract.free_shots[w.config.clinics[0]]) == 1
 
@@ -219,10 +220,10 @@ def test_assign_batch_is_all_or_nothing(world_cls, data):
     digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
     unassigned = contract.unassigned
 
-    receipt = w.call(sender, "assign_shot_to_clinic", params)
+    entry = w.call(sender, "assign_shot_to_clinic", params)
 
-    assert receipt.accepted == valid, receipt.code
-    if not receipt.accepted:
+    assert entry.accepted == valid, entry.code
+    if not entry.accepted:
         assert w.ledger.state_digest() == digest
         assert w.ledger.next_sequence(sender.address) == sequence
         return
@@ -232,7 +233,7 @@ def test_assign_batch_is_all_or_nothing(world_cls, data):
     for address, free in contract.free_shots.items():
         assert free == sorted(s for s in shots if contract.shots[s].clinic == address)
     assert contract.unassigned == unassigned - len(batch)
-    assert [(e.name, e.payload) for e in receipt.events] == [
+    assert [(e["name"], e["payload"]) for e in w.events] == [
         ("ShotAssigned", {"shot": shot, "clinic": clinic0.hex()}) for shot in batch
     ]
 
@@ -446,15 +447,16 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
     digest, sequence = w.ledger.state_digest(), w.ledger.next_sequence(sender.address)
     first = len(contract.sessions)
 
-    receipt = w.call(sender, "begin_binding", params)
+    code = w.call(sender, "begin_binding", params).code
 
-    assert receipt.code == expected, receipt.detail
-    if not receipt.accepted:
+    assert code == expected
+    if code is not None:
         assert w.ledger.state_digest() == digest
         assert w.ledger.next_sequence(sender.address) == sequence
         assert len(contract.sessions) == first
         return
     ids = range(first, first + len(entries))
+    position = len(w.ledger.journal) - 1
     assert len(contract.sessions) == ids.stop
     for session_id, entry in zip(ids, entries):
         session = contract.sessions[session_id]
@@ -463,9 +465,9 @@ def test_begin_batch_is_all_or_nothing(world_cls, data):
         assert session.clinic_value == entry["clinic_value"]
         assert session.patient_commit.hex() == entry["patient_commitment"]
         assert session.patient_reveal is None
-        assert session.deadline == receipt.position + 7 and not session.aborted
+        assert session.deadline == position + 7 and not session.aborted
         assert contract.pending_by_patient[session.patient] == session_id
-    assert [(e.name, e.payload) for e in receipt.events] == [
+    assert [(e["name"], e["payload"]) for e in w.events] == [
         ("BindingStarted", {"session": i, "clinic": sender.address.hex(), "patient": e["patient"]})
         for i, e in zip(ids, entries)
     ]
@@ -512,8 +514,7 @@ def test_session_party_checks(world_cls):
     # true must not stand for session 1, nor for a committed value of 1
     a2, _ = w.contributions()
     one = RandomContribution(value=1, nonce=bytes(32))
-    receipt = w.ok(w.clinics[0], "begin_binding", {"bindings": [w.binding(1, a2, one)]})
-    sid1 = receipt.events[0].payload["session"]
+    sid1 = w.ok(w.clinics[0], "begin_binding", {"bindings": [w.binding(1, a2, one)]})[0]["payload"]["session"]
     assert sid1 == 1
     reveal = w.patient_reveal(sid1, 0, a2, one)
     w.fail(w.patients[1], "patient_reveal", {**reveal, "session": True}, "MalformedParams")
@@ -546,9 +547,9 @@ def test_patient_reveal_must_name_the_selected_shot(world_cls):
         assert w.ledger.next_sequence(patient.address) == sequence
     assert patient.address not in w.ledger.contract.patient_shot
     # the same sequence number carries the corrected reveal
-    receipt = w.ok(patient, "patient_reveal", {**reveal, "shot": right.hex()})
-    assert receipt.events[0].name == "BindingConfirmed"
-    assert receipt.events[0].payload == {"shot": right.hex(), "patient": patient.address.hex()}
+    events = w.ok(patient, "patient_reveal", {**reveal, "shot": right.hex()})
+    assert events[0]["name"] == "BindingConfirmed"
+    assert events[0]["payload"] == {"shot": right.hex(), "patient": patient.address.hex()}
     assert w.ledger.next_sequence(patient.address) == sequence + 1
     assert w.ledger.contract.shots[right].patient == patient.address
     assert right not in w.ledger.contract.free_shots[w.config.clinics[0]]
@@ -630,14 +631,14 @@ def test_report_sick_counters_and_threshold(world_cls):
     w.assign_all()
     w.bind_all()
     w.fail(w.outsider, "report_sick", {}, "NotBoundPatient")
-    receipt = w.sicken(0)
-    assert receipt.events[0].name == "PatientSick"
-    assert receipt.events[0].payload["infected"] == 1
+    events = w.sicken(0)
+    assert events[0]["name"] == "PatientSick"
+    assert events[0]["payload"]["infected"] == 1
     assert w.ledger.query("infected_count") == 1
     w.fail(w.patients[0], "report_sick", {}, "AlreadySick")
     w.sicken(1)
-    receipt = w.sicken(2)  # threshold
-    assert [e.name for e in receipt.events] == ["PatientSick", "TrialFinished"]
+    events = w.sicken(2)  # threshold
+    assert [e["name"] for e in events] == ["PatientSick", "TrialFinished"]
     assert w.ledger.query("phase") == "reveal_pending"
     w.fail(w.patients[3], "report_sick", {}, "TrialNotActive")
 
@@ -667,12 +668,11 @@ def finalized_world(world_cls, n_placebo_sick, n_vaccine_sick, num_shots=12, tar
 
 def test_reveal_by_elimination_and_conservation(world_cls):
     w = finalized_world(world_cls, 3, 1)
-    receipt = w.reveal_honest()
-    event = receipt.events[0]
-    assert event.name == "TrialFinalized"
-    assert event.payload["ar0"] == 3
-    assert event.payload["ar1"] == 1
-    assert event.payload["ar0"] + event.payload["ar1"] == w.config.infected_threshold
+    event = w.reveal_honest()[0]
+    assert event["name"] == "TrialFinalized"
+    assert event["payload"]["ar0"] == 3
+    assert event["payload"]["ar1"] == 1
+    assert event["payload"]["ar0"] + event["payload"]["ar1"] == w.config.infected_threshold
     assert w.ledger.query("phase") == "finalized"
     for index in w.sick:
         record = json_value(w.ledger.contract.shots[w.patient_shot[index]])
@@ -727,24 +727,23 @@ def test_forged_opening_rejects_whole_call(world_cls):
     garbage = {"commitment": honest[0]["commitment"], "nonce": "ee" * 32, "content": "placebo"}
     w.fail(w.developer, "reveal_controls", {"openings": [garbage]}, "BadOpening")
     # after all those rejections the honest reveal still lands
-    receipt = w.reveal_honest()
-    assert receipt.events[0].payload["ar0"] == 3
+    assert w.reveal_honest()[0]["payload"]["ar0"] == 3
 
 
 def test_duplicate_openings_in_one_call_are_deduped(world_cls):
     w = finalized_world(world_cls, 2, 1)
     payload = w.sick_control_openings()
-    receipt = w.ok(
+    events = w.ok(
         w.developer, "reveal_controls", {"openings": payload + [payload[0]]}
     )
-    assert receipt.events[0].payload["ar0"] == 2
+    assert events[0]["payload"]["ar0"] == 2
 
 
 def test_partial_reveal_lowers_efficiency(world_cls):
     w = finalized_world(world_cls, 4, 1, num_shots=14)
     partial = w.sick_control_openings()[:-1]  # withhold one true control
-    receipt = w.ok(w.developer, "reveal_controls", {"openings": partial})
-    assert receipt.events[0].payload == {"ar0": 3, "ar1": 2, "approved": False}
+    events = w.ok(w.developer, "reveal_controls", {"openings": partial})
+    assert events[0]["payload"] == {"ar0": 3, "ar1": 2, "approved": False}
     truthful = efficiency_percent(4, 1)
     assert w.ledger.query("outcome")["efficiency"] < truthful
 
@@ -762,8 +761,8 @@ def test_efficiency_formula():
 
 def test_undefined_efficiency_world(world_cls):
     w = finalized_world(world_cls, 0, 2)
-    receipt = w.ok(w.developer, "reveal_controls", {"openings": []})
-    assert receipt.events[0].payload == {"ar0": 0, "ar1": 2, "approved": False}
+    events = w.ok(w.developer, "reveal_controls", {"openings": []})
+    assert events[0]["payload"] == {"ar0": 0, "ar1": 2, "approved": False}
     assert w.ledger.query("outcome")["efficiency"] is None
     assert w.ledger.query("vaccine_status") == "Rejected"
     assert w.ledger.query("risk_ratio") is None
@@ -786,8 +785,7 @@ def test_approval_independent_of_reveal_ordering(world_cls):
         payload = w.sick_control_openings()
         if flip:
             payload = list(reversed(payload))
-        receipt = w.ok(w.developer, "reveal_controls", {"openings": payload})
-        results.append(receipt.events[0].payload)
+        results.append(w.ok(w.developer, "reveal_controls", {"openings": payload})[0]["payload"])
     assert results[0] == results[1]
 
 
@@ -825,7 +823,7 @@ def test_no_float_reaches_the_genesis_state_or_events(tmp_path, events_of, scena
     genesis = json.loads(genesis_bytes, parse_float=_no_float)
     json.loads(ledger.contract.canonical_state(), parse_float=_no_float)
     events = events_of(genesis, ledger.journal)
-    assert events[-1].name == "TrialFinalized"
+    assert events[-1]["name"] == "TrialFinalized"
     for event in events:
         json.loads(canonical_json(event), parse_float=_no_float)
 
@@ -862,8 +860,6 @@ def test_vaccine_openings_never_published_even_after_reveal(world_cls):
 
 
 def test_views(world_cls):
-    from vaccsc.contract import ContractError
-
     w = world_cls(num_shots=4)
     assert w.ledger.query("config")["num_participants"] == 4
     assert w.ledger.query("outcome") is None
@@ -1080,8 +1076,10 @@ MALFORMED_DETAILS = {
 def test_a_malformed_call_names_its_nested_path(world_cls, kind):
     method, params, detail = MALFORMED_DETAILS[kind]
     w = world_cls()
-    receipt = w.fail(w.developer, method, params, "MalformedParams")
-    assert receipt.detail == detail
+    w.fail(w.developer, method, params, "MalformedParams")
+    with pytest.raises(ContractError) as raised:
+        w.ledger.contract.dispatch(w.developer.address, method, params, len(w.ledger.journal))
+    assert str(raised.value) == detail
 
 
 def schema_keys(schema) -> set[str]:

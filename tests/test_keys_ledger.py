@@ -176,8 +176,8 @@ def test_payload_tamper_breaks_signature(world_cls):
         sequence_number=tx.sequence_number,
         signature=tx.signature,
     )
-    receipt = w.ledger.submit(tampered)
-    assert receipt.code == "BadSignature"
+    entry = w.ledger.submit(tampered)
+    assert entry.code == "BadSignature"
 
 
 def test_a_record_signed_for_another_trial_is_bad_signature(world_cls):
@@ -301,8 +301,8 @@ def test_sender_must_match_signer(world_cls):
         sequence_number=tx.sequence_number,
         signature=tx.signature,
     )
-    receipt = w.ledger.submit(spoofed)
-    assert receipt.code == "BadSignature"
+    entry = w.ledger.submit(spoofed)
+    assert entry.code == "BadSignature"
 
 
 def test_signature_fuzz_never_authenticates(world_cls):
@@ -391,10 +391,21 @@ def test_a_journal_of_hostile_transactions_is_written_read_back_and_audited(worl
     assert report.ok and report.divergent_positions == ()
 
 
+def test_submit_returns_the_entry_it_journals(world_cls):
+    """A submission leaves one record: accepted or rejected, ``submit`` returns
+    the journal's own entry."""
+    w = world_cls(num_shots=4)
+    assign = {"shots": [w.shot_list()[0].hex()], "clinic": w.config.clinics[0].hex()}
+    for params, status, code in ((assign, ACCEPTED, None), (assign, REJECTED, "AlreadyAssigned")):
+        entry = w.call(w.developer, "assign_shot_to_clinic", params)
+        assert entry is w.ledger.journal[-1]
+        assert (entry.status, entry.code, entry.accepted) == (status, code, status == ACCEPTED)
+
+
 def test_unknown_method_and_malformed_payload(world_cls):
     w = world_cls()
-    receipt = w.call(w.developer, "mint_tokens", {})
-    assert receipt.code == "UnknownMethod"
+    entry = w.call(w.developer, "mint_tokens", {})
+    assert entry.code == "UnknownMethod"
     kp = w.developer
     payload = b"[1, 2, 3]"  # valid JSON, wrong shape
     tx = SignedTransaction(
@@ -445,8 +456,8 @@ def test_non_canonical_payload_rejected(world_cls):
     )
     before = w.ledger.state_digest()
     for payload in ambiguous:
-        receipt = w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", payload))
-        assert receipt.code == "NonCanonicalPayload"
+        entry = w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", payload))
+        assert entry.code == "NonCanonicalPayload"
     assert w.ledger.state_digest() == before
     assert w.ledger.submit(hand_signed(w.developer, w, "assign_shot_to_clinic", canonical)).accepted
 
@@ -454,9 +465,9 @@ def test_non_canonical_payload_rejected(world_cls):
 def test_brackets_inside_strings_do_not_count_as_nesting(world_cls):
     w = world_cls()
     payload = canonical_json({"note": '"' + "[{" * 100})
-    receipt = w.ledger.submit(hand_signed(w.patients[0], w, "report_sick", payload))
+    entry = w.ledger.submit(hand_signed(w.patients[0], w, "report_sick", payload))
     # parsed and handed to the contract, whose schema has no "note" key
-    assert receipt.code == "MalformedParams"
+    assert entry.code == "MalformedParams"
 
 
 def test_rejection_leaves_state_untouched(world_cls):
@@ -490,11 +501,11 @@ def test_event_ordinals_are_gapless(world_cls, events_of):
     w.reveal_honest()
     events = events_of(w.genesis, w.ledger.journal)
     assert len(events) == w.ledger.event_count
-    indices = [e.index for e in events]
+    indices = [e["index"] for e in events]
     assert indices == list(range(len(indices)))
-    causes = [e.cause for e in events]
+    causes = [e["cause"] for e in events]
     assert causes == sorted(causes)
-    names = {e.name for e in events}
+    names = {e["name"] for e in events}
     assert names == {
         "ShotAssigned",
         "BindingStarted",
@@ -621,7 +632,7 @@ def random_call(w: World, rng: Random, sessions: dict) -> tuple[KeyPair, str, di
 def test_state_rows_and_event_hashing_cannot_drift_from_the_dataclasses(seed):
     """Over random interleavings of valid and rejected calls: the canonical state
     equals the generic encoding of the dataclasses, and the events digest equals
-    the SHA-256 of one canonical_json call over every receipt's events."""
+    the SHA-256 of one canonical_json call over every event recorded."""
     rng = Random(seed)
     w = World(
         num_shots=rng.choice((4, 6)),
@@ -632,12 +643,10 @@ def test_state_rows_and_event_hashing_cannot_drift_from_the_dataclasses(seed):
         extra_patients=2,
     )
     sessions: dict[int, dict] = {}
-    events = []
     for _ in range(60):
-        receipt = w.call(*random_call(w, rng, sessions))
-        events.extend(receipt.events)
+        w.call(*random_call(w, rng, sessions))
         assert w.ledger.contract.canonical_state() == one_shot_state(w.ledger.contract)
-        assert w.ledger.events_digest() == sha256(canonical_json(events)).digest()
+        assert w.ledger.events_digest() == sha256(canonical_json(w.emitted)).digest()
 
 
 def opened_sessions(num_shots: int, num_sessions: int) -> Ledger:
