@@ -11,7 +11,6 @@ so no output depends on which side did it or on whether a helper ran.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import mmap
 import os
 import signal
@@ -26,10 +25,10 @@ TAG_SIZE = 8  # a slot's tag: the first bytes of SHA-256 over its item's index a
 
 
 @contextlib.contextmanager
-def worked_ahead(count: int, width: int, work: Callable[[int], bytes]) -> Iterator[Iterator[bytes | None]]:
+def worked_ahead(count: int, width: int, work: Callable[[int], bytes]) -> Iterator[Iterator[bytes]]:
     """The results of ``work(0)`` to ``work(count - 1)``, in order: each made by a
-    helper forked for more than HELPER_THRESHOLD items or in this process, or None
-    for an item left to the caller. An item both sides claim at once is done twice.
+    helper forked for more than HELPER_THRESHOLD items or in this process. An item
+    both sides claim at once is done twice.
 
     The map holds a state byte per item, then a slot per item: the ``width``-byte
     result and its tag (``_tagged``). The helper writes a slot, then sets its
@@ -50,7 +49,7 @@ def worked_ahead(count: int, width: int, work: Callable[[int], bytes]) -> Iterat
                     _help(shared, count, width, work)
                 finally:
                     os._exit(0)
-        yield _consumed(shared, count, width, work) if pid else itertools.repeat(None, count)
+        yield _consumed(shared, count, width, work) if pid else map(work, range(count))
     finally:
         if pid:
             os.kill(pid, signal.SIGKILL)
@@ -70,8 +69,8 @@ def _help(shared: mmap.mmap, count: int, width: int, work: Callable[[int], bytes
         item = shared.find(_FREE, item + 1, count)
 
 
-def _consumed(shared: mmap.mmap, count: int, width: int, work: Callable[[int], bytes]) -> Iterator[bytes | None]:
-    """The caller's side: each result in order, the helper's or its own, or None."""
+def _consumed(shared: mmap.mmap, count: int, width: int, work: Callable[[int], bytes]) -> Iterator[bytes]:
+    """The caller's side: each result in order, the helper's or its own."""
     ahead: dict[int, bytes] = {}  # results of items this side took ahead of its place
     for item in range(count):
         result = ahead.pop(item, None)
@@ -81,9 +80,9 @@ def _consumed(shared: mmap.mmap, count: int, width: int, work: Callable[[int], b
             if state == DONE and slot == _tagged(item, slot[:-TAG_SIZE]):
                 result = slot[:-TAG_SIZE]
             elif state != BUSY or (later := shared.find(_FREE, item + 1, count)) < 0:
-                # left to the caller: free, done in a slot not yet whole here, or busy in a helper that may be dead
+                # done here: free, done in a slot not yet whole here, or busy in a helper that may be dead
                 shared[item] = TAKEN
-                break
+                result = work(item)
             else:  # busy in the helper: work the next free item instead of waiting
                 shared[later] = TAKEN
                 ahead[later] = work(later)

@@ -138,7 +138,7 @@ def unsigned(trial_id: bytes, method: str, params: dict, sequence_number: int) -
 def verify_signature(tx: SignedTransaction, trial_id: bytes, verdict: bool | None = None) -> bool:
     """A ledger's one signature check of a record: ``verified`` over the bytes ``tx``'s
     sender signs in trial ``trial_id``, or ``verdict`` when the caller hands one over,
-    the outcome of that check made ahead (see ``KeyPair.job`` and ``Ledger.submit_all``)."""
+    the outcome of that check made ahead (see ``KeyPair.job`` and ``Ledger.replay``)."""
     if verdict is not None:
         return verdict
     return verified(tx.public_key, signing_bytes(trial_id, tx.method, tx.sequence_number, tx.payload), tx.signature)
@@ -240,42 +240,34 @@ class Ledger:
         events_hash.update(b"]")
         return events_hash.digest()
 
-    def submit_all(self, txs: Sequence[SignedTransaction]) -> None:
-        """Submit ``txs`` in order; the outcomes are read from ``journal``.
-
-        Signatures are verified ahead by ``worked_ahead``'s helper, or by this
-        process when it finds the helper busy. Each ``submit`` takes the verdict
-        made ahead for its one signature check, or makes the check itself for a
-        transaction left to it.
-        """
-
-        def job(position: int) -> bytes:
-            tx = txs[position]
-            message = signing_bytes(self.trial_id, tx.method, tx.sequence_number, tx.payload)
-            return bytes([verified(tx.public_key, message, tx.signature)])
-
-        with worked_ahead(len(txs), 1, job) as results:
-            for tx, result in zip(txs, results):
-                self.submit(tx, None if result is None else result == b"\1")
-
     # -- replay ------------------------------------------------------------
 
     @classmethod
     def replay(cls, genesis: dict, entries: Sequence[JournalEntry]) -> tuple[Ledger, list[int]]:
-        """Re-run a journal on a new ``Ledger(genesis)`` with ``submit_all``.
+        """Re-run a journal on a new ``Ledger(genesis)``.
 
         Returns the rebuilt ledger and the journal positions whose outcome
         (accepted/rejected + code) diverged from the recorded one. A clean
         replay returns an empty divergence list; final-state equality is
-        then checked by digest comparison. Each reproduced outcome keeps the
-        log's own entry, so the journal holds one entry per record, not two.
+        then checked by digest comparison. Each record's signature is verified
+        by a job of ``worked_ahead``, in its helper or in this process, and
+        ``submit`` takes that verdict for its one signature check. Each
+        reproduced outcome keeps the log's own entry, so the journal holds one
+        entry per record, not two.
         """
         ledger = cls(genesis)
-        ledger.submit_all([entry.tx for entry in entries])
         divergent: list[int] = []
-        for position, (replayed, entry) in enumerate(zip(ledger.journal, entries)):
-            if replayed.status == entry.status and replayed.code == entry.code:
-                ledger.journal[position] = entry
-            else:
-                divergent.append(position)
+
+        def job(position: int) -> bytes:
+            tx = entries[position].tx
+            message = signing_bytes(ledger.trial_id, tx.method, tx.sequence_number, tx.payload)
+            return bytes([verified(tx.public_key, message, tx.signature)])
+
+        with worked_ahead(len(entries), 1, job) as results:
+            for position, (entry, result) in enumerate(zip(entries, results)):
+                replayed = ledger.submit(entry.tx, result == b"\1")
+                if replayed.status == entry.status and replayed.code == entry.code:
+                    ledger.journal[position] = entry
+                else:
+                    divergent.append(position)
         return ledger, divergent

@@ -219,7 +219,7 @@ class AuditReport:
 
 def audit_log(log: LogFile) -> tuple[AuditReport, Ledger]:
     """Replay every journaled transaction on a new ledger made from the log's genesis,
-    verified from both ends (see ``Ledger.submit_all``), and compare outcomes and digests;
+    verified from both ends (see ``Ledger.replay``), and compare outcomes and digests;
     no helper process outlives the call."""
     ledger, divergent = Ledger.replay(log.genesis, log.records)
     state_match = ledger.state_digest() == log.trailer.state_digest

@@ -714,6 +714,7 @@ BROKEN_HELPERS = {
     "DONE before its slot": lambda patched: patched.setattr(ahead, "_help", reordered(ahead._help, torn=False)),
     "torn slot before DONE": lambda patched: patched.setattr(ahead, "_help", reordered(ahead._help, torn=True)),
 }
+RUN_HELPERS = {"helper": lambda patched: None, **BROKEN_HELPERS}
 
 
 @pytest.fixture
@@ -732,16 +733,21 @@ def within_a_minute():
 
 def test_the_scheduler_gives_each_item_its_own_result_in_order(within_a_minute):
     """Work so small that the caller and the helper race for items all the way:
-    each result is still its own item's, and none is lost or moved."""
-    count = 20_000
+    each result is still its own item's, and none is lost or moved. The same
+    holds with too few items to fork a helper and with each broken helper."""
 
     def work(item):
         return item.to_bytes(4, "big")
 
-    with ahead.worked_ahead(count, 4, work) as results:
-        given = [work(item) if result is None else result for item, result in enumerate(results)]
-    assert given == [work(item) for item in range(count)]
-    assert_no_child_left()
+    cases = {name: (20_000, case) for name, case in RUN_HELPERS.items()}
+    cases["no helper"] = HELPER_THRESHOLD, RUN_HELPERS["helper"]
+    for name, (count, case) in cases.items():
+        with pytest.MonkeyPatch.context() as patched:
+            case(patched)
+            with ahead.worked_ahead(count, 4, work) as results:
+                given = list(results)
+        assert given == [work(item) for item in range(count)], name
+        assert_no_child_left()
 
 
 @pytest.mark.parametrize("broken", BROKEN_HELPERS.values(), ids=BROKEN_HELPERS.keys())
@@ -842,9 +848,6 @@ def runs_alone(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patched:
         patched.delattr(os, "fork")
         return runs(tmp_path_factory.mktemp("alone"))
-
-
-RUN_HELPERS = {"helper": lambda patched: None, **BROKEN_HELPERS}
 
 
 @pytest.mark.parametrize("case", RUN_HELPERS.values(), ids=RUN_HELPERS.keys())
